@@ -21,7 +21,6 @@ use lg_sim::{DynamicSim, DynamicSimConfig, OutQueue, Time};
 use lg_workloads::churn::{
     churn_network, churn_network_sized, generate_ops, ChurnConfig, ChurnRunner, ChurnWorld,
 };
-use lg_workloads::WorkerMatrix;
 
 /// Dense-churn schedule: advances of at most 2 s against a 30 s MRAI.
 fn dense_cfg(seed: u64) -> ChurnConfig {
@@ -140,79 +139,11 @@ fn compare_10k() {
     );
 }
 
-/// Worker-sweep scale-out: the same dense calibrated-10k schedule as
-/// `compare_10k`, through the parallel window engine at 1/2/4 workers
-/// (ring out-queue). Correctness is asserted unconditionally — every
-/// worker count must reproduce the sequential quiescence tick exactly.
-/// Timings (plus the host's available parallelism, so the CI validator
-/// knows whether a speedup is even possible) are emitted as JSON to
-/// `LG_DYNAMIC_SCALE_OUT` when set; on a single-core host the artifact
-/// is parity-only by design.
-fn scale_out() {
-    let sweep = match WorkerMatrix::from_env() {
-        Some(wm) => vec![1usize, wm.workers()],
-        None => vec![1usize, 2, 4],
-    };
-    let net = churn_network_sized(10_000, 7);
-    let world = ChurnWorld::new(&net);
-    let ops = generate_ops(&dense_cfg(7));
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut rows: Vec<(usize, f64, u64)> = Vec::new();
-    for &workers in &sweep {
-        let t0 = Instant::now();
-        let mut sim = DynamicSim::new(
-            &net,
-            DynamicSimConfig {
-                workers,
-                ..sim_cfg(OutQueue::Ring)
-            },
-        );
-        let mut runner = ChurnRunner::new(&world);
-        for op in &ops {
-            runner.apply(&mut sim, &net, op);
-        }
-        let q = sim.run_until_quiescent(sim.now() + Time::from_mins(600).millis());
-        assert!(
-            sim.quiescent(),
-            "10k scale-out (workers {workers}) did not quiesce"
-        );
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        println!("dynamic_churn 10k scale-out workers {workers}: {ms:.1} ms (quiesce {q:?})");
-        rows.push((workers, ms, q.millis()));
-    }
-    let oracle_tick = rows[0].2;
-    for &(workers, _, tick) in &rows[1..] {
-        assert_eq!(
-            tick, oracle_tick,
-            "workers {workers}: quiescence tick diverges from the sequential oracle"
-        );
-    }
-    if let Ok(path) = std::env::var("LG_DYNAMIC_SCALE_OUT") {
-        let mut json = String::from("{\n  \"n\": 10000,\n");
-        json.push_str(&format!(
-            "  \"host\": {{ \"available_parallelism\": {host} }},\n"
-        ));
-        json.push_str("  \"runs\": [\n");
-        for (i, (workers, ms, tick)) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{ \"workers\": {workers}, \"wall_ms\": {ms:.3}, \"quiesce_ms\": {tick} }}{}\n",
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write scale-out artifact");
-        println!("scale-out report written to {path}");
-    }
-}
-
 fn main() {
     lg_telemetry::trace::enable_from_env();
     benches();
     compare_sweep();
     compare_10k();
-    scale_out();
 
     // The runs above pushed every update through the dynamic engine; the
     // dynamic.* counters must all have moved.

@@ -205,14 +205,6 @@ impl PathInterner {
         PathId(node)
     }
 
-    /// Read-only probe for `prepend(tail, hop)`: the id the prepend would
-    /// return if this exact path already exists, else `None`. Lets
-    /// concurrent readers resolve dedup hits under a shared lock and only
-    /// escalate to an exclusive lock for genuinely new paths.
-    pub fn lookup_prepend(&self, tail: PathId, hop: AsId) -> Option<PathId> {
-        self.dedup.get(&(hop, tail.0)).map(|&node| PathId(node))
-    }
-
     /// Intern an owned path.
     pub fn intern(&mut self, path: &AsPath) -> PathId {
         let mut id = PathId::EMPTY;

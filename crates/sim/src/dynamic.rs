@@ -12,14 +12,6 @@
 //!
 //! Everything is deterministic: events are ordered by `(time, sequence)` and
 //! all "randomness" (MRAI jitter, link delays) is hashed from stable ids.
-//! That stays true with [`DynamicSimConfig::workers`] > 1: the parallel
-//! engine (see `parallel.rs` and DESIGN.md "Parallel dynamic engine")
-//! shards nodes across worker threads inside conservative time windows and
-//! merges their buffered effects back in global `(time, seq)` order, so
-//! event logs, Loc-RIBs, and quiescence ticks are byte-identical to the
-//! sequential engine — `workers = 1` (the default) runs the original
-//! single-threaded loop verbatim and serves as the differential oracle,
-//! exactly the [`OutQueue::Reference`] pattern.
 //!
 //! Paths are interned in a per-simulation [`PathInterner`]: every UPDATE
 //! carries a [`PathId`] (two words, `Copy`) instead of an owned `AsPath`,
@@ -52,7 +44,6 @@ use crate::dataplane::{walk_fib, Fib, FibEntry, Walk};
 use crate::failures::FailureSet;
 use crate::network::Network;
 use crate::packing::UpdatePacker;
-use crate::parallel::{self, EmKind, ShardOut, ShardTask, Work, WorkItem};
 use crate::time::{Time, TimerWheel};
 use lg_asmap::{AsId, Relationship};
 use lg_bgp::{
@@ -61,7 +52,6 @@ use lg_bgp::{
 use lg_telemetry::{Counter, Histogram, Registry};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::RwLock;
 
 /// Registry handles the engine reports into, resolved once at
 /// construction. These aggregate across every `DynamicSim` in the
@@ -70,35 +60,28 @@ use std::sync::RwLock;
 #[derive(Clone, Debug)]
 pub(crate) struct DynamicTelemetry {
     /// UPDATE messages put on the wire (announcements + withdrawals).
-    pub(crate) updates_sent: Counter,
+    updates_sent: Counter,
     /// UPDATE messages delivered and processed (dead-session and
     /// down-link drops excluded).
-    pub(crate) updates_received: Counter,
+    updates_received: Counter,
     /// Withdrawals among the messages sent.
-    pub(crate) withdrawals_sent: Counter,
+    withdrawals_sent: Counter,
     /// Announcements that could not be sent immediately because the
     /// per-(peer, prefix) MRAI timer was still running.
-    pub(crate) mrai_deferrals: Counter,
+    mrai_deferrals: Counter,
     /// Best-route (Loc-RIB) changes across all nodes.
-    pub(crate) loc_rib_changes: Counter,
+    loc_rib_changes: Counter,
     /// Simulated milliseconds from entering `run_until_quiescent` to its
     /// last processed event, per call that processed anything.
     quiescence_ms: Histogram,
     /// Updates rejected by a max-path-length cap. Shares its name (and so
     /// its global-registry handle) with the static engine's counter: the
     /// `policy.filtered_*` family aggregates across both engines.
-    pub(crate) filtered_path_len: Counter,
+    filtered_path_len: Counter,
     /// Updates rejected by a poisoned-announcement filter.
-    pub(crate) filtered_poisoned: Counter,
+    filtered_poisoned: Counter,
     /// Updates rejected by a reserved-ASN filter.
-    pub(crate) filtered_reserved: Counter,
-    /// Parallel engine: synchronization windows executed.
-    windows: Counter,
-    /// Parallel engine: events per window (batch sizes).
-    window_batch: Histogram,
-    /// Parallel engine: windows whose end was clamped by an armed MRAI
-    /// timer rather than the link-latency lookahead.
-    window_mrai_capped: Counter,
+    filtered_reserved: Counter,
     /// Emissions coalesced into an already-open packing group (logical
     /// updates saved by multi-prefix UPDATE packing; see `packing.rs`).
     pub(crate) updates_packed: Counter,
@@ -123,9 +106,6 @@ impl DynamicTelemetry {
             filtered_path_len: r.counter("policy.filtered_path_len"),
             filtered_poisoned: r.counter("policy.filtered_poisoned"),
             filtered_reserved: r.counter("policy.filtered_reserved"),
-            windows: r.counter("dynamic.windows"),
-            window_batch: r.histogram("dynamic.window_batch"),
-            window_mrai_capped: r.counter("dynamic.window_mrai_capped"),
             updates_packed: r.counter("dynamic.updates_packed"),
             wire_updates: r.counter("dynamic.wire_updates"),
             wire_bytes: r.counter("dynamic.wire_bytes"),
@@ -165,20 +145,6 @@ pub struct DynamicSimConfig {
     pub proc_delay_ms: u64,
     /// Out-queue implementation (see [`OutQueue`]).
     pub out_queue: OutQueue,
-    /// Worker threads for the parallel window engine. `1` (the default)
-    /// runs the original single-threaded event loop verbatim — the
-    /// retained oracle the differential harnesses compare against. Any
-    /// higher count shards nodes across workers inside conservative time
-    /// windows; results are byte-identical to `workers = 1` by
-    /// construction (and pinned so by `tests/outqueue_differential.rs`).
-    pub workers: usize,
-    /// Minimum events in a window before shard threads are actually
-    /// spawned; smaller windows run every shard inline on the calling
-    /// thread (same code path, same buffered-commit merge, identical
-    /// results — spawning threads for a handful of events costs more than
-    /// it buys). Tests that want real cross-thread execution set this
-    /// to 0.
-    pub parallel_spawn_min: usize,
     /// Account batched multi-prefix wire UPDATEs (see `packing.rs`).
     /// Observational only — event processing, logs, and Loc-RIBs are
     /// byte-identical either way; the differential harnesses run the
@@ -193,24 +159,9 @@ impl Default for DynamicSimConfig {
             mrai_jitter: true,
             proc_delay_ms: 1,
             out_queue: OutQueue::Ring,
-            workers: 1,
-            parallel_spawn_min: 24,
             pack_updates: true,
         }
     }
-}
-
-/// The (deterministically jittered) MRAI interval `node` applies to
-/// announcements toward `peer` — a pure function of config and ids, shared
-/// by the sequential engine and the shard workers.
-pub(crate) fn mrai_interval_for(cfg: &DynamicSimConfig, node: AsId, peer: AsId) -> u64 {
-    if !cfg.mrai_jitter {
-        return cfg.mrai_ms;
-    }
-    let mut x = ((node.0 as u64) << 32 | peer.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 29;
-    // 75%..100% of the base interval.
-    cfg.mrai_ms * (75 + x % 26) / 100
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,17 +208,17 @@ impl PartialOrd for Queued {
 }
 
 #[derive(Default)]
-pub(crate) struct PeerPrefixState {
+struct PeerPrefixState {
     /// Earliest time the next *announcement* may be sent.
-    pub(crate) mrai_ready_at: Time,
+    mrai_ready_at: Time,
     /// An MraiFire event (Reference) or wheel timer (Ring) is already
     /// queued.
-    pub(crate) fire_pending: bool,
+    fire_pending: bool,
     /// Content of the last update actually sent (None = withdrawn / nothing
     /// ever sent). Outer Option: have we ever sent anything? Interned ids
     /// are hash-consed, so id equality here is content equality and
     /// duplicate suppression stays exact.
-    pub(crate) last_sent: Option<Option<PathId>>,
+    last_sent: Option<Option<PathId>>,
 }
 
 /// Ring-mode per-peer sending machinery: dense per-prefix state plus the
@@ -279,32 +230,32 @@ pub(crate) struct PeerPrefixState {
 /// linearly scanned O(p) inline pairs per sent update. Inserts memmove,
 /// but each (peer, prefix) inserts exactly once — and bulk announcements
 /// intern prefixes in ascending id order, making those inserts appends.
-pub(crate) struct RingPeer {
-    pub(crate) peer: AsId,
-    pub(crate) state: Vec<(PrefixId, PeerPrefixState)>,
-    pub(crate) ring: OutRing<PrefixId>,
+struct RingPeer {
+    peer: AsId,
+    state: Vec<(PrefixId, PeerPrefixState)>,
+    ring: OutRing<PrefixId>,
 }
 
 /// Ring-mode per-node view: maps neighbor ASes to dense peer slots via a
 /// sorted vec + binary search (degree-sized, cheaper than hashing on the
 /// per-update hot path).
 #[derive(Default)]
-pub(crate) struct RingNode {
-    pub(crate) peer_idx: Vec<(AsId, u32)>,
-    pub(crate) peers: Vec<RingPeer>,
+struct RingNode {
+    peer_idx: Vec<(AsId, u32)>,
+    peers: Vec<RingPeer>,
 }
 
 /// Wheel payload: enough to find the deferred update when its MRAI timer
 /// fires. The prefix lives in the ring slot, not here.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct FireKey {
+struct FireKey {
     node: u32,
     peer: u32,
     pos: u64,
 }
 
 /// The engine's out-queue state, in one of the two [`OutQueue`] shapes.
-pub(crate) enum OutStore {
+enum OutStore {
     Reference(Vec<HashMap<(AsId, PrefixId), PeerPrefixState>>),
     Ring {
         nodes: Vec<RingNode>,
@@ -358,7 +309,7 @@ impl OutStore {
 
     /// Slot lookup with a lazy-insert fallback for peers that were not in
     /// the adjacency at construction (links added mid-simulation).
-    pub(crate) fn ring_peer_slot(node: &mut RingNode, peer: AsId) -> u32 {
+    fn ring_peer_slot(node: &mut RingNode, peer: AsId) -> u32 {
         match node.peer_idx.binary_search_by_key(&peer, |&(p, _)| p) {
             Ok(pos) => node.peer_idx[pos].1,
             Err(pos) => {
@@ -508,19 +459,19 @@ impl OutStore {
 /// [`DynamicSim::loc_route`] view materializes an owned [`Route`] per
 /// call.
 #[derive(Clone, Copy)]
-pub(crate) struct LocEntry {
-    pub(crate) path: PathId,
-    pub(crate) learned_from: AsId,
-    pub(crate) rel: Relationship,
+struct LocEntry {
+    path: PathId,
+    learned_from: AsId,
+    rel: Relationship,
 }
 
 #[derive(Default)]
-pub(crate) struct Node {
+struct Node {
     /// Routes accepted from each neighbor, per prefix (interned paths,
     /// dense prefix ids).
-    pub(crate) adj_in: IdRibIn,
+    adj_in: IdRibIn,
     /// Selected route per prefix.
-    pub(crate) loc: HashMap<PrefixId, LocEntry>,
+    loc: HashMap<PrefixId, LocEntry>,
 }
 
 /// One UPDATE put on the wire, as recorded by the (test-only) update log
@@ -614,13 +565,7 @@ pub struct DynamicSim<'n> {
     nodes: Vec<Node>,
     /// All AS paths this run has seen, hash-consed; lives as long as the
     /// simulation and is bounded by distinct paths, not messages processed.
-    /// The lock exists for the shard workers (shared reads, exclusive
-    /// interning of genuinely new paths); every single-threaded code path
-    /// goes through `get_mut`, which is lock-free. Ids are hash-consed so
-    /// id equality is content equality regardless of interleaving, and
-    /// best-path selection compares content, never raw id values — so the
-    /// interner is the one piece of state workers may share.
-    paths: RwLock<PathInterner>,
+    paths: PathInterner,
     /// Current announcement per prefix (origin + seeds), to diff on change.
     specs: HashMap<PrefixId, AnnouncementSpec>,
     /// Interned seed paths per announced prefix, aligned with the spec's
@@ -647,21 +592,6 @@ pub struct DynamicSim<'n> {
     /// Update log for differential testing; `None` (the default) records
     /// nothing.
     log: Option<Vec<UpdateRecord>>,
-    /// Parallel mode: conservative lookahead in ms — no event processed at
-    /// `t` can cause another event strictly before `t + lookahead_ms`.
-    /// The minimum over links of latency (propagation + processing),
-    /// further clamped by the minimum possible MRAI interval (a deferral
-    /// created in-window must fire after the window). `0` disables
-    /// windowing entirely and forces the sequential loop.
-    lookahead_ms: u64,
-    /// Parallel mode: every armed `mrai_ready_at` in the future (a
-    /// min-heap; lazily pruned). An MRAI deferral created *inside* a
-    /// window fires at an already-armed ready time, so clamping the
-    /// window end to the earliest armed time past the window start keeps
-    /// such fires out of their own window. Stale entries (already fired,
-    /// or re-armed later) only shorten windows — conservative, never
-    /// wrong.
-    armed_ready: BinaryHeap<Reverse<Time>>,
     /// Wire-level UPDATE packing accountant (see `packing.rs`); `None`
     /// when [`DynamicSimConfig::pack_updates`] is off.
     packer: Option<UpdatePacker>,
@@ -679,11 +609,6 @@ impl<'n> DynamicSim<'n> {
     /// one (isolated observation in tests).
     pub fn with_registry(net: &'n Network, cfg: DynamicSimConfig, registry: &Registry) -> Self {
         let out = OutStore::new(cfg.out_queue, net);
-        let lookahead_ms = if cfg.workers > 1 {
-            Self::compute_lookahead(net, &cfg)
-        } else {
-            0
-        };
         let packer = cfg.pack_updates.then(UpdatePacker::new);
         DynamicSim {
             net,
@@ -692,7 +617,7 @@ impl<'n> DynamicSim<'n> {
             seq: 0,
             queue: BinaryHeap::new(),
             nodes: (0..net.len()).map(|_| Node::default()).collect(),
-            paths: RwLock::new(PathInterner::new()),
+            paths: PathInterner::new(),
             specs: HashMap::new(),
             seed_ids: HashMap::new(),
             metrics: HashMap::new(),
@@ -702,51 +627,9 @@ impl<'n> DynamicSim<'n> {
             failures: FailureSet::none(),
             out,
             log: None,
-            lookahead_ms,
-            armed_ready: BinaryHeap::new(),
             packer,
             tele: DynamicTelemetry::from_registry(registry),
         }
-    }
-
-    /// The conservative lookahead bound for window synchronization: events
-    /// processed at `t` can only cause events at `t + L` or later.
-    ///
-    /// Two sources bound `L` from below:
-    /// * every emitted UPDATE travels a link (propagation + processing
-    ///   delay), so the graph-wide minimum link latency is safe;
-    /// * an MRAI deferral *created* in-window arms a fire at
-    ///   `now + interval`, so the minimum possible interval must also
-    ///   clear the window (deferrals re-using an *earlier* arming are
-    ///   handled separately by the `armed_ready` clamp).
-    ///
-    /// Degenerate configs where the minimum interval could round to 0 ms
-    /// (but deferrals still happen, i.e. `mrai_ms > 0`) return 0, which
-    /// disables windowing and falls back to the sequential loop.
-    fn compute_lookahead(net: &Network, cfg: &DynamicSimConfig) -> u64 {
-        let mut link = u64::MAX;
-        for a in net.graph().ases() {
-            for (b, _) in net.graph().neighbors(a) {
-                link = link.min(net.link_delay_ms(a, *b) + cfg.proc_delay_ms);
-            }
-        }
-        if link == u64::MAX {
-            // No links: nothing ever propagates; any positive bound works.
-            link = cfg.proc_delay_ms.max(1);
-        }
-        if cfg.mrai_ms == 0 {
-            // `now >= mrai_ready_at` always holds, so nothing ever defers.
-            return link;
-        }
-        let min_interval = if cfg.mrai_jitter {
-            cfg.mrai_ms * 75 / 100
-        } else {
-            cfg.mrai_ms
-        };
-        if min_interval == 0 {
-            return 0;
-        }
-        link.min(min_interval)
     }
 
     /// Toggle the update log (off by default). The log records every
@@ -806,8 +689,12 @@ impl<'n> DynamicSim<'n> {
 
     /// Restore the session over link `a`-`b`; both ends re-advertise their
     /// current best routes (and the origin re-seeds if it sits on the
-    /// link).
+    /// link). A no-op on a session that is up, as [`Self::fail_link`] is
+    /// on one that is down.
     pub fn restore_link(&mut self, a: AsId, b: AsId) {
+        if self.link_up(a, b) {
+            return;
+        }
         self.down_links
             .retain(|(x, y)| !((*x == a && *y == b) || (*x == b && *y == a)));
         // A fresh session incarnation: anything still in flight from before
@@ -883,10 +770,9 @@ impl<'n> DynamicSim<'n> {
     pub fn loc_route(&self, a: AsId, prefix: Prefix) -> Option<Route> {
         let id = PrefixId::lookup(prefix)?;
         let e = self.nodes[a.index()].loc.get(&id)?;
-        let paths = self.paths.read().expect("interner lock poisoned");
         Some(Route {
             prefix,
-            path: paths.materialize(e.path),
+            path: self.paths.materialize(e.path),
             learned_from: e.learned_from,
             rel: e.rel,
             communities: Vec::new(),
@@ -898,10 +784,7 @@ impl<'n> DynamicSim<'n> {
     /// "memory scales with distinct paths, not prefixes" gauge the
     /// full-table bench gates on.
     pub fn interned_paths(&self) -> usize {
-        self.paths
-            .read()
-            .expect("interner lock poisoned")
-            .node_count()
+        self.paths.node_count()
     }
 
     /// Total Loc-RIB entries across all nodes (full-table memory
@@ -968,19 +851,18 @@ impl<'n> DynamicSim<'n> {
     ) {
         if self.log.is_some() || self.packer.is_some() {
             let pfx = prefix.resolve();
-            let paths = self.paths.get_mut().expect("interner lock poisoned");
             if let Some(log) = &mut self.log {
                 log.push(UpdateRecord {
                     at: self.now,
                     from,
                     to,
                     prefix: pfx,
-                    path: path.map(|p| paths.hops(p).collect()),
+                    path: path.map(|p| self.paths.hops(p).collect()),
                     seeded,
                 });
             }
             if let Some(packer) = &mut self.packer {
-                packer.observe(self.now, from, to, pfx, path, paths, &self.tele);
+                packer.observe(self.now, from, to, pfx, path, &self.paths, &self.tele);
             }
         }
         self.push(
@@ -999,8 +881,7 @@ impl<'n> DynamicSim<'n> {
     /// emitted so far (called at the end of every run).
     fn flush_packer(&mut self) {
         if let Some(packer) = &mut self.packer {
-            let paths = self.paths.get_mut().expect("interner lock poisoned");
-            packer.flush(paths, &self.tele);
+            packer.flush(&self.paths, &self.tele);
         }
     }
 
@@ -1008,7 +889,13 @@ impl<'n> DynamicSim<'n> {
     /// announcements toward `peer`. Public so the differential harness can
     /// assert the MRAI lower bound on observed update spacing.
     pub fn mrai_interval(&self, node: AsId, peer: AsId) -> u64 {
-        mrai_interval_for(&self.cfg, node, peer)
+        if !self.cfg.mrai_jitter {
+            return self.cfg.mrai_ms;
+        }
+        let mut x = ((node.0 as u64) << 32 | peer.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 29;
+        // 75%..100% of the base interval.
+        self.cfg.mrai_ms * (75 + x % 26) / 100
     }
 
     fn link_latency(&self, a: AsId, b: AsId) -> u64 {
@@ -1047,13 +934,11 @@ impl<'n> DynamicSim<'n> {
             },
         );
 
-        let seeds: Vec<(AsId, PathId)> = {
-            let paths = self.paths.get_mut().expect("interner lock poisoned");
-            spec.seeds
-                .iter()
-                .map(|(nbr, path)| (*nbr, paths.intern(path)))
-                .collect()
-        };
+        let seeds: Vec<(AsId, PathId)> = spec
+            .seeds
+            .iter()
+            .map(|(nbr, path)| (*nbr, self.paths.intern(path)))
+            .collect();
         self.seed_ids.insert(pid, seeds.clone());
         let mut sent_to: Vec<AsId> = Vec::new();
         for (nbr, id) in &seeds {
@@ -1138,13 +1023,6 @@ impl<'n> DynamicSim<'n> {
         }
     }
 
-    /// True when the window engine is active: more than one configured
-    /// worker *and* a usable lookahead bound (see
-    /// [`Self::compute_lookahead`]).
-    fn parallel_enabled(&self) -> bool {
-        self.cfg.workers > 1 && self.lookahead_ms > 0
-    }
-
     /// Process events until the queue drains or `deadline` passes. Returns
     /// the time of the last processed event.
     pub fn run_until_quiescent(&mut self, deadline: Time) -> Time {
@@ -1152,21 +1030,14 @@ impl<'n> DynamicSim<'n> {
         let start = self.now;
         let mut last = self.now;
         let mut processed = false;
-        if self.parallel_enabled() {
-            if let Some(t) = self.run_windows(deadline) {
-                last = t;
-                processed = true;
+        while let Some((at, _, is_fire)) = self.next_pending() {
+            if at > deadline {
+                break;
             }
-        } else {
-            while let Some((at, _, is_fire)) = self.next_pending() {
-                if at > deadline {
-                    break;
-                }
-                self.now = at;
-                last = at;
-                processed = true;
-                self.step(is_fire);
-            }
+            self.now = at;
+            last = at;
+            processed = true;
+            self.step(is_fire);
         }
         self.flush_packer();
         if processed {
@@ -1183,268 +1054,15 @@ impl<'n> DynamicSim<'n> {
     /// A `t` in the past is a no-op: the clock never rewinds (MRAI
     /// bookkeeping and metrics timestamps rely on monotonic time).
     pub fn run_until(&mut self, t: Time) {
-        if self.parallel_enabled() {
-            self.run_windows(t);
-        } else {
-            while let Some((at, _, is_fire)) = self.next_pending() {
-                if at > t {
-                    break;
-                }
-                self.now = at;
-                self.step(is_fire);
+        while let Some((at, _, is_fire)) = self.next_pending() {
+            if at > t {
+                break;
             }
+            self.now = at;
+            self.step(is_fire);
         }
         self.flush_packer();
         self.now = self.now.max(t);
-    }
-
-    /// The parallel engine's main loop: carve the pending-event timeline
-    /// into conservative windows, execute each across node shards, and
-    /// merge. Processes every event with `at <= limit`; returns the time
-    /// of the last processed event, if any. `self.now` tracks the last
-    /// processed event exactly as the sequential loop's does.
-    fn run_windows(&mut self, limit: Time) -> Option<Time> {
-        let mut last = None;
-        while let Some((t0, _, _)) = self.next_pending() {
-            if t0 > limit {
-                break;
-            }
-            let wend = self.plan_window_end(t0, limit);
-            let batch = self.collect_window(wend);
-            let wmax = batch.last().expect("window collected no events").at;
-            self.now = wmax;
-            last = Some(wmax);
-            self.tele.windows.inc();
-            self.tele.window_batch.record(batch.len() as u64);
-            self.execute_window(batch);
-        }
-        last
-    }
-
-    /// Exclusive end of the window starting at `t0`:
-    /// `min(t0 + lookahead, earliest armed MRAI ready time past t0,
-    /// limit + 1)`. The armed clamp is what makes in-window MRAI deferrals
-    /// safe: a deferral created while the window runs fires at a ready
-    /// time that was armed *before* the window (fresh armings land at
-    /// `now + interval >= t0 + lookahead`), and every such pre-armed time
-    /// is on the heap — so the earliest one past `t0` bounds where any
-    /// new fire can appear. Entries at or before `t0` can no longer
-    /// produce fires (a handler defers only when `now < ready`) and are
-    /// pruned.
-    fn plan_window_end(&mut self, t0: Time, limit: Time) -> Time {
-        let mut wend = Time(t0.millis().saturating_add(self.lookahead_ms));
-        while let Some(&Reverse(ready)) = self.armed_ready.peek() {
-            if ready <= t0 {
-                self.armed_ready.pop();
-                continue;
-            }
-            if ready < wend {
-                wend = ready;
-                self.tele.window_mrai_capped.inc();
-            }
-            break;
-        }
-        wend.min(Time(limit.millis().saturating_add(1)))
-    }
-
-    /// Pop every pending event with `at < wend` — heap events and wheel
-    /// fires interleaved in global `(time, seq)` order, exactly the order
-    /// the sequential loop would process them in.
-    fn collect_window(&mut self, wend: Time) -> Vec<WorkItem> {
-        let mut batch = Vec::new();
-        while let Some((at, seq, is_fire)) = self.next_pending() {
-            if at >= wend {
-                break;
-            }
-            let work = if is_fire {
-                let (node, peer, prefix) = self.out.pop_fire();
-                Work::Fire { node, peer, prefix }
-            } else {
-                let Reverse(q) = self.queue.pop().expect("peeked event vanished");
-                match q.ev {
-                    Event::Recv {
-                        from,
-                        to,
-                        prefix,
-                        path,
-                        epoch,
-                    } => Work::Recv {
-                        from,
-                        to,
-                        prefix,
-                        path,
-                        epoch,
-                    },
-                    Event::MraiFire { node, peer, prefix } => Work::Fire { node, peer, prefix },
-                }
-            };
-            batch.push(WorkItem { at, seq, work });
-        }
-        batch
-    }
-
-    /// Execute one window: partition the batch by destination-node shard,
-    /// run every non-empty shard (on worker threads when the batch is
-    /// large enough to pay for them, inline otherwise — identical results
-    /// either way), then merge the buffered effects deterministically.
-    fn execute_window(&mut self, batch: Vec<WorkItem>) {
-        let workers = self.cfg.workers;
-        let chunk = self.nodes.len().div_ceil(workers).max(1);
-        let total = batch.len();
-        let mut per_shard: Vec<Vec<WorkItem>> = Vec::new();
-        per_shard.resize_with(workers, Vec::new);
-        for it in batch {
-            per_shard[it.work.node().index() / chunk].push(it);
-        }
-        let spawn = total >= self.cfg.parallel_spawn_min;
-        let fx = {
-            let ctx = parallel::SharedCtx {
-                net: self.net,
-                cfg: &self.cfg,
-                specs: &self.specs,
-                seed_ids: &self.seed_ids,
-                down_links: &self.down_links,
-                link_epochs: &self.link_epochs,
-                metrics: &self.metrics,
-                paths: &self.paths,
-                tele: &self.tele,
-            };
-            let mut shards: Vec<ShardTask<'_>> = Vec::with_capacity(workers);
-            match &mut self.out {
-                OutStore::Reference(maps) => {
-                    for (i, (nodes, out)) in self
-                        .nodes
-                        .chunks_mut(chunk)
-                        .zip(maps.chunks_mut(chunk))
-                        .enumerate()
-                    {
-                        shards.push(ShardTask {
-                            base: i * chunk,
-                            nodes,
-                            out: ShardOut::Reference(out),
-                            items: std::mem::take(&mut per_shard[i]),
-                        });
-                    }
-                }
-                OutStore::Ring { nodes: ring, .. } => {
-                    for (i, (nodes, out)) in self
-                        .nodes
-                        .chunks_mut(chunk)
-                        .zip(ring.chunks_mut(chunk))
-                        .enumerate()
-                    {
-                        shards.push(ShardTask {
-                            base: i * chunk,
-                            nodes,
-                            out: ShardOut::Ring(out),
-                            items: std::mem::take(&mut per_shard[i]),
-                        });
-                    }
-                }
-            }
-            parallel::execute_shards(&ctx, shards, spawn)
-        };
-        self.commit_window(fx);
-    }
-
-    /// The window barrier: merge every shard's buffered effects back into
-    /// the global engine state in `(source time, source seq)` order —
-    /// the order the sequential engine would have *created* them in, since
-    /// each handler's emissions keep their relative order (stable sort)
-    /// and handlers ran against identical pre-window state. Sequence
-    /// numbers are assigned from the same global counter at the same
-    /// program points, so heap contents, wheel contents, the update log,
-    /// and all metrics come out byte-identical to the sequential run.
-    fn commit_window(&mut self, fx: Vec<parallel::Effects>) {
-        let mut emissions = Vec::new();
-        let mut deltas = Vec::new();
-        for shard_fx in fx {
-            emissions.extend(shard_fx.emissions);
-            for ready in shard_fx.armed {
-                self.armed_ready.push(Reverse(ready));
-            }
-            if !shard_fx.metrics.is_empty() {
-                deltas.push(shard_fx.metrics);
-            }
-        }
-        emissions.sort_by_key(|e| (e.src_at, e.src_seq));
-        for e in emissions {
-            self.seq += 1;
-            match e.kind {
-                EmKind::Send {
-                    at,
-                    from,
-                    to,
-                    prefix,
-                    path,
-                    epoch,
-                } => {
-                    // Counters were bumped worker-side (at the same logical
-                    // point `push` would); the log and the packing
-                    // accountant are driven here, in merged order — the
-                    // exact stream `push_recv` feeds them in the
-                    // sequential engine (emissions are sorted by source
-                    // `(time, seq)`, which is sequential processing
-                    // order).
-                    if self.log.is_some() || self.packer.is_some() {
-                        let pfx = prefix.resolve();
-                        let paths = self.paths.get_mut().expect("interner lock poisoned");
-                        if let Some(log) = &mut self.log {
-                            log.push(UpdateRecord {
-                                at: e.src_at,
-                                from,
-                                to,
-                                prefix: pfx,
-                                path: path.map(|p| paths.hops(p).collect()),
-                                seeded: false,
-                            });
-                        }
-                        if let Some(packer) = &mut self.packer {
-                            packer.observe(e.src_at, from, to, pfx, path, paths, &self.tele);
-                        }
-                    }
-                    self.queue.push(Reverse(Queued {
-                        at,
-                        seq: self.seq,
-                        ev: Event::Recv {
-                            from,
-                            to,
-                            prefix,
-                            path,
-                            epoch,
-                        },
-                    }));
-                }
-                EmKind::Defer {
-                    node,
-                    peer,
-                    prefix,
-                    path,
-                    ready,
-                } => match self.cfg.out_queue {
-                    OutQueue::Reference => {
-                        self.queue.push(Reverse(Queued {
-                            at: ready,
-                            seq: self.seq,
-                            ev: Event::MraiFire { node, peer, prefix },
-                        }));
-                    }
-                    OutQueue::Ring => {
-                        let seq = self.seq;
-                        self.out.defer(node, peer, prefix, path, ready, seq);
-                    }
-                },
-            }
-        }
-        for shard_deltas in deltas {
-            for ((prefix, node), delta) in shard_deltas {
-                let m = self
-                    .metrics
-                    .get_mut(&prefix)
-                    .expect("worker recorded metrics for an untracked prefix");
-                delta.apply(m, node);
-            }
-        }
     }
 
     /// True when no events are pending.
@@ -1499,13 +1117,12 @@ impl<'n> DynamicSim<'n> {
         self.tele.updates_received.inc();
         match path {
             Some(p) => {
-                let paths = self.paths.get_mut().expect("interner lock poisoned");
                 let rejected = self.net.policy(to).evaluate_hops(
                     to,
                     self.net.peers_of(to),
                     rel,
-                    paths.hops(p),
-                    paths.len(p),
+                    self.paths.hops(p),
+                    self.paths.len(p),
                 );
                 match rejected {
                     Some(lg_bgp::RejectReason::PathLenCap) => self.tele.filtered_path_len.inc(),
@@ -1543,10 +1160,7 @@ impl<'n> DynamicSim<'n> {
         if self.specs.get(&prefix).is_some_and(|s| s.origin == at) {
             return;
         }
-        let best = {
-            let paths = self.paths.get_mut().expect("interner lock poisoned");
-            self.nodes[at.index()].adj_in.best(prefix, paths)
-        };
+        let best = self.nodes[at.index()].adj_in.best(prefix, &self.paths);
         let cur = self.nodes[at.index()].loc.get(&prefix);
         let same = match (&best, cur) {
             (None, None) => true,
@@ -1617,12 +1231,7 @@ impl<'n> DynamicSim<'n> {
         if !rel.exportable_to(rel_to_peer) {
             return None;
         }
-        Some(
-            self.paths
-                .get_mut()
-                .expect("interner lock poisoned")
-                .prepend(path, node),
-        )
+        Some(self.paths.prepend(path, node))
     }
 
     fn schedule_update(&mut self, node: AsId, peer: AsId, prefix: PrefixId) {
@@ -1679,15 +1288,10 @@ impl<'n> DynamicSim<'n> {
 
     fn send_now(&mut self, node: AsId, peer: AsId, prefix: PrefixId, content: Option<PathId>) {
         let interval = self.mrai_interval(node, peer);
-        let track_armed = self.parallel_enabled();
         let st = self.out.state_entry(node, peer, prefix);
         st.last_sent = Some(content);
         if content.is_some() {
             st.mrai_ready_at = self.now + interval;
-            if track_armed {
-                let ready = st.mrai_ready_at;
-                self.armed_ready.push(Reverse(ready));
-            }
         }
         if let Some(m) = self.metrics.get_mut(&prefix) {
             *m.updates_sent.entry(node).or_insert(0) += 1;
@@ -2111,6 +1715,32 @@ mod tests {
         sim.run_until_quiescent(Time::from_mins(30));
         assert!(sim.quiescent());
         assert_eq!(sim.loc_route(AsId(2), pfx()).unwrap().learned_from, AsId(1));
+    }
+
+    #[test]
+    fn restore_link_on_live_session_is_a_noop() {
+        // Regression: `restore_link` had no "already up" guard, so on a
+        // live session it bumped the session epoch and every UPDATE in
+        // flight was dropped at delivery as "from a dead incarnation".
+        // Here that is the origin's withdrawal, which the restore's own
+        // re-sync does not re-send (the prefix is no longer announced), so
+        // B and C kept routing a withdrawn prefix forever.
+        let mut g = GraphBuilder::with_ases(3);
+        g.provider_customer(AsId(1), AsId(0));
+        g.provider_customer(AsId(2), AsId(1));
+        let net = Network::new(g.build());
+        let mut sim = DynamicSim::new(&net, cfg());
+        sim.announce(&AnnouncementSpec::plain(&net, pfx(), AsId(0)));
+        sim.run_until_quiescent(Time::from_mins(30));
+        assert!(sim.loc_route(AsId(2), pfx()).is_some());
+
+        sim.withdraw(pfx());
+        sim.restore_link(AsId(0), AsId(1));
+        sim.run_until_quiescent(Time::from_mins(60));
+        assert!(sim.quiescent());
+        for a in net.graph().ases() {
+            assert!(sim.loc_route(a, pfx()).is_none(), "{a} kept a route");
+        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod dynamic;
 pub mod failures;
 pub mod network;
 pub(crate) mod packing;
-pub(crate) mod parallel;
 pub mod publish;
 pub mod static_routes;
 pub mod time;

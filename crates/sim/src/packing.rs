@@ -50,8 +50,7 @@ struct PackGroup {
 }
 
 /// Observes the engine's ordered emission stream and accounts packed wire
-/// messages (see module docs). One per simulation, driven only from
-/// single-threaded commit points, so no locking.
+/// messages (see module docs). One per simulation.
 pub(crate) struct UpdatePacker {
     /// Timestamp the open groups belong to.
     at: Time,

@@ -30,7 +30,6 @@ pub mod filters;
 pub mod harvest;
 pub mod outages;
 pub mod scenarios;
-pub mod workers;
 
 pub use arrivals::{ArrivalsConfig, OutageArrival};
 pub use churn::{
@@ -40,4 +39,3 @@ pub use filters::FilterMatrix;
 pub use harvest::harvest_poison_targets;
 pub use outages::{OutageStats, OutageTrace, OutageTraceConfig};
 pub use scenarios::{FailureScenario, ScenarioGen, ScenarioKind};
-pub use workers::WorkerMatrix;

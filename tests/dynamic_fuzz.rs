@@ -10,9 +10,9 @@
 //! calibrated matrix uses `LG_PREFIX_COUNT`, default 2, with a
 //! covering/covered pair), each with its own announce/withdraw lifecycle,
 //! and each checked against its own static fixed point at quiescence.
-//! Parallel runs additionally sweep packed-vs-unpacked wire accounting:
-//! the subject packs multi-prefix UPDATEs, the oracle doesn't, and every
-//! observable must match anyway.
+//! The calibrated-size run additionally pins packed-vs-unpacked wire
+//! accounting: the subject packs multi-prefix UPDATEs, the oracle doesn't,
+//! and every observable must match anyway.
 
 use lifeguard_repro::asmap::{AsId, TopologyConfig};
 use lifeguard_repro::bgp::Prefix;
@@ -23,7 +23,7 @@ use lifeguard_repro::sim::{
 use lifeguard_repro::workloads::churn::{
     churn_network_sized, churn_prefixes, generate_ops, ChurnConfig, ChurnRunner, ChurnWorld,
 };
-use lifeguard_repro::workloads::{FilterMatrix, WorkerMatrix};
+use lifeguard_repro::workloads::FilterMatrix;
 use proptest::prelude::*;
 
 fn pick_origin(net: &Network) -> AsId {
@@ -172,11 +172,6 @@ proptest! {
         // Sweep the adversarial filter deployments too: import-time
         // filtering must not break dynamic/static agreement.
         filter_sel in 0usize..4,
-        // And the worker-count matrix: the parallel window engine must
-        // reach the same fixed point *and* stay byte-identical to the
-        // sequential oracle under arbitrary fail/restore interleavings.
-        // LG_WORKER_MATRIX pins the point for CI replay.
-        workers_sel in 0usize..4,
         // Prefix pool size: 1 is the historical single-prefix workload,
         // 2+ adds the covering /19 and disjoint siblings, each with an
         // independent announce/withdraw lifecycle.
@@ -184,10 +179,6 @@ proptest! {
     ) {
         let mrai_ms = [2_000u64, 10_000, 30_000][mrai_sel];
         let matrix = FilterMatrix::ALL[filter_sel];
-        let workers = match WorkerMatrix::from_env() {
-            Some(wm) => wm.workers(),
-            None => WorkerMatrix::ALL[workers_sel].workers(),
-        };
         let ops: Vec<Op> = raw_ops
             .iter()
             .map(|&(kind, index, ms)| decode(kind, index, ms))
@@ -204,53 +195,12 @@ proptest! {
             mrai_ms,
             mrai_jitter,
             out_queue: if ring { OutQueue::Ring } else { OutQueue::Reference },
-            workers,
-            parallel_spawn_min: 0,
             ..DynamicSimConfig::default()
         };
-        let (sim, down, announced, end) =
-            drive(&net, &links, &pool, &ops, origin, target, cfg.clone());
+        let (sim, down, announced, end) = drive(&net, &links, &pool, &ops, origin, target, cfg);
 
         // Whatever the sequence did, the network must settle.
         prop_assert!(sim.quiescent(), "not quiescent by {:?} after {:?}", end, ops);
-
-        // Parallel point: the whole observable run — update log, final
-        // clock, quiescence tick — must be byte-identical to the
-        // sequential oracle on the same schedule. The oracle also runs
-        // with UPDATE packing off (the subject's default is on), pinning
-        // packing as pure wire accounting.
-        if workers > 1 {
-            let (oracle, odown, oann, oend) = drive(
-                &net,
-                &links,
-                &pool,
-                &ops,
-                origin,
-                target,
-                DynamicSimConfig { workers: 1, pack_updates: false, ..cfg },
-            );
-            prop_assert_eq!(&odown, &down);
-            prop_assert_eq!(&oann, &announced);
-            prop_assert_eq!(
-                (oend, oracle.now(), oracle.quiescent()),
-                (end, sim.now(), sim.quiescent()),
-                "workers {} quiescence diverges from oracle", workers
-            );
-            prop_assert_eq!(
-                oracle.update_log(),
-                sim.update_log(),
-                "workers {} update log diverges from oracle", workers
-            );
-            for a in net.graph().ases() {
-                for p in &pool {
-                    prop_assert_eq!(
-                        oracle.loc_route(a, *p),
-                        sim.loc_route(a, *p),
-                        "workers {} Loc-RIB diverges from oracle at {} for {:?}", workers, a, p
-                    );
-                }
-            }
-        }
 
         // Each pool slot converges to its own static fixed point over the
         // surviving topology, independent of the other prefixes' churn.
@@ -321,14 +271,14 @@ fn round_seed(base: u64, i: u64) -> u64 {
 
 /// The calibrated topology sizes flow through the dynamic fuzz matrix
 /// too: calibrated-2k in debug, calibrated-10k in release, driven by the
-/// shared churn schedule machinery. At these sizes window batches are
-/// large enough that the parallel engine shards across real threads, and
-/// the whole observable run — update log, Loc-RIBs, quiescence tick,
-/// per-AS metrics — must still be byte-identical to the sequential
-/// oracle. Replay a failure with `LG_CHURN_SEED=<base>` (and
-/// `LG_WORKER_MATRIX=<n>` for the worker point; default 4).
+/// shared churn schedule machinery. The subject is the default engine
+/// (ring out-queue, multi-prefix UPDATE packing on), the oracle the
+/// unpacked reference out-queue, and the whole observable run — update
+/// log, Loc-RIBs, quiescence tick — must be byte-identical: the only pin
+/// of packing as observational at these sizes. Replay a failure with
+/// `LG_CHURN_SEED=<base>`.
 #[test]
-fn calibrated_topology_parallel_matches_sequential_oracle() {
+fn calibrated_topology_packed_ring_matches_unpacked_reference() {
     let n = if cfg!(debug_assertions) {
         2_000
     } else {
@@ -341,9 +291,6 @@ fn calibrated_topology_parallel_matches_sequential_oracle() {
             .unwrap_or_else(|_| panic!("LG_CHURN_SEED must be a u64, got {s:?}")),
         Err(_) => 0xD1CE,
     };
-    let workers = WorkerMatrix::from_env()
-        .unwrap_or(WorkerMatrix::W4)
-        .workers();
 
     for round in 0..2u64 {
         let seed = round_seed(base, round);
@@ -355,13 +302,11 @@ fn calibrated_topology_parallel_matches_sequential_oracle() {
             advance_max_ms: 45_000,
         });
 
-        let run = |workers: usize, pack: bool| {
+        let run = |out_queue: OutQueue, pack: bool| {
             let mut sim = DynamicSim::new(
                 &net,
                 DynamicSimConfig {
-                    out_queue: OutQueue::Ring,
-                    workers,
-                    parallel_spawn_min: 0,
+                    out_queue,
                     pack_updates: pack,
                     ..DynamicSimConfig::default()
                 },
@@ -398,34 +343,31 @@ fn calibrated_topology_parallel_matches_sequential_oracle() {
             )
         };
 
-        // Subject packs multi-prefix UPDATEs; the oracle doesn't. The
-        // comparison pins packing as observational at calibrated scale.
-        let par = run(workers, true);
-        let oracle = run(1, false);
+        let packed = run(OutQueue::Ring, true);
+        let oracle = run(OutQueue::Reference, false);
         assert!(
             oracle.2,
             "calibrated-{n} oracle not quiescent (seed {seed:#x})"
         );
         assert_eq!(
             (oracle.0, oracle.1, oracle.2),
-            (par.0, par.1, par.2),
-            "calibrated-{n} workers={workers} quiescence diverges (replay LG_CHURN_SEED={base})"
+            (packed.0, packed.1, packed.2),
+            "calibrated-{n} quiescence diverges (replay LG_CHURN_SEED={base})"
         );
         assert_eq!(
             oracle.3.len(),
-            par.3.len(),
-            "calibrated-{n} workers={workers} log length diverges (replay LG_CHURN_SEED={base})"
+            packed.3.len(),
+            "calibrated-{n} log length diverges (replay LG_CHURN_SEED={base})"
         );
-        for (i, (o, p)) in oracle.3.iter().zip(par.3.iter()).enumerate() {
+        for (i, (o, p)) in oracle.3.iter().zip(packed.3.iter()).enumerate() {
             assert_eq!(
                 o, p,
-                "calibrated-{n} workers={workers} log diverges at record {i} \
-                 (replay LG_CHURN_SEED={base})"
+                "calibrated-{n} log diverges at record {i} (replay LG_CHURN_SEED={base})"
             );
         }
         assert_eq!(
-            oracle.4, par.4,
-            "calibrated-{n} workers={workers} Loc-RIBs diverge (replay LG_CHURN_SEED={base})"
+            oracle.4, packed.4,
+            "calibrated-{n} Loc-RIBs diverge (replay LG_CHURN_SEED={base})"
         );
     }
 }

@@ -10,11 +10,7 @@ use lifeguard_repro::sim::{
 };
 
 fn check_equivalence(net: &Network, specs: &[AnnouncementSpec]) {
-    check_equivalence_with(net, specs, DynamicSimConfig::default());
-}
-
-fn check_equivalence_with(net: &Network, specs: &[AnnouncementSpec], cfg: DynamicSimConfig) {
-    let mut sim = DynamicSim::new(net, cfg);
+    let mut sim = DynamicSim::new(net, DynamicSimConfig::default());
     for spec in specs {
         sim.announce(spec);
         sim.run_until_quiescent(Time::from_mins(120));
@@ -165,14 +161,11 @@ fn filtered_policies_agree_across_engines() {
 
 #[test]
 fn dynamic_matches_static_on_calibrated_topology() {
-    use lifeguard_repro::workloads::WorkerMatrix;
     // The Internet-calibrated generator produces a very different shape from
     // the presets (power-law degrees, deep stub fan-out); both engines must
     // still agree. Debug builds use a smaller instance so `cargo test` stays
     // fast; release CI runs the full 10k. The topology seed is replayable
-    // via `LG_CHURN_SEED`, and the same announcements also run through the
-    // parallel window engine (`LG_WORKER_MATRIX` point, default 4) — the
-    // static fixed point is the shared ground truth for both engine modes.
+    // via `LG_CHURN_SEED`.
     let n = if cfg!(debug_assertions) {
         2_000
     } else {
@@ -201,18 +194,6 @@ fn dynamic_matches_static_on_calibrated_topology() {
         AnnouncementSpec::poisoned(&net, prefix, origin, &[poison_target]),
     ];
     check_equivalence(&net, &specs);
-    let workers = WorkerMatrix::from_env()
-        .unwrap_or(WorkerMatrix::W4)
-        .workers();
-    check_equivalence_with(
-        &net,
-        &specs,
-        DynamicSimConfig {
-            workers,
-            parallel_spawn_min: 0,
-            ..DynamicSimConfig::default()
-        },
-    );
 }
 
 #[test]

@@ -19,13 +19,6 @@
 //! for the big sweep, and a dedicated test covers all four points at a
 //! reduced schedule count. Replay = same seed + same `LG_FILTER_MATRIX`.
 //!
-//! Worker matrix: the parallel window engine (`DynamicSimConfig::workers`)
-//! must be byte-identical to the sequential oracle in *both* out-queue
-//! shapes. `LG_WORKER_MATRIX` selects the worker count the big sweep
-//! compares against the oracle (default 2), and a dedicated test covers
-//! {2, 4, 8} with thread spawning forced on. Replay = seed +
-//! `LG_FILTER_MATRIX` + `LG_WORKER_MATRIX`.
-//!
 //! Prefix pool: schedules select from `LG_PREFIX_COUNT` prefixes
 //! (default 2, including a covering/covered pair), and every dump spans
 //! the whole pool. The subject side additionally runs with multi-prefix
@@ -36,13 +29,15 @@
 
 use std::collections::HashMap;
 
-use lifeguard_repro::asmap::AsId;
+use lifeguard_repro::asmap::{AsId, GraphBuilder};
 use lifeguard_repro::bgp::Prefix;
-use lifeguard_repro::sim::{DynamicSim, DynamicSimConfig, OutQueue, Time, UpdateRecord};
+use lifeguard_repro::sim::{
+    AnnouncementSpec, DynamicSim, DynamicSimConfig, Network, OutQueue, Time, UpdateRecord,
+};
 use lifeguard_repro::workloads::churn::{
     churn_network, generate_ops, ChurnConfig, ChurnRunner, ChurnWorld,
 };
-use lifeguard_repro::workloads::{FilterMatrix, WorkerMatrix};
+use lifeguard_repro::workloads::FilterMatrix;
 
 /// Schedules per sweep. CI runs the sweep three times (two fixed bases,
 /// one random), so the per-run count stays modest while total coverage
@@ -71,24 +66,19 @@ fn schedule_seed(base: u64, i: u64) -> u64 {
 
 /// Engine config derived from the seed: sweep MRAI base and jitter so the
 /// differential covers short and long shadows, with and without jitter.
-/// `workers > 1` engages the parallel window engine with thread spawning
-/// forced on (`parallel_spawn_min: 0`) so even small windows cross real
-/// thread boundaries.
-fn config_for(seed: u64, out_queue: OutQueue, workers: usize, pack: bool) -> DynamicSimConfig {
+fn config_for(seed: u64, out_queue: OutQueue, pack: bool) -> DynamicSimConfig {
     DynamicSimConfig {
         mrai_ms: [5_000, 15_000, 30_000][(seed % 3) as usize],
         mrai_jitter: seed.is_multiple_of(2),
         proc_delay_ms: 1,
         out_queue,
-        workers,
-        parallel_spawn_min: 0,
         pack_updates: pack,
     }
 }
 
-/// Deterministic, ordered dump of one prefix's metrics — parallel runs
-/// must reproduce the sequential engine's per-AS measurement exactly,
-/// not just its logs and RIBs.
+/// Deterministic, ordered dump of one prefix's metrics — both out-queue
+/// shapes must produce the same per-AS measurement, not just the same
+/// logs and RIBs.
 type MetricsDump = Vec<(AsId, u64, Time, Time, u64, Time, Time)>;
 
 /// Per-AS Loc-RIB selection: `(holder, Some((neighbor, path)))`.
@@ -133,13 +123,7 @@ fn dump_metrics(sim: &DynamicSim, prefix: Prefix) -> MetricsDump {
         .collect()
 }
 
-fn run_one(
-    seed: u64,
-    out_queue: OutQueue,
-    matrix: FilterMatrix,
-    workers: usize,
-    pack: bool,
-) -> Outcome {
+fn run_one(seed: u64, out_queue: OutQueue, matrix: FilterMatrix, pack: bool) -> Outcome {
     let mut net = churn_network(seed ^ 0xA5A5);
     matrix.apply(&mut net, seed);
     let world = ChurnWorld::new(&net);
@@ -149,7 +133,7 @@ fn run_one(
         advance_max_ms: 45_000,
     });
 
-    let mut sim = DynamicSim::new(&net, config_for(seed, out_queue, workers, pack));
+    let mut sim = DynamicSim::new(&net, config_for(seed, out_queue, pack));
     sim.record_updates(true);
     for p in &world.prefixes {
         sim.begin_epoch(*p);
@@ -159,8 +143,12 @@ fn run_one(
         runner.apply(&mut sim, &net, op);
     }
     let quiesce_at = sim.run_until_quiescent(sim.now() + Time::from_mins(600).millis());
-    let loc_ribs = world
-        .prefixes
+    observe(&sim, &net, &world.prefixes, quiesce_at)
+}
+
+/// Snapshot everything the differential compares, over `prefixes`.
+fn observe(sim: &DynamicSim, net: &Network, prefixes: &[Prefix], quiesce_at: Time) -> Outcome {
+    let loc_ribs = prefixes
         .iter()
         .map(|p| {
             (
@@ -178,10 +166,9 @@ fn run_one(
             )
         })
         .collect();
-    let metrics = world
-        .prefixes
+    let metrics = prefixes
         .iter()
-        .map(|p| (*p, dump_metrics(&sim, *p)))
+        .map(|p| (*p, dump_metrics(sim, *p)))
         .collect();
     Outcome {
         quiesce_at,
@@ -195,27 +182,24 @@ fn run_one(
 
 /// Single-sim invariants over an update log.
 ///
+/// The log as a whole never goes backwards in time — emissions are
+/// recorded in global `(time, seq)` processing order.
+///
 /// MRAI lower bound: between two consecutive *machinery* announcements on
 /// one (from, to, prefix) stream, at least `mrai_interval(from, to)` ms
 /// must elapse. The tracker resets when the origin withdraws the prefix
 /// (its out-state is dropped wholesale, observable as a seeded
 /// withdrawal), matching the engine's documented semantics. Withdrawals
 /// themselves bypass MRAI by design and are exempt.
-fn check_invariants(seed: u64, sim_cfg: &DynamicSimConfig, net_seed: u64, log: &[UpdateRecord]) {
-    let net = churn_network(net_seed);
-    let sim = DynamicSim::new(&net, sim_cfg.clone());
-    let mut last_at: HashMap<(AsId, AsId), Time> = HashMap::new();
+fn check_invariants(tag: &str, sim_cfg: &DynamicSimConfig, net: &Network, log: &[UpdateRecord]) {
+    let sim = DynamicSim::new(net, sim_cfg.clone());
     let mut ready: HashMap<(AsId, AsId, Prefix), Time> = HashMap::new();
     for (i, rec) in log.iter().enumerate() {
-        // Per-peer ordering: one (from, to) stream never rewinds.
-        if let Some(prev) = last_at.insert((rec.from, rec.to), rec.at) {
+        if i > 0 {
             assert!(
-                prev <= rec.at,
-                "seed {seed}: send #{i} to ({:?} -> {:?}) at {:?} precedes earlier send at {:?}",
-                rec.from,
-                rec.to,
-                rec.at,
-                prev
+                log[i - 1].at <= rec.at,
+                "{tag}: log times regress at send #{i}: {:?} then {rec:?}",
+                log[i - 1]
             );
         }
         let key = (rec.from, rec.to, rec.prefix);
@@ -231,7 +215,7 @@ fn check_invariants(seed: u64, sim_cfg: &DynamicSimConfig, net_seed: u64, log: &
             if let Some(r) = ready.get(&key) {
                 assert!(
                     rec.at >= *r,
-                    "seed {seed}: MRAI violated at send #{i}: ({:?} -> {:?}, {:?}) \
+                    "{tag}: MRAI violated at send #{i}: ({:?} -> {:?}, {:?}) \
                      announced at {:?}, not ready before {:?} (interval {} ms)",
                     rec.from,
                     rec.to,
@@ -276,55 +260,36 @@ fn assert_identical(tag: &str, got: &Outcome, oracle: &Outcome) {
     assert_eq!(got.metrics, oracle.metrics, "{tag}: per-AS metrics diverge");
 }
 
-fn diff_one(seed: u64, matrix: FilterMatrix, workers: usize) {
-    let tag = format!("seed {seed} matrix {} workers {workers}", matrix.label());
-    // Subject sides run with UPDATE packing on; the oracle runs unpacked.
-    // Packing is wire accounting only, so every comparison below must
+/// Diff one schedule, returning the ring side's update count.
+fn diff_one(seed: u64, matrix: FilterMatrix) -> usize {
+    let tag = format!("seed {seed} matrix {}", matrix.label());
+    // The subject side runs with UPDATE packing on; the oracle runs
+    // unpacked. Packing is wire accounting only, so the comparison must
     // still be byte-identical — this sweep is the packed-vs-unpacked pin.
-    let ring = run_one(seed, OutQueue::Ring, matrix, 1, true);
-    let reference = run_one(seed, OutQueue::Reference, matrix, 1, false);
+    let ring = run_one(seed, OutQueue::Ring, matrix, true);
+    let reference = run_one(seed, OutQueue::Reference, matrix, false);
     assert_identical(&format!("{tag} [ring vs reference]"), &ring, &reference);
-
-    // The parallel engine against the sequential oracle, in both
-    // out-queue shapes (the wheel-sharded collection path and the
-    // heap-fire path stress different window machinery).
-    if workers > 1 {
-        let ring_p = run_one(seed, OutQueue::Ring, matrix, workers, true);
-        assert_identical(&format!("{tag} [parallel ring vs oracle]"), &ring_p, &ring);
-        let ref_p = run_one(seed, OutQueue::Reference, matrix, workers, false);
-        assert_identical(
-            &format!("{tag} [parallel reference vs oracle]"),
-            &ref_p,
-            &reference,
-        );
-    }
-
     check_invariants(
-        seed,
-        &config_for(seed, OutQueue::Ring, 1, true),
-        seed ^ 0xA5A5,
+        &tag,
+        &config_for(seed, OutQueue::Ring, true),
+        &churn_network(seed ^ 0xA5A5),
         &ring.log,
     );
+    ring.log.len()
 }
 
 #[test]
 fn ring_out_queue_matches_reference_across_randomized_churn() {
     let base = base_seed();
     let matrix = FilterMatrix::from_env().unwrap_or(FilterMatrix::None);
-    let workers = WorkerMatrix::from_env()
-        .unwrap_or(WorkerMatrix::W2)
-        .workers();
     println!(
-        "outqueue differential sweep: base seed {base} matrix {} workers {workers} \
-         (override with LG_CHURN_SEED / LG_FILTER_MATRIX / LG_WORKER_MATRIX)",
+        "outqueue differential sweep: base seed {base} matrix {} \
+         (override with LG_CHURN_SEED / LG_FILTER_MATRIX)",
         matrix.label()
     );
     let mut total_updates = 0usize;
     for i in 0..SCHEDULES {
-        let seed = schedule_seed(base, i);
-        let ring = run_one(seed, OutQueue::Ring, matrix, 1, true);
-        total_updates += ring.log.len();
-        diff_one(seed, matrix, workers);
+        total_updates += diff_one(schedule_seed(base, i), matrix);
     }
     // The sweep must actually exercise the machinery, not no-op through.
     assert!(
@@ -346,31 +311,85 @@ fn ring_out_queue_matches_reference_across_filter_matrix() {
             matrix.label()
         );
         for i in 0..40 {
-            diff_one(schedule_seed(base, i), matrix, 1);
+            diff_one(schedule_seed(base, i), matrix);
         }
     }
 }
 
+/// Drive `schedule` through both out-queue shapes (ring packed, reference
+/// unpacked, as in [`diff_one`]) on a hand-built network and diff them.
+fn diff_schedule(
+    tag: &str,
+    net: &Network,
+    prefix: Prefix,
+    mrai_ms: u64,
+    schedule: impl Fn(&mut DynamicSim),
+) {
+    let cfg = |out_queue, pack_updates| DynamicSimConfig {
+        mrai_ms,
+        out_queue,
+        pack_updates,
+        ..DynamicSimConfig::default()
+    };
+    let run = |cfg: DynamicSimConfig| {
+        let mut sim = DynamicSim::new(net, cfg);
+        sim.record_updates(true);
+        schedule(&mut sim);
+        let q = sim.run_until_quiescent(sim.now() + Time::from_mins(60).millis());
+        observe(&sim, net, &[prefix], q)
+    };
+    let ring = run(cfg(OutQueue::Ring, true));
+    let reference = run(cfg(OutQueue::Reference, false));
+    assert!(!ring.log.is_empty(), "{tag}: schedule produced no updates");
+    assert_identical(tag, &ring, &reference);
+    check_invariants(tag, &cfg(OutQueue::Ring, true), net, &ring.log);
+}
+
 #[test]
-fn parallel_engine_matches_sequential_across_worker_matrix() {
-    // Every parallel worker-matrix point at a reduced schedule count,
-    // with thread spawning forced on: the big sweep covers one point
-    // exhaustively (selected by LG_WORKER_MATRIX); this one guarantees
-    // {2, 4, 8} are all exercised on every run, including shard counts
-    // exceeding some topologies' per-chunk node counts.
-    let base = base_seed() ^ 0x60B5;
-    for wm in WorkerMatrix::ALL {
-        if wm.workers() == 1 {
-            continue;
-        }
-        println!(
-            "worker-matrix differential: workers {} base seed {base}",
-            wm.label()
-        );
-        for i in 0..40 {
-            diff_one(schedule_seed(base, i), FilterMatrix::None, wm.workers());
-        }
+fn ring_out_queue_matches_reference_on_hand_built_schedules() {
+    let prefix = Prefix::from_octets(184, 164, 224, 0, 20);
+
+    // Hub star: AsId(0) provides for stubs 1..14 and AsId(1) originates.
+    // When the hub's selection changes it floods one UPDATE per spoke at
+    // the same instant, arming one jittered MRAI deadline per (hub, spoke)
+    // pair — twelve deadlines inside the 25 ms that jitter spans on a
+    // 100 ms base. The re-announcement lands inside every one of those
+    // shadows, so the hub defers a flush per spoke and the fires come due
+    // a few ms apart, interleaved with deliveries still in flight.
+    let mut g = GraphBuilder::with_ases(14);
+    for i in 1..14 {
+        g.provider_customer(AsId(0), AsId(i));
     }
+    let star = Network::new(g.build());
+    diff_schedule("hub star", &star, prefix, 100, |sim| {
+        sim.announce(&AnnouncementSpec::plain(&star, prefix, AsId(1)));
+        // The second announcement reaches the hub 30 ms after the first:
+        // inside every spoke shadow (the earliest ends 75 ms after the
+        // flood).
+        sim.run_until(sim.now() + 30);
+        sim.announce(&AnnouncementSpec::prepended(&star, prefix, AsId(1), 3));
+    });
+
+    // Provider chain 0 <- 1 <- ... <- 15, origin at the bottom: stop with
+    // the first wave part-way up, fail the link its front is crossing
+    // (that UPDATE dies with the session), let the rest settle, restore.
+    let mut g = GraphBuilder::with_ases(16);
+    for i in 0..15 {
+        g.provider_customer(AsId(i + 1), AsId(i));
+    }
+    let chain = Network::new(g.build());
+    diff_schedule("chain flap", &chain, prefix, 15_000, |sim| {
+        sim.announce(&AnnouncementSpec::plain(&chain, prefix, AsId(0)));
+        sim.run_until(sim.now() + 40);
+        let front = (0..16)
+            .rev()
+            .find(|a| sim.loc_route(AsId(*a), prefix).is_some())
+            .expect("origin holds its self-route");
+        assert!(front < 15, "wave finished before the link flap");
+        sim.fail_link(AsId(front), AsId(front + 1));
+        sim.run_until(sim.now() + 500);
+        sim.restore_link(AsId(front), AsId(front + 1));
+    });
 }
 
 #[test]
