@@ -11,7 +11,7 @@ use lg_locate::Isolator;
 use lg_probe::Prober;
 use lg_sim::dataplane::{infra_addr, infra_prefix, DataPlane};
 use lg_sim::failures::Failure;
-use lg_sim::{compute_routes, AnnouncementSpec, Network, RouteComputer, RouteTableCache, Time};
+use lg_sim::{compute_routes, AnnouncementSpec, Network, RouteComputer, SharedRouteCache, Time};
 
 fn bench_route_computation(c: &mut Criterion) {
     let mut group = c.benchmark_group("static_route_computation");
@@ -58,8 +58,8 @@ fn bench_compute_layer(c: &mut Criterion) {
     group.bench_function("scratch_medium", |b| {
         b.iter(|| compute_routes(&net, &spec));
     });
-    group.bench_function("cache_hit_medium", |b| {
-        let mut cache = RouteTableCache::new();
+    group.bench_function("shared_cache_hit_medium", |b| {
+        let cache = SharedRouteCache::new();
         let _ = cache.compute(&net, &spec);
         b.iter(|| cache.compute(&net, &spec));
     });
@@ -85,29 +85,13 @@ fn bench_compute_layer(c: &mut Criterion) {
         b.iter(|| computer.compute_batch(&net, &specs));
     });
 
-    // The sharded shared cache on its hit path. The default layout reads a
-    // published snapshot with no lock and must stay within 1.2x of the
-    // single-owner cache_hit_medium above (gated hard by the
-    // cache_hit_gate bench); the retained mutex-per-shard oracle is
-    // measured alongside so the lock's cost stays visible.
-    group.bench_function("shared_cache_hit_medium", |b| {
-        let cache = lg_sim::SharedRouteCache::new();
-        let _ = cache.compute(&net, &spec);
-        b.iter(|| cache.compute(&net, &spec));
-    });
-    group.bench_function("shared_cache_hit_locked_medium", |b| {
-        let cache = lg_sim::SharedRouteCache::locked();
-        let _ = cache.compute(&net, &spec);
-        b.iter(|| cache.compute(&net, &spec));
-    });
-
     // Incremental invalidation: warm the poisoned what-if batch, then each
     // iteration toggles loop detection at one transit AS and recomputes a
     // spec whose footprint names it. Only footprint-hitting entries may be
     // evicted, so the rest of the batch stays warm across iterations.
     group.bench_function("dirty_invalidation_single_as", |b| {
         let mut dirty_net = Network::new(TopologyConfig::medium(1).generate());
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         for s in &specs {
             let _ = cache.compute(&dirty_net, s);
         }

@@ -13,7 +13,7 @@ use lg_bgp::{ImportPolicy, Prefix};
 use lg_probe::{Prober, ProberConfig};
 use lg_sim::dataplane::{infra_addr, infra_prefix, DataPlane};
 use lg_sim::failures::Failure;
-use lg_sim::{AnnouncementSpec, DynamicSim, DynamicSimConfig, Network, RouteTableCache, Time};
+use lg_sim::{AnnouncementSpec, DynamicSim, DynamicSimConfig, Network, SharedRouteCache, Time};
 use lifeguard_core::{Lifeguard, LifeguardConfig, World};
 
 /// The recurring Fig-2 evaluation world: O(0) under B(2); B under C(3) and
@@ -46,7 +46,7 @@ fn exercise_cache() {
         g.provider_customer(AsId(17), AsId(i));
     }
     let mut net = Network::new(g.build());
-    let mut cache = RouteTableCache::new();
+    let cache = SharedRouteCache::new();
     let sweep: Vec<AnnouncementSpec> = (1..=16u32)
         .map(|t| AnnouncementSpec::poisoned(&net, pfx(), AsId(0), &[AsId(t)]))
         .collect();

@@ -9,10 +9,9 @@
 //! the enabled run exceeds `disabled * 1.1` — instrumentation that costs
 //! more than 10% on the hottest kernel has leaked onto the fast path.
 //!
-//! Like `cache_hit_gate`, each phase keeps the *minimum* of `REPS`
-//! repetitions — the min of a CPU-bound loop is a robust noise-free
-//! estimator. The ordering (disabled first) matters: the recorder is
-//! install-once for the life of the process.
+//! Each phase keeps the *minimum* of `REPS` repetitions — the min of a
+//! CPU-bound loop is a robust noise-free estimator. The ordering (disabled
+//! first) matters: the recorder is install-once for the life of the process.
 
 use std::time::{Duration, Instant};
 

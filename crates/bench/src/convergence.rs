@@ -155,7 +155,7 @@ pub fn run_convergence(cfg: &ConvergenceConfig) -> ConvergenceResult {
 
     // Static what-if tables are memoized: each poison target's table is
     // needed for both the prepended and plain baseline passes below.
-    let mut cache = lg_sim::RouteTableCache::new();
+    let cache = lg_sim::SharedRouteCache::new();
 
     // Harvest poison targets from the static baseline.
     let base_table = cache.compute(

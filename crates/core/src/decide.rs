@@ -116,7 +116,7 @@ pub fn plan_repair(
 /// [`plan_repair`] against a shared table cache: the running system plans
 /// repeatedly over one (unchanging) network, so the predicted fixed points
 /// — often the same specs across outages and ticks — memoize well, and the
-/// sharded cache lets concurrent systems on one topology share them.
+/// cache lets concurrent systems on one topology share them.
 pub fn plan_repair_cached(
     net: &Network,
     cfg: &LifeguardConfig,

@@ -10,42 +10,27 @@
 //!   threads (scoped, no runtime dependency) and returns tables in input
 //!   order. Route computations are independent per spec, so this is
 //!   embarrassingly parallel.
-//! * [`RouteTableCache`] — memoizes tables by canonical spec key and
-//!   invalidates *incrementally*: every routing-relevant mutation
-//!   (`set_policy`, `set_strips_communities`) logs a typed
-//!   [`DirtyScope`](crate::network::DirtyScope) on the network, and on the
-//!   next lookup the cache drops only the entries that scope can reach — a
-//!   loop-detection edit at AS X evicts only tables whose seed-path
-//!   footprint contains X; everything else survives. Generations the log no
-//!   longer reaches (graph surgery, a different network, deep staleness)
-//!   flush wholesale, so a stale entry can never be served.
-//! * [`SharedRouteCache`] — the same cache behind `Arc`, sharded by spec
-//!   key, so concurrent `Lifeguard` instances evaluating repairs over one
-//!   topology share fixed points instead of each recomputing them. The hit
-//!   path is *lock-free*: each shard publishes an immutable,
-//!   generation-stamped snapshot through a hand-rolled arc-swap
-//!   ([`crate::publish::ArcSlot`]); readers do one atomic load, compare the
-//!   stamp against the network generation, and clone an `Arc` — no mutex.
-//!   Writers (miss fill, invalidation replay, `clear`) serialize on a
-//!   per-shard writer mutex and republish; misses compute their fixed
-//!   point *outside* that mutex with an in-flight marker keeping the
-//!   compute-once-per-generation guarantee. The PR 2 mutex-per-shard
-//!   implementation is retained behind [`SharedRouteCache::locked`] as a
-//!   differential-testing oracle.
+//! * [`SharedRouteCache`] — memoizes tables by canonical spec key behind
+//!   one `RwLock`, shareable by `Arc` between `Lifeguard` instances working
+//!   one topology, and invalidates *incrementally*: every routing-relevant
+//!   mutation (`set_policy`, `set_strips_communities`, link surgery) logs a
+//!   typed [`DirtyScope`](crate::network::DirtyScope) on the network, and
+//!   on the next lookup the cache drops only the entries that scope can
+//!   reach — a loop-detection edit at AS X evicts only tables whose
+//!   seed-path footprint contains X; everything else survives. Generations
+//!   the log no longer reaches (a different network, deep staleness) flush
+//!   wholesale, so a stale entry can never be served.
 
 use crate::announce::AnnouncementSpec;
 use crate::network::{DirtyScope, Network};
-use crate::publish::ArcSlot;
 use crate::static_routes::{compute_routes, RouteTable};
 use lg_asmap::AsId;
 use lg_bgp::{AsPath, Prefix};
-use lg_telemetry::{Counter, Gauge, Histogram, Registry};
+use lg_telemetry::{Counter, Gauge, Registry};
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Fans route computations for a batch of specs across threads.
 ///
@@ -148,16 +133,15 @@ impl SpecKey {
     /// seed path (poisons, prepends). A seeded neighbor that never appears
     /// in a path is *not* in the footprint — its loop detection counts its
     /// own occurrences, of which the candidate has none. Sorted and
-    /// deduplicated for binary search during invalidation; shared (`Arc`)
-    /// so snapshot publication clones entries by refcount, not content.
-    fn footprint(&self) -> Arc<[AsId]> {
+    /// deduplicated for binary search during invalidation.
+    fn footprint(&self) -> Vec<AsId> {
         let mut ases: Vec<AsId> = vec![self.origin];
         for (_, path) in &self.seeds {
             ases.extend_from_slice(path.hops());
         }
         ases.sort_unstable();
         ases.dedup();
-        ases.into()
+        ases
     }
 }
 
@@ -196,7 +180,7 @@ impl Evictions {
 }
 
 /// Point-in-time counter summary of a cache (see
-/// [`RouteTableCache::stats`] / [`SharedRouteCache::stats`]).
+/// [`SharedRouteCache::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups served from cache since construction.
@@ -222,10 +206,10 @@ impl CacheStats {
     }
 }
 
-/// Registry handles both cache flavors report into, resolved once at
-/// construction so the hot path is pure atomic bumps. Both flavors share
-/// the same metric names: reports aggregate every cache in the process
-/// (per-instance counts stay exact on the instance itself).
+/// Registry handles the cache reports into, resolved once at construction
+/// so the hot path is pure atomic bumps. Every cache in the process shares
+/// the metric names: reports aggregate them (per-instance counts stay exact
+/// on the instance itself).
 #[derive(Clone, Debug)]
 struct CacheTelemetry {
     hits: Counter,
@@ -237,8 +221,6 @@ struct CacheTelemetry {
     evict_generation_lost: Counter,
     entries: Gauge,
     retention_pct: Gauge,
-    shard_wait_us: Histogram,
-    snapshot_retries: Counter,
 }
 
 impl CacheTelemetry {
@@ -253,64 +235,42 @@ impl CacheTelemetry {
             evict_generation_lost: r.counter("cache.evictions.generation_lost"),
             entries: r.gauge("cache.entries"),
             retention_pct: r.gauge("cache.retention_pct"),
-            // On the snapshot path this histogram sees *writer*-lock waits
-            // only; the wait-free hit path never records into it.
-            shard_wait_us: r.histogram("cache.shard_wait_us"),
-            // Hazard-pointer validation retries on snapshot loads: nonzero
-            // only when a publication raced a reader mid-handshake.
-            snapshot_retries: r.counter("cache.snapshot_retries"),
         }
     }
 
-    /// Report a sync's eviction outcome: per-scope counters and — when
-    /// anything was evicted — the retention percentage of that sync
-    /// (`remaining` counts the synced shard's surviving entries).
+    /// Report an evicting sync: per-scope counters, the entries that
+    /// survived it, and the share of the pre-sync cache they are.
     fn record_sync(&self, ev: &Evictions, remaining: usize) {
-        let total = ev.total();
-        if total == 0 {
-            return;
-        }
         self.evict_footprint.add(ev.footprint);
         self.evict_communities.add(ev.communities);
         self.evict_link.add(ev.link);
         self.evict_global.add(ev.global);
         self.evict_generation_lost.add(ev.generation_lost);
-        let before = remaining as u64 + total;
+        self.entries.set(remaining as u64);
+        let before = remaining as u64 + ev.total();
         self.retention_pct.set(remaining as u64 * 100 / before);
     }
 }
 
-impl Default for CacheTelemetry {
-    fn default() -> Self {
-        Self::from_registry(lg_telemetry::global())
-    }
-}
-
 /// A cached fixed point plus the dependency summary invalidation needs.
-/// Both payloads sit behind `Arc`s, so cloning an entry (and thereby a
-/// whole shard, for snapshot publication) is two refcount bumps.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct CachedTable {
     table: Arc<RouteTable>,
     /// See [`SpecKey::footprint`].
-    footprint: Arc<[AsId]>,
+    footprint: Vec<AsId>,
     has_communities: bool,
 }
 
-/// One slice of cached tables; the single-owner [`RouteTableCache`] is one
-/// shard, the concurrent [`SharedRouteCache`] hashes keys across several.
-/// Each shard tracks the generation it last synced to independently, so
-/// shards invalidate lazily on their next access.
-///
-/// Keys are `Arc<SpecKey>` (lookup still takes a plain `&SpecKey` via
-/// `Borrow`): with both keys and values refcounted, `clone()`ing a shard —
-/// how the shared cache freezes a publishable snapshot — is `O(entries)`
-/// pointer bumps with no deep copies.
-#[derive(Clone, Debug, Default)]
+/// The cache's state, guarded by [`SharedRouteCache`]'s one lock: the
+/// cached tables, the generation they were last synced to, and what the
+/// syncs evicted.
+#[derive(Debug, Default)]
 struct CacheShard {
     /// Generation of the network the cached tables were computed over.
     generation: Option<u64>,
-    tables: HashMap<Arc<SpecKey>, CachedTable>,
+    tables: HashMap<SpecKey, CachedTable>,
+    /// Evictions since construction, by cause.
+    evictions: Evictions,
 }
 
 impl CacheShard {
@@ -398,7 +358,7 @@ impl CacheShard {
         self.tables.get(key).map(|e| Arc::clone(&e.table))
     }
 
-    fn insert(&mut self, key: Arc<SpecKey>, table: Arc<RouteTable>) {
+    fn insert(&mut self, key: SpecKey, table: Arc<RouteTable>) {
         let footprint = key.footprint();
         let has_communities = !key.communities.is_empty();
         self.tables.insert(
@@ -412,355 +372,26 @@ impl CacheShard {
     }
 }
 
-/// Memoizes converged route tables with incremental invalidation.
+/// Memoizes converged route tables with incremental invalidation, shareable
+/// by `Arc` between `Lifeguard` instances working one topology.
 ///
-/// Tables are handed out as `Arc<RouteTable>` so hits are a clone of a
-/// pointer, not of a table. The cache tracks the [`Network::generation`] it
-/// last computed against; when a lookup arrives with a newer stamp it
-/// replays the network's mutation log and evicts only the entries whose
-/// footprint the logged [`DirtyScope`]s touch. Unknown generations (another
-/// network, graph surgery, a log that has rolled over) still flush
-/// wholesale.
-#[derive(Debug, Default)]
-pub struct RouteTableCache {
-    shard: CacheShard,
-    hits: u64,
-    misses: u64,
-    evictions: Evictions,
-    tele: CacheTelemetry,
-}
-
-impl RouteTableCache {
-    /// An empty cache bound to no generation yet, reporting into the
-    /// global telemetry registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache reporting into `registry` instead of the global
-    /// one (isolated observation in tests).
-    pub fn with_registry(registry: &Registry) -> Self {
-        RouteTableCache {
-            tele: CacheTelemetry::from_registry(registry),
-            ..Self::default()
-        }
-    }
-
-    /// Lookups served from cache since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to compute since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Cached tables evicted by generation syncs since construction
-    /// (all scopes; see [`RouteTableCache::stats`] for the split).
-    pub fn invalidations(&self) -> u64 {
-        self.evictions.total()
-    }
-
-    /// Counter summary: hits, misses, evictions by scope, live entries.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.shard.tables.len(),
-        }
-    }
-
-    fn record_sync(&mut self, ev: Evictions) {
-        self.evictions.accumulate(&ev);
-        self.tele.record_sync(&ev, self.shard.tables.len());
-        self.tele.entries.set(self.shard.tables.len() as u64);
-    }
-
-    /// Number of cached tables.
-    pub fn len(&self) -> usize {
-        self.shard.tables.len()
-    }
-
-    /// True when no tables are cached.
-    pub fn is_empty(&self) -> bool {
-        self.shard.tables.is_empty()
-    }
-
-    /// Drop all cached tables (counters survive).
-    pub fn clear(&mut self) {
-        self.shard.tables.clear();
-        self.shard.generation = None;
-    }
-
-    /// The converged table for `spec`, computed at most once per
-    /// generation.
-    pub fn compute(&mut self, net: &Network, spec: &AnnouncementSpec) -> Arc<RouteTable> {
-        let ev = self.shard.sync(net);
-        self.record_sync(ev);
-        let key = SpecKey::of(spec);
-        if let Some(table) = self.shard.lookup(&key) {
-            self.hits += 1;
-            self.tele.hits.inc();
-            return table;
-        }
-        self.misses += 1;
-        self.tele.misses.inc();
-        let _fill_span = lg_telemetry::trace::span("cache.miss_fill");
-        let table = Arc::new(compute_routes(net, spec));
-        self.shard.insert(Arc::new(key), Arc::clone(&table));
-        self.tele.entries.set(self.shard.tables.len() as u64);
-        table
-    }
-
-    /// Batch variant: resolve hits, deduplicate the misses, compute them in
-    /// parallel on `computer`, and return tables in input order.
-    pub fn compute_batch(
-        &mut self,
-        computer: &RouteComputer,
-        net: &Network,
-        specs: &[AnnouncementSpec],
-    ) -> Vec<Arc<RouteTable>> {
-        let ev = self.shard.sync(net);
-        self.record_sync(ev);
-        let keys: Vec<SpecKey> = specs.iter().map(SpecKey::of).collect();
-        // First-appearance index of every key missing from the cache.
-        let mut queued: HashMap<&SpecKey, usize> = HashMap::new();
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if self.shard.tables.contains_key(key) || queued.contains_key(key) {
-                self.hits += 1;
-                continue;
-            }
-            queued.insert(key, i);
-            missing.push(i);
-        }
-        self.tele.hits.add((specs.len() - missing.len()) as u64);
-        self.misses += missing.len() as u64;
-        self.tele.misses.add(missing.len() as u64);
-        if !missing.is_empty() {
-            let miss_specs: Vec<AnnouncementSpec> =
-                missing.iter().map(|&i| specs[i].clone()).collect();
-            let tables = computer.compute_batch(net, &miss_specs);
-            for (&i, table) in missing.iter().zip(tables) {
-                self.shard
-                    .insert(Arc::new(keys[i].clone()), Arc::new(table));
-            }
-            self.tele.entries.set(self.shard.tables.len() as u64);
-        }
-        keys.iter()
-            .map(|key| self.shard.lookup(key).expect("all misses just filled"))
-            .collect()
-    }
-}
-
-/// Number of shards in a [`SharedRouteCache`]: enough that a handful of
-/// concurrent planners rarely contend on one writer lock, small enough
-/// that per-shard sync stays cheap.
-const DEFAULT_SHARDS: usize = 8;
-
-/// An immutable, generation-stamped view of one shard, published through
-/// an [`ArcSlot`] for the wait-free hit path. Structurally a frozen
-/// [`CacheShard`]: the stamp is `generation`, the payload a refcounted
-/// clone of the table map.
-type ShardSnapshot = CacheShard;
-
-/// How an in-flight computation ended, as seen by threads waiting on its
-/// [`InflightCell`].
-#[derive(Debug, Default)]
-enum FillState {
-    /// The owner is still computing.
-    #[default]
-    Pending,
-    /// The owner finished; waiters take the table as a hit.
-    Done(Arc<RouteTable>),
-    /// The owner unwound without producing a table (a panic inside
-    /// `compute_routes`); a waiter must take over the miss.
-    Abandoned,
-}
-
-/// Rendezvous cell an in-flight miss fills for the threads that found its
-/// marker and chose to wait rather than recompute.
-#[derive(Debug, Default)]
-struct InflightCell {
-    state: Mutex<FillState>,
-    ready: Condvar,
-}
-
-impl InflightCell {
-    fn fill(&self, outcome: Option<Arc<RouteTable>>) {
-        let mut state = self.state.lock().expect("inflight cell poisoned");
-        *state = match outcome {
-            Some(table) => FillState::Done(table),
-            None => FillState::Abandoned,
-        };
-        self.ready.notify_all();
-    }
-
-    /// Block until the owner fills the cell; `None` means it abandoned.
-    fn wait(&self) -> Option<Arc<RouteTable>> {
-        let mut state = self.state.lock().expect("inflight cell poisoned");
-        loop {
-            match &*state {
-                FillState::Pending => {
-                    state = self.ready.wait(state).expect("inflight cell poisoned");
-                }
-                FillState::Done(table) => return Some(Arc::clone(table)),
-                FillState::Abandoned => return None,
-            }
-        }
-    }
-}
-
-/// A miss being computed right now: which generation it is valid for and
-/// the cell its result lands in. Lives in the shard's writer-side marker
-/// map so a spec is computed at most once per generation even though
-/// computation runs outside the writer lock.
-#[derive(Debug)]
-struct Inflight {
-    generation: u64,
-    cell: Arc<InflightCell>,
-}
-
-/// Writer-side state of a snapshot shard: the authoritative table map the
-/// next snapshot is cloned from, plus the in-flight markers. Only ever
-/// touched under the shard's writer mutex.
-#[derive(Debug, Default)]
-struct ShardWriter {
-    shard: CacheShard,
-    inflight: HashMap<Arc<SpecKey>, Inflight>,
-}
-
-/// One shard of the snapshot store: readers load `published` with no lock;
-/// all mutation serializes on `writer` and republishes.
-#[derive(Debug)]
-struct SnapshotShard {
-    published: ArcSlot<ShardSnapshot>,
-    writer: Mutex<ShardWriter>,
-}
-
-impl Default for SnapshotShard {
-    fn default() -> Self {
-        SnapshotShard {
-            published: ArcSlot::new(Arc::new(ShardSnapshot::default())),
-            writer: Mutex::new(ShardWriter::default()),
-        }
-    }
-}
-
-/// The two shard layouts a [`SharedRouteCache`] can run on.
-#[derive(Debug)]
-enum Store {
-    /// Lock-free snapshot reads (the default): hits are one atomic load
-    /// plus a stamp check; writers republish behind a per-shard mutex.
-    Snapshot(Box<[SnapshotShard]>),
-    /// The original mutex-per-shard layout, retained as a differential-
-    /// testing oracle (the `OutQueue::Reference` pattern): every access
-    /// takes the shard mutex, misses compute under it.
-    Locked(Box<[Mutex<CacheShard>]>),
-}
-
-/// Unregisters an in-flight marker and releases its waiters if the owning
-/// thread unwinds out of `compute_routes` before publishing. On the happy
-/// path the owner disarms the guard after filling the cell itself; the
-/// `Drop` body then does nothing.
-struct FillGuard<'a> {
-    shard: &'a SnapshotShard,
-    key: &'a Arc<SpecKey>,
-    cell: &'a Arc<InflightCell>,
-    armed: bool,
-}
-
-impl Drop for FillGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        // Unwinding mid-compute: drop the marker (only if it is still
-        // ours — a sharer on a diverged generation may have replaced it)
-        // and wake the waiters so one of them takes over the miss. Raw,
-        // poison-tolerant lock: this runs during a panic, where a second
-        // panic would abort the process.
-        if let Ok(mut w) = self.shard.writer.lock() {
-            let ours = w
-                .inflight
-                .get(&**self.key)
-                .is_some_and(|inf| Arc::ptr_eq(&inf.cell, self.cell));
-            if ours {
-                w.inflight.remove(&**self.key);
-            }
-        }
-        self.cell.fill(None);
-    }
-}
-
-/// The batch-path counterpart of [`FillGuard`]: unregisters every marker
-/// the batch planted but has not yet published (entries before `done` are
-/// handed over and skipped) and wakes their waiters, should the batch
-/// computation unwind.
-struct BatchFillGuard<'a> {
-    shards: &'a [SnapshotShard],
-    entries: Vec<(usize, Arc<SpecKey>, Arc<InflightCell>)>,
-    done: usize,
-}
-
-impl Drop for BatchFillGuard<'_> {
-    fn drop(&mut self) {
-        for (si, key, cell) in &self.entries[self.done..] {
-            if let Ok(mut w) = self.shards[*si].writer.lock() {
-                let ours = w
-                    .inflight
-                    .get(&**key)
-                    .is_some_and(|inf| Arc::ptr_eq(&inf.cell, cell));
-                if ours {
-                    w.inflight.remove(&**key);
-                }
-            }
-            cell.fill(None);
-        }
-    }
-}
-
-/// A concurrency-safe [`RouteTableCache`]: the table space is split across
-/// shards by spec-key hash, so concurrent `Lifeguard` instances working
-/// one topology share fixed points.
+/// Tables are handed out as `Arc<RouteTable>`, so a hit is a clone of a
+/// pointer, not of a table. The whole cache sits behind one `RwLock`:
 ///
-/// The hit path is **wait-free**: each shard publishes an immutable,
-/// generation-stamped [`ShardSnapshot`] through an [`ArcSlot`]; a hit is
-/// one atomic snapshot load, one stamp comparison against
-/// [`Network::generation`], and an `Arc` clone — no mutex, so a stalled or
-/// descheduled writer can never block readers. Writers (miss fill,
-/// invalidation replay, [`clear`](Self::clear)) serialize on a per-shard
-/// writer mutex, mutate an authoritative copy, and publish a refcounted
-/// clone of it.
-///
-/// Invalidation is per shard and lazy — a shard replays the network's
-/// mutation log the next time its writer lock is taken — with the same
-/// footprint rules as the single-owner cache. A snapshot whose stamp
-/// trails the network's generation is simply bypassed (the slow path
-/// syncs and republishes), so a stale table can never be served.
-///
-/// Misses compute *outside* the writer lock: the computing thread plants
-/// an in-flight marker, releases the lock for the duration of the
-/// fixed-point computation (other keys in the shard keep hitting), and
-/// re-locks to publish. Threads that miss on the same spec meanwhile wait
-/// on the marker and count the handed-over table as a hit, preserving
-/// compute-at-most-once per spec and generation.
-///
-/// Construction defaults to the snapshot layout; [`SharedRouteCache::locked`]
-/// retains the original mutex-per-shard implementation as a differential-
-/// testing oracle.
+/// * A **hit** takes the read lock, checks the cache's generation stamp
+///   against the network ([`Network::unchanged_since`]) and probes the map.
+/// * Anything else — cold, stale or absent — takes the write lock, replays
+///   the network's mutation log (evicting only the entries whose footprint
+///   the logged [`DirtyScope`]s touch; a generation the log no longer
+///   reaches flushes wholesale), probes again, and on a true miss runs
+///   [`compute_routes`] *under the write lock* and inserts. A spec is
+///   therefore computed at most once per generation across all sharers, by
+///   construction; a miss blocks concurrent readers for one fixed point.
 #[derive(Debug)]
 pub struct SharedRouteCache {
-    store: Store,
+    shard: RwLock<CacheShard>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evict_footprint: AtomicU64,
-    evict_communities: AtomicU64,
-    evict_link: AtomicU64,
-    evict_global: AtomicU64,
-    evict_generation_lost: AtomicU64,
     tele: CacheTelemetry,
 }
 
@@ -771,84 +402,33 @@ impl Default for SharedRouteCache {
 }
 
 impl SharedRouteCache {
-    /// A snapshot-read cache with the default shard count, reporting into
-    /// the global telemetry registry.
+    /// An empty cache bound to no generation yet, reporting into the
+    /// global telemetry registry.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self::with_registry(lg_telemetry::global())
     }
 
-    /// A snapshot-read cache with an explicit shard count (`shards >= 1`).
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_in(shards, lg_telemetry::global())
-    }
-
-    /// A snapshot-read cache reporting into `registry` instead of the
-    /// global one (isolated observation in tests).
+    /// An empty cache reporting into `registry` instead of the global
+    /// one (isolated observation in tests).
     pub fn with_registry(registry: &Registry) -> Self {
-        Self::with_shards_in(DEFAULT_SHARDS, registry)
-    }
-
-    /// Explicit shard count and telemetry registry (snapshot layout).
-    pub fn with_shards_in(shards: usize, registry: &Registry) -> Self {
-        assert!(shards >= 1, "SharedRouteCache needs at least one shard");
-        Self::with_store(
-            Store::Snapshot((0..shards).map(|_| SnapshotShard::default()).collect()),
-            registry,
-        )
-    }
-
-    /// The original mutex-per-shard cache (hits take the shard lock,
-    /// misses compute under it), retained as the differential-testing
-    /// oracle for the snapshot layout. Default shard count, global
-    /// registry.
-    pub fn locked() -> Self {
-        Self::locked_with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Mutex-per-shard oracle with an explicit shard count.
-    pub fn locked_with_shards(shards: usize) -> Self {
-        Self::locked_with_shards_in(shards, lg_telemetry::global())
-    }
-
-    /// Mutex-per-shard oracle with explicit shard count and registry.
-    pub fn locked_with_shards_in(shards: usize, registry: &Registry) -> Self {
-        assert!(shards >= 1, "SharedRouteCache needs at least one shard");
-        Self::with_store(
-            Store::Locked(
-                (0..shards)
-                    .map(|_| Mutex::new(CacheShard::default()))
-                    .collect(),
-            ),
-            registry,
-        )
-    }
-
-    fn with_store(store: Store, registry: &Registry) -> Self {
         SharedRouteCache {
-            store,
+            shard: RwLock::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evict_footprint: AtomicU64::new(0),
-            evict_communities: AtomicU64::new(0),
-            evict_link: AtomicU64::new(0),
-            evict_global: AtomicU64::new(0),
-            evict_generation_lost: AtomicU64::new(0),
             tele: CacheTelemetry::from_registry(registry),
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        match &self.store {
-            Store::Snapshot(shards) => shards.len(),
-            Store::Locked(shards) => shards.len(),
-        }
+    // Both lock modes recover from poisoning: `compute_routes` is the one
+    // call that can panic under the write lock, the sync before it has
+    // completed and the insert happens only after it returns, so a poisoned
+    // shard is always consistent.
+    fn read(&self) -> RwLockReadGuard<'_, CacheShard> {
+        self.shard.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// True when hits run on the lock-free snapshot path (false for the
-    /// retained mutex oracle built by [`SharedRouteCache::locked`]).
-    pub fn is_lock_free(&self) -> bool {
-        matches!(self.store, Store::Snapshot(_))
+    fn write(&self) -> RwLockWriteGuard<'_, CacheShard> {
+        self.shard.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Lookups served from cache since construction.
@@ -869,134 +449,23 @@ impl SharedRouteCache {
 
     /// Evictions since construction, by cause.
     pub fn evictions(&self) -> Evictions {
-        Evictions {
-            footprint: self.evict_footprint.load(Ordering::Relaxed),
-            communities: self.evict_communities.load(Ordering::Relaxed),
-            link: self.evict_link.load(Ordering::Relaxed),
-            global: self.evict_global.load(Ordering::Relaxed),
-            generation_lost: self.evict_generation_lost.load(Ordering::Relaxed),
-        }
+        self.read().evictions
     }
 
     /// Counter summary: hits, misses, evictions by scope, live entries.
-    /// Takes every shard lock to count entries; a coarse monitoring call,
-    /// not a hot-path one.
     pub fn stats(&self) -> CacheStats {
+        let shard = self.read();
         CacheStats {
             hits: self.hits(),
             misses: self.misses(),
-            evictions: self.evictions(),
-            entries: self.len(),
+            evictions: shard.evictions,
+            entries: shard.tables.len(),
         }
     }
 
-    /// Acquire a locked-layout shard mutex, metering the wait in the
-    /// shard-lock wait-time histogram (the ROADMAP's contention
-    /// measurement). Every locked-layout acquisition — including
-    /// [`len`](Self::len)/[`stats`](Self::stats)/[`clear`](Self::clear) —
-    /// goes through here so no wait is invisible to the histogram.
-    fn lock_shard<'a>(&self, shard: &'a Mutex<CacheShard>) -> MutexGuard<'a, CacheShard> {
-        let t0 = Instant::now();
-        let guard = shard.lock().expect("cache shard poisoned");
-        self.tele.shard_wait_us.record_elapsed_us(t0);
-        guard
-    }
-
-    /// Acquire a snapshot shard's writer mutex, metering the wait in the
-    /// same histogram — on the snapshot layout `cache.shard_wait_us` sees
-    /// *writer*-lock waits only (the wait-free hit path records nothing).
-    fn lock_writer<'a>(&self, shard: &'a SnapshotShard) -> MutexGuard<'a, ShardWriter> {
-        let t0 = Instant::now();
-        let guard = shard.writer.lock().expect("cache shard writer poisoned");
-        self.tele.shard_wait_us.record_elapsed_us(t0);
-        guard
-    }
-
-    fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.tele.hits.inc();
-    }
-
-    fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.tele.misses.inc();
-    }
-
-    /// Account a shard sync's evictions into counters and telemetry.
-    fn account_sync(&self, ev: &Evictions, entries: usize) {
-        if ev.total() > 0 {
-            self.evict_footprint
-                .fetch_add(ev.footprint, Ordering::Relaxed);
-            self.evict_communities
-                .fetch_add(ev.communities, Ordering::Relaxed);
-            self.evict_link.fetch_add(ev.link, Ordering::Relaxed);
-            self.evict_global.fetch_add(ev.global, Ordering::Relaxed);
-            self.evict_generation_lost
-                .fetch_add(ev.generation_lost, Ordering::Relaxed);
-            self.tele.record_sync(ev, entries);
-        }
-    }
-
-    /// Sync a locked-layout shard and account its evictions.
-    fn sync_locked(&self, shard: &mut CacheShard, net: &Network) {
-        let ev = shard.sync(net);
-        self.account_sync(&ev, shard.tables.len());
-    }
-
-    /// Sync a snapshot shard's authoritative state to `net`'s generation.
-    /// When the stamp moves, the post-sync state is published immediately —
-    /// the refreshed stamp is what re-arms the lock-free hit path — and
-    /// in-flight markers planted against overtaken generations are pruned
-    /// so the next miss on those keys recomputes rather than adopting a
-    /// stale computation.
-    fn sync_writer(&self, shard: &SnapshotShard, w: &mut ShardWriter, net: &Network) {
-        let before = w.shard.generation;
-        let ev = w.shard.sync(net);
-        self.account_sync(&ev, w.shard.tables.len());
-        if w.shard.generation != before {
-            let current = w.shard.generation;
-            w.inflight.retain(|_, inf| Some(inf.generation) == current);
-            shard.published.store(Arc::new(w.shard.clone()));
-        }
-    }
-
-    /// Wait-free hit attempt on the snapshot layout: one atomic snapshot
-    /// load, one stamp check against the network generation, one map
-    /// probe. `None` means cold, stale, or absent — the writer path must
-    /// decide.
-    fn snapshot_lookup(
-        &self,
-        shard: &SnapshotShard,
-        net: &Network,
-        key: &SpecKey,
-    ) -> Option<Arc<RouteTable>> {
-        let (hit, stats) = shard.published.peek_counted(|snap| {
-            let stamp = snap.generation?;
-            // A snapshot is servable when its stamp is current or trails
-            // only by provably routing-irrelevant mutations.
-            if !net.unchanged_since(stamp) {
-                return None;
-            }
-            snap.lookup(key)
-        });
-        if stats.retries > 0 {
-            lg_telemetry::trace::instant_value("cache.snapshot_retry", stats.retries);
-            self.tele.snapshot_retries.add(stats.retries);
-        }
-        hit
-    }
-
-    /// Number of cached tables across all shards. Lock-free on the
-    /// snapshot layout (published snapshots are counted); metered shard
-    /// locks on the locked layout.
+    /// Number of cached tables.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Snapshot(shards) => shards
-                .iter()
-                .map(|s| s.published.peek_counted(|snap| snap.tables.len()).0)
-                .sum(),
-            Store::Locked(shards) => shards.iter().map(|s| self.lock_shard(s).tables.len()).sum(),
-        }
+        self.read().tables.len()
     }
 
     /// True when no tables are cached.
@@ -1004,376 +473,50 @@ impl SharedRouteCache {
         self.len() == 0
     }
 
-    /// Drop all cached tables (counters survive). In-flight computations
-    /// are left to complete; their results land in the emptied shards and
-    /// remain valid for their generation.
+    /// Drop all cached tables (counters survive).
     pub fn clear(&self) {
-        match &self.store {
-            Store::Snapshot(shards) => {
-                for shard in shards.iter() {
-                    let mut w = self.lock_writer(shard);
-                    w.shard.tables.clear();
-                    w.shard.generation = None;
-                    shard.published.store(Arc::new(w.shard.clone()));
-                }
-            }
-            Store::Locked(shards) => {
-                for shard in shards.iter() {
-                    let mut shard = self.lock_shard(shard);
-                    shard.tables.clear();
-                    shard.generation = None;
-                }
-            }
-        }
+        let mut shard = self.write();
+        shard.tables.clear();
+        shard.generation = None;
     }
 
-    fn shard_index(&self, key: &SpecKey) -> usize {
-        // FNV-1a over the identity fields. Shard choice only needs spread,
-        // not hash-flood robustness, and SipHashing the whole key here
-        // (the map probe hashes it again anyway) costs a measurable slice
-        // of the wait-free hit path.
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-        }
-        let mut h = mix(
-            0xcbf2_9ce4_8422_2325,
-            (u64::from(key.prefix.addr()) << 8) | u64::from(key.prefix.len()),
-        );
-        h = mix(h, u64::from(key.origin.0));
-        for (neighbor, path) in &key.seeds {
-            h = mix(h, u64::from(neighbor.0));
-            for hop in path.hops() {
-                h = mix(h, u64::from(hop.0));
-            }
-        }
-        for c in &key.communities {
-            h = mix(h, u64::from(*c));
-        }
-        (h as usize) % self.shard_count()
+    fn record_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.tele.hits.inc();
     }
 
     /// The converged table for `spec`, computed at most once per
     /// generation across all sharers.
-    ///
-    /// On the snapshot layout a warm lookup takes no lock at all; cold or
-    /// stale lookups fall to the per-shard writer path, and misses compute
-    /// the fixed point *outside* the writer mutex (an in-flight marker
-    /// preserves compute-once while other keys in the shard keep hitting).
     pub fn compute(&self, net: &Network, spec: &AnnouncementSpec) -> Arc<RouteTable> {
         let key = SpecKey::of(spec);
-        match &self.store {
-            Store::Snapshot(shards) => {
-                let shard = &shards[self.shard_index(&key)];
-                self.compute_snapshot(shard, net, spec, key)
-            }
-            Store::Locked(shards) => {
-                let mut shard = self.lock_shard(&shards[self.shard_index(&key)]);
-                self.sync_locked(&mut shard, net);
+        {
+            let shard = self.read();
+            // Servable when the stamp is current or trails only by
+            // provably routing-irrelevant mutations.
+            if shard.generation.is_some_and(|g| net.unchanged_since(g)) {
                 if let Some(table) = shard.lookup(&key) {
                     self.record_hit();
                     return table;
                 }
-                self.record_miss();
-                let _fill_span = lg_telemetry::trace::span("cache.miss_fill");
-                let table = Arc::new(compute_routes(net, spec));
-                shard.insert(Arc::new(key), Arc::clone(&table));
-                table
             }
         }
-    }
-
-    /// The snapshot-layout slow path: writer-lock sync, then hit, adopt,
-    /// or own the miss.
-    fn compute_snapshot(
-        &self,
-        shard: &SnapshotShard,
-        net: &Network,
-        spec: &AnnouncementSpec,
-        key: SpecKey,
-    ) -> Arc<RouteTable> {
-        if let Some(table) = self.snapshot_lookup(shard, net, &key) {
+        let mut shard = self.write();
+        let ev = shard.sync(net);
+        if ev.total() > 0 {
+            shard.evictions.accumulate(&ev);
+            self.tele.record_sync(&ev, shard.tables.len());
+        }
+        if let Some(table) = shard.lookup(&key) {
             self.record_hit();
             return table;
         }
-        let key = Arc::new(key);
-        let current = net.generation();
-        loop {
-            let mut w = self.lock_writer(shard);
-            self.sync_writer(shard, &mut w, net);
-            if let Some(table) = w.shard.lookup(&key) {
-                drop(w);
-                self.record_hit();
-                return table;
-            }
-            let in_flight = match w.inflight.get(&*key) {
-                Some(inf) if inf.generation == current => Some(Arc::clone(&inf.cell)),
-                // A marker for an overtaken generation (possible when a
-                // diverged network clone planted it): replace it below;
-                // its owner recognizes the swap by cell identity and
-                // leaves ours alone.
-                _ => None,
-            };
-            if let Some(cell) = in_flight {
-                // Same spec, same generation, another thread is on it:
-                // wait for the handover and count it as a hit.
-                drop(w);
-                if let Some(table) = cell.wait() {
-                    self.record_hit();
-                    return table;
-                }
-                // The owner unwound without a result; retry (and likely
-                // take over the miss).
-                continue;
-            }
-            let cell = Arc::new(InflightCell::default());
-            w.inflight.insert(
-                Arc::clone(&key),
-                Inflight {
-                    generation: current,
-                    cell: Arc::clone(&cell),
-                },
-            );
-            drop(w);
-
-            // The miss: fixed point computed with no lock held, so every
-            // other key in this shard keeps hitting meanwhile. The guard
-            // unregisters the marker and wakes waiters if compute panics.
-            self.record_miss();
-            let fill_span = lg_telemetry::trace::span("cache.miss_fill");
-            let mut fill = FillGuard {
-                shard,
-                key: &key,
-                cell: &cell,
-                armed: true,
-            };
-            let table = Arc::new(compute_routes(net, spec));
-            drop(fill_span);
-
-            // Publish: re-sync (another sharer may have replayed newer
-            // mutations meanwhile), install, republish, hand over.
-            let mut w = self.lock_writer(shard);
-            self.sync_writer(shard, &mut w, net);
-            let ours = w
-                .inflight
-                .get(&*key)
-                .is_some_and(|inf| Arc::ptr_eq(&inf.cell, &cell));
-            if ours {
-                w.inflight.remove(&*key);
-            }
-            w.shard.insert(Arc::clone(&key), Arc::clone(&table));
-            shard.published.store(Arc::new(w.shard.clone()));
-            self.tele.entries.set(w.shard.tables.len() as u64);
-            drop(w);
-            fill.armed = false;
-            cell.fill(Some(Arc::clone(&table)));
-            return table;
-        }
-    }
-
-    /// Batch variant: resolve hits (lock-free on the snapshot layout),
-    /// compute the deduplicated misses in parallel on `computer` *without
-    /// holding any lock*, then insert. Returns tables in input order.
-    ///
-    /// Accounting: each unique spec contributes exactly one miss per
-    /// generation; in-batch duplicates of a missing key are *recounted as
-    /// hits* once the first instance resolves (pinned by
-    /// `batch_duplicate_keys_recount_as_hits`).
-    pub fn compute_batch(
-        &self,
-        computer: &RouteComputer,
-        net: &Network,
-        specs: &[AnnouncementSpec],
-    ) -> Vec<Arc<RouteTable>> {
-        match &self.store {
-            Store::Snapshot(shards) => self.compute_batch_snapshot(shards, computer, net, specs),
-            Store::Locked(shards) => self.compute_batch_locked(shards, computer, net, specs),
-        }
-    }
-
-    fn compute_batch_snapshot(
-        &self,
-        shards: &[SnapshotShard],
-        computer: &RouteComputer,
-        net: &Network,
-        specs: &[AnnouncementSpec],
-    ) -> Vec<Arc<RouteTable>> {
-        let keys: Vec<Arc<SpecKey>> = specs.iter().map(|s| Arc::new(SpecKey::of(s))).collect();
-        let mut out: Vec<Option<Arc<RouteTable>>> = vec![None; specs.len()];
-        // First-appearance index of every distinct key; duplicates resolve
-        // off it at the end.
-        let mut first: HashMap<&SpecKey, usize> = HashMap::new();
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if first.contains_key(&**key) {
-                continue;
-            }
-            first.insert(key, i);
-            let shard = &shards[self.shard_index(key)];
-            match self.snapshot_lookup(shard, net, key) {
-                Some(table) => {
-                    self.record_hit();
-                    out[i] = Some(table);
-                }
-                None => pending.push(i),
-            }
-        }
-        // Writer pass over the unresolved first appearances: a post-sync
-        // hit, an adoption of someone else's in-flight computation, or a
-        // marker of our own.
-        let current = net.generation();
-        let mut adopted: Vec<(usize, Arc<InflightCell>)> = Vec::new();
-        let mut owned: Vec<usize> = Vec::new();
-        let mut guard = BatchFillGuard {
-            shards,
-            entries: Vec::new(),
-            done: 0,
-        };
-        for &i in &pending {
-            let si = self.shard_index(&keys[i]);
-            let shard = &shards[si];
-            let mut w = self.lock_writer(shard);
-            self.sync_writer(shard, &mut w, net);
-            if let Some(table) = w.shard.lookup(&keys[i]) {
-                self.record_hit();
-                out[i] = Some(table);
-                continue;
-            }
-            let in_flight = match w.inflight.get(&*keys[i]) {
-                Some(inf) if inf.generation == current => Some(Arc::clone(&inf.cell)),
-                _ => None,
-            };
-            if let Some(cell) = in_flight {
-                adopted.push((i, cell));
-                continue;
-            }
-            let cell = Arc::new(InflightCell::default());
-            w.inflight.insert(
-                Arc::clone(&keys[i]),
-                Inflight {
-                    generation: current,
-                    cell: Arc::clone(&cell),
-                },
-            );
-            guard.entries.push((si, Arc::clone(&keys[i]), cell));
-            owned.push(i);
-        }
-        // Our misses, computed in one parallel batch with no lock held.
-        self.misses.fetch_add(owned.len() as u64, Ordering::Relaxed);
-        self.tele.misses.add(owned.len() as u64);
-        if !owned.is_empty() {
-            let miss_specs: Vec<AnnouncementSpec> =
-                owned.iter().map(|&i| specs[i].clone()).collect();
-            let tables = computer.compute_batch(net, &miss_specs);
-            for (slot, (&i, table)) in owned.iter().zip(tables).enumerate() {
-                let table = Arc::new(table);
-                let (si, key, cell) = &guard.entries[slot];
-                let shard = &shards[*si];
-                let mut w = self.lock_writer(shard);
-                self.sync_writer(shard, &mut w, net);
-                let ours = w
-                    .inflight
-                    .get(&**key)
-                    .is_some_and(|inf| Arc::ptr_eq(&inf.cell, cell));
-                if ours {
-                    w.inflight.remove(&**key);
-                }
-                w.shard.insert(Arc::clone(key), Arc::clone(&table));
-                shard.published.store(Arc::new(w.shard.clone()));
-                drop(w);
-                cell.fill(Some(Arc::clone(&table)));
-                guard.done = slot + 1;
-                out[i] = Some(table);
-            }
-            self.tele.entries.set(self.len() as u64);
-        }
-        // Adopted computations: the handover counts as a hit; an abandoned
-        // owner (panic) degrades to a fresh single compute.
-        for (i, cell) in adopted {
-            let table = match cell.wait() {
-                Some(table) => {
-                    self.record_hit();
-                    table
-                }
-                None => self.compute(net, &specs[i]),
-            };
-            out[i] = Some(table);
-        }
-        // In-batch duplicates resolve off their first appearance, each
-        // recounted as a hit.
-        for (i, key) in keys.iter().enumerate() {
-            if out[i].is_none() {
-                out[i] = out[first[&**key]].clone();
-                self.record_hit();
-            }
-        }
-        out.into_iter()
-            .map(|t| t.expect("every slot resolved"))
-            .collect()
-    }
-
-    fn compute_batch_locked(
-        &self,
-        shards: &[Mutex<CacheShard>],
-        computer: &RouteComputer,
-        net: &Network,
-        specs: &[AnnouncementSpec],
-    ) -> Vec<Arc<RouteTable>> {
-        let keys: Vec<SpecKey> = specs.iter().map(SpecKey::of).collect();
-        let mut out: Vec<Option<Arc<RouteTable>>> = vec![None; specs.len()];
-        // First-appearance index of every key not already resolved.
-        let mut queued: HashMap<&SpecKey, usize> = HashMap::new();
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(&first) = queued.get(key) {
-                out[i] = out[first].clone();
-                if out[i].is_some() {
-                    self.record_hit();
-                }
-                continue;
-            }
-            queued.insert(key, i);
-            let mut shard = self.lock_shard(&shards[self.shard_index(key)]);
-            self.sync_locked(&mut shard, net);
-            match shard.lookup(key) {
-                Some(table) => {
-                    self.record_hit();
-                    out[i] = Some(table);
-                }
-                None => missing.push(i),
-            }
-        }
-        // In-batch duplicates of a missing key also land here; recount them
-        // as hits once the first instance resolves (handled above for
-        // already-resolved keys, below for computed ones).
-        self.misses
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        self.tele.misses.add(missing.len() as u64);
-        if !missing.is_empty() {
-            let miss_specs: Vec<AnnouncementSpec> =
-                missing.iter().map(|&i| specs[i].clone()).collect();
-            let tables = computer.compute_batch(net, &miss_specs);
-            for (&i, table) in missing.iter().zip(tables) {
-                let table = Arc::new(table);
-                let mut shard = self.lock_shard(&shards[self.shard_index(&keys[i])]);
-                // Another sharer may have advanced the generation while we
-                // computed; re-sync so the insert lands against the stamp
-                // it was computed for, or gets dropped on the next sync.
-                self.sync_locked(&mut shard, net);
-                shard.insert(Arc::new(keys[i].clone()), Arc::clone(&table));
-                out[i] = Some(table);
-            }
-        }
-        // Resolve in-batch duplicates whose first instance was a miss.
-        for (i, key) in keys.iter().enumerate() {
-            if out[i].is_none() {
-                let first = queued[key];
-                out[i] = out[first].clone();
-                self.record_hit();
-            }
-        }
-        out.into_iter()
-            .map(|t| t.expect("every slot resolved"))
-            .collect()
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.tele.misses.inc();
+        let _fill_span = lg_telemetry::trace::span("cache.miss_fill");
+        let table = Arc::new(compute_routes(net, spec));
+        shard.insert(key, Arc::clone(&table));
+        self.tele.entries.set(shard.tables.len() as u64);
+        table
     }
 }
 
@@ -1441,7 +584,7 @@ mod tests {
     #[test]
     fn cache_hits_on_repeat_and_on_seed_order() {
         let net = net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let spec = AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3);
         let t1 = cache.compute(&net, &spec);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
@@ -1460,7 +603,7 @@ mod tests {
     #[test]
     fn footprint_mutation_evicts_only_touched_entries() {
         let mut net = net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let batch = specs(&net);
         for spec in &batch {
             cache.compute(&net, spec);
@@ -1493,7 +636,7 @@ mod tests {
     #[test]
     fn identical_policy_write_evicts_nothing() {
         let mut net = net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let spec = AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3);
         cache.compute(&net, &spec);
 
@@ -1506,7 +649,7 @@ mod tests {
     #[test]
     fn global_scope_mutation_flushes_everything() {
         let mut net = net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         for spec in &specs(&net) {
             cache.compute(&net, spec);
         }
@@ -1526,7 +669,7 @@ mod tests {
     #[test]
     fn communities_mutation_evicts_only_community_carriers() {
         let mut net = net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let plain = AnnouncementSpec::plain(&net, pfx(), AsId(0));
         let tagged =
             AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3).with_communities(vec![666]);
@@ -1551,7 +694,7 @@ mod tests {
             g.provider_customer(AsId(17), AsId(i));
         }
         let mut net = Network::new(g.build());
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let sweep: Vec<AnnouncementSpec> = (1..=16u32)
             .map(|t| AnnouncementSpec::poisoned(&net, pfx(), AsId(0), &[AsId(t)]))
             .collect();
@@ -1581,57 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_hits_and_invalidates_like_single_owner() {
-        let mut net = net();
-        let shared = SharedRouteCache::with_shards(4);
-        let batch = specs(&net);
-        for spec in &batch {
-            let t = shared.compute(&net, spec);
-            assert!(same_table(&t, &compute_routes(&net, spec), net.len()));
-        }
-        assert_eq!((shared.hits(), shared.misses()), (0, 4));
-        let t1 = shared.compute(&net, &batch[0]);
-        let t2 = shared.compute(&net, &batch[0]);
-        assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!((shared.hits(), shared.misses()), (2, 4));
-
-        // Footprint mutation at AS4 evicts only the AS4 poison.
-        net.set_policy(
-            AsId(4),
-            ImportPolicy {
-                loop_detection: lg_bgp::LoopDetection::disabled(),
-                ..ImportPolicy::standard()
-            },
-        );
-        for spec in &batch {
-            let t = shared.compute(&net, spec);
-            assert!(same_table(&t, &compute_routes(&net, spec), net.len()));
-        }
-        assert_eq!(shared.invalidations(), 1);
-        assert_eq!(shared.misses(), 5, "only the evicted poison recomputed");
-    }
-
-    #[test]
-    fn shared_cache_batch_matches_scratch_and_dedups() {
-        let net = net();
-        let shared = SharedRouteCache::new();
-        let computer = RouteComputer::with_threads(2);
-        let spec = AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3);
-        let other = AnnouncementSpec::poisoned(&net, pfx(), AsId(0), &[AsId(2)]);
-        let batch = [spec.clone(), other.clone(), spec.clone(), spec.clone()];
-        let tables = shared.compute_batch(&computer, &net, &batch);
-        assert_eq!(tables.len(), 4);
-        assert_eq!((shared.hits(), shared.misses()), (2, 2));
-        assert!(Arc::ptr_eq(&tables[0], &tables[2]));
-        assert!(Arc::ptr_eq(&tables[0], &tables[3]));
-        for (s, t) in batch.iter().zip(&tables) {
-            assert!(same_table(t, &compute_routes(&net, s), net.len()));
-        }
-        shared.compute_batch(&computer, &net, &batch);
-        assert_eq!((shared.hits(), shared.misses()), (6, 2));
-    }
-
-    #[test]
     fn shared_cache_concurrent_computes_agree_with_scratch() {
         let net = net();
         let shared = Arc::new(SharedRouteCache::new());
@@ -1656,75 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_batch_deduplicates_misses() {
-        let net = net();
-        let mut cache = RouteTableCache::new();
-        let computer = RouteComputer::with_threads(2);
-        let spec = AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3);
-        let other = AnnouncementSpec::poisoned(&net, pfx(), AsId(0), &[AsId(2)]);
-        let batch = [spec.clone(), other.clone(), spec.clone(), spec.clone()];
-        let tables = cache.compute_batch(&computer, &net, &batch);
-        assert_eq!(tables.len(), 4);
-        // Two unique specs -> two misses; the repeats hit in-batch.
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-        assert!(Arc::ptr_eq(&tables[0], &tables[2]));
-        assert!(Arc::ptr_eq(&tables[0], &tables[3]));
-        for (s, t) in batch.iter().zip(&tables) {
-            assert!(same_table(t, &compute_routes(&net, s), net.len()));
-        }
-        // A second identical batch is all hits.
-        cache.compute_batch(&computer, &net, &batch);
-        assert_eq!((cache.hits(), cache.misses()), (6, 2));
-    }
-
-    /// A batch that is *nothing but* duplicates of one missing key computes
-    /// once and recounts every repeat as a hit — identically across the
-    /// single-owner cache and both shared layouts. This pins the accounting
-    /// invariant the callers rely on: `misses` == unique specs computed this
-    /// generation, `hits` == everything else, duplicates included.
-    #[test]
-    fn batch_duplicate_keys_recount_as_hits() {
-        let net = net();
-        let computer = RouteComputer::with_threads(2);
-        let spec = AnnouncementSpec::poisoned(&net, pfx(), AsId(0), &[AsId(2)]);
-        let batch = [spec.clone(), spec.clone(), spec.clone()];
-
-        let check = |tables: &[Arc<RouteTable>]| {
-            assert_eq!(tables.len(), 3);
-            assert!(Arc::ptr_eq(&tables[0], &tables[1]));
-            assert!(Arc::ptr_eq(&tables[0], &tables[2]));
-            assert!(same_table(
-                &tables[0],
-                &compute_routes(&net, &spec),
-                net.len()
-            ));
-        };
-
-        let mut owned = RouteTableCache::new();
-        check(&owned.compute_batch(&computer, &net, &batch));
-        assert_eq!((owned.hits(), owned.misses()), (2, 1));
-        owned.compute_batch(&computer, &net, &batch);
-        assert_eq!((owned.hits(), owned.misses()), (5, 1));
-
-        for shared in [SharedRouteCache::new(), SharedRouteCache::locked()] {
-            check(&shared.compute_batch(&computer, &net, &batch));
-            assert_eq!(
-                (shared.hits(), shared.misses()),
-                (2, 1),
-                "lock_free={}",
-                shared.is_lock_free()
-            );
-            shared.compute_batch(&computer, &net, &batch);
-            assert_eq!(
-                (shared.hits(), shared.misses()),
-                (5, 1),
-                "lock_free={}",
-                shared.is_lock_free()
-            );
-        }
-    }
-
-    #[test]
     fn stats_pin_fifteen_of_sixteen_retained() {
         // The PR 2 bench claim (`dirty_invalidation_single_as`: one
         // recompute, 15/16 retained), pinned deterministically on the
@@ -1736,7 +759,7 @@ mod tests {
             g.provider_customer(AsId(17), AsId(i));
         }
         let mut net = Network::new(g.build());
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let sweep: Vec<AnnouncementSpec> = (1..=16u32)
             .map(|t| AnnouncementSpec::poisoned(&net, pfx(), AsId(0), &[AsId(t)]))
             .collect();
@@ -1787,7 +810,7 @@ mod tests {
     #[test]
     fn link_removal_evicts_only_tables_routing_over_it() {
         let mut net = net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let batch = specs(&net);
         for spec in &batch {
             cache.compute(&net, spec);
@@ -1819,7 +842,7 @@ mod tests {
         // where it falls back to middle 2 — so removing link 17-2 evicts
         // exactly that one table.
         let mut net = star_net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let sweep = poison_sweep(&net);
         for spec in &sweep {
             cache.compute(&net, spec);
@@ -1849,7 +872,7 @@ mod tests {
     #[test]
     fn link_addition_evicts_only_tables_reaching_an_endpoint() {
         let mut net = star_net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let sweep = poison_sweep(&net);
         for spec in &sweep {
             cache.compute(&net, spec);
@@ -1890,7 +913,7 @@ mod tests {
                 ..ImportPolicy::standard()
             },
         );
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let batch = specs(&net);
         for spec in &batch {
             cache.compute(&net, spec);
@@ -1928,7 +951,7 @@ mod tests {
             },
         );
         net.add_link(AsId(15), AsId(16), lg_asmap::Relationship::Peer);
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let sweep = poison_sweep(&net);
         for spec in &sweep {
             cache.compute(&net, spec);
@@ -1962,7 +985,7 @@ mod tests {
     #[test]
     fn stats_split_evictions_by_scope() {
         let mut net = net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let plain = AnnouncementSpec::plain(&net, pfx(), AsId(0));
         let tagged =
             AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3).with_communities(vec![666]);
@@ -2006,33 +1029,42 @@ mod tests {
     #[test]
     fn caches_report_into_scoped_registry() {
         let reg = lg_telemetry::Registry::new();
-        let net = net();
-        let spec = AnnouncementSpec::plain(&net, pfx(), AsId(0));
+        let mut net = net();
+        let batch = specs(&net);
+        let cache = SharedRouteCache::with_registry(&reg);
+        for spec in &batch {
+            cache.compute(&net, spec);
+        }
+        cache.compute(&net, &batch[0]);
+        assert_eq!(reg.snapshot().gauge("cache.entries"), Some(4));
 
-        let mut cache = RouteTableCache::with_registry(&reg);
-        cache.compute(&net, &spec);
-        cache.compute(&net, &spec);
-
-        let shared = SharedRouteCache::with_registry(&reg);
-        shared.compute(&net, &spec);
-        shared.compute(&net, &spec);
+        // Footprint mutation at AS4 evicts only the AS4 poison; the gauges
+        // describe the whole cache after the evicting sync, then the refill.
+        net.set_policy(
+            AsId(4),
+            ImportPolicy {
+                loop_detection: lg_bgp::LoopDetection::disabled(),
+                ..ImportPolicy::standard()
+            },
+        );
+        cache.compute(&net, &batch[0]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("cache.entries"), Some(3));
+        assert_eq!(snap.gauge("cache.retention_pct"), Some(75));
+        cache.compute(&net, &batch[3]);
 
         let snap = reg.snapshot();
+        assert_eq!(snap.gauge("cache.entries"), Some(4));
         assert_eq!(snap.counter("cache.hits"), Some(2));
-        assert_eq!(snap.counter("cache.misses"), Some(2));
-        // The shared miss metered both writer-lock acquisitions (marker
-        // plant + publish); the snapshot hit took no lock and metered
-        // nothing.
-        assert_eq!(snap.histogram("cache.shard_wait_us").unwrap().count, 2);
-        // Uncontended run: no reader ever raced a publication.
-        assert_eq!(snap.counter("cache.snapshot_retries"), Some(0));
+        assert_eq!(snap.counter("cache.misses"), Some(5));
+        assert_eq!(snap.counter("cache.evictions.footprint"), Some(1));
     }
 
     #[test]
     fn shared_cache_stats_track_scoped_evictions() {
         let mut net = net();
         let reg = lg_telemetry::Registry::new();
-        let shared = SharedRouteCache::with_shards_in(4, &reg);
+        let shared = SharedRouteCache::with_registry(&reg);
         let batch = specs(&net);
         for spec in &batch {
             shared.compute(&net, spec);
@@ -2058,7 +1090,7 @@ mod tests {
     #[test]
     fn clear_empties_but_keeps_counters() {
         let net = net();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let spec = AnnouncementSpec::plain(&net, pfx(), AsId(0));
         cache.compute(&net, &spec);
         cache.clear();
@@ -2066,5 +1098,31 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         cache.compute(&net, &spec);
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn panicking_fill_does_not_wedge_the_cache() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let net = net();
+        // A spec for another, larger network: its origin does not exist
+        // here, so the fixed point indexes out of bounds.
+        let mut g = GraphBuilder::with_ases(40);
+        g.provider_customer(AsId(31), AsId(30));
+        let bad = AnnouncementSpec::plain(&Network::new(g.build()), pfx(), AsId(30));
+        let cache = SharedRouteCache::new();
+        let fill_panics = || catch_unwind(AssertUnwindSafe(|| cache.compute(&net, &bad)));
+        assert!(fill_panics().is_err());
+
+        let good = AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3);
+        let (hits, misses) = (cache.hits(), cache.misses());
+        let t1 = cache.compute(&net, &good);
+        let t2 = cache.compute(&net, &good);
+        assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses + 1));
+        assert!(Arc::ptr_eq(&t1, &t2));
+        assert!(same_table(&t1, &compute_routes(&net, &good), net.len()));
+        // The bad spec was never cached: it panics again instead of being
+        // served or hanging on the poisoned lock.
+        assert!(fill_panics().is_err());
+        assert_eq!(cache.len(), 1);
     }
 }

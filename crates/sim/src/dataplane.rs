@@ -205,7 +205,7 @@ impl<'n> DataPlane<'n> {
     }
 
     /// Install an already-computed table (from a [`crate::RouteComputer`]
-    /// batch or a [`crate::RouteTableCache`] hit), replacing any previous
+    /// batch or a [`crate::SharedRouteCache`] lookup), replacing any previous
     /// table for the same prefix. The table must have been computed over
     /// this plane's network.
     pub fn install_table(&mut self, table: RouteTable) -> &RouteTable {

@@ -24,6 +24,8 @@
 //! only one direction, toward only some destinations, or only for traffic
 //! entering over a particular adjacency.
 
+#![forbid(unsafe_code)]
+
 pub mod announce;
 pub mod compute;
 pub mod dataplane;
@@ -31,12 +33,11 @@ pub mod dynamic;
 pub mod failures;
 pub mod network;
 pub(crate) mod packing;
-pub mod publish;
 pub mod static_routes;
 pub mod time;
 
 pub use announce::AnnouncementSpec;
-pub use compute::{RouteComputer, RouteTableCache, SharedRouteCache};
+pub use compute::{RouteComputer, SharedRouteCache};
 pub use dataplane::{DataPlane, Fib, Walk, WalkOutcome};
 pub use dynamic::{DynamicSim, DynamicSimConfig, OutQueue, PrefixMetrics, UpdateRecord};
 pub use failures::{Direction, Failure, FailureSet, NetElement};

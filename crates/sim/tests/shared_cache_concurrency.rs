@@ -4,11 +4,6 @@
 //! counters, no deadlocks. CI runs this with a high `LG_SMOKE_ITERS` as a
 //! sanitizer-style gate; locally it defaults to a quick pass.
 //!
-//! Both shard layouts run the same schedules: the lock-free snapshot store
-//! (the default) and the retained mutex-per-shard oracle
-//! (`SharedRouteCache::locked`), mirroring the `OutQueue::Reference`
-//! differential pattern.
-//!
 //! (The toolchain here has no miri/loom; this test is the nightly-free
 //! stand-in: real OS threads, real contention, exact oracles.)
 
@@ -30,7 +25,8 @@ fn iterations() -> u64 {
         .unwrap_or(8)
 }
 
-fn smoke_lookups_survive_mutation_generations(cache: SharedRouteCache) {
+#[test]
+fn concurrent_lookups_survive_mutation_generations() {
     const THREADS: usize = 8;
 
     let mut net = Network::new(TopologyConfig::small(97).generate());
@@ -57,7 +53,7 @@ fn smoke_lookups_survive_mutation_generations(cache: SharedRouteCache) {
         ]
     };
 
-    let cache = Arc::new(cache);
+    let cache = Arc::new(SharedRouteCache::new());
     let lookups = AtomicU64::new(0);
 
     // Alternate phases: 8 threads race lookups against a warm/cold cache,
@@ -85,7 +81,7 @@ fn smoke_lookups_survive_mutation_generations(cache: SharedRouteCache) {
                 let specs = &specs;
                 let lookups = &lookups;
                 s.spawn(move || {
-                    // Stagger start order so shard lock contention varies.
+                    // Stagger start order so lock contention varies.
                     for spec in specs.iter().cycle().skip(t % specs.len()).take(specs.len()) {
                         let got = cache.compute(net, spec);
                         let want = compute_routes(net, spec);
@@ -114,34 +110,19 @@ fn smoke_lookups_survive_mutation_generations(cache: SharedRouteCache) {
     assert!(cache.hits() > 0);
 }
 
-#[test]
-fn concurrent_lookups_survive_mutation_generations() {
-    let cache = SharedRouteCache::new();
-    assert!(cache.is_lock_free());
-    smoke_lookups_survive_mutation_generations(cache);
-}
-
-#[test]
-fn concurrent_lookups_survive_mutation_generations_locked_oracle() {
-    let cache = SharedRouteCache::locked();
-    assert!(!cache.is_lock_free());
-    smoke_lookups_survive_mutation_generations(cache);
-}
-
-/// Snapshot-path stress with *exact* accounting: after every mutation, 8
-/// threads race all 16 poison specs — the first access per shard replays
-/// the invalidation under the writer lock and republishes while the other
-/// threads read the published snapshot with no lock. Two properties are
-/// pinned:
+/// Stress with *exact* accounting: after every mutation, 8 threads race
+/// all 16 poison specs — the first access replays the invalidation under
+/// the write lock while the other threads queue on the read lock. Two
+/// properties are pinned:
 ///
 /// * **no torn reads** — every returned table equals a scratch fixed
 ///   point of the current configuration, route for route;
 /// * **compute-once per generation** — each phase evicts exactly one entry
 ///   (the poison whose footprint names the victim) and recomputes exactly
-///   once, no matter how many threads race the miss: the in-flight marker
-///   makes the recount deterministic.
+///   once, no matter how many threads race the miss: the fill runs under
+///   the write lock, so the losers of the race re-probe and hit.
 #[test]
-fn snapshot_readers_see_no_torn_state_and_compute_once() {
+fn readers_see_no_torn_state_and_compute_once() {
     const THREADS: usize = 8;
     const MIDDLES: u32 = 16;
 
@@ -158,7 +139,6 @@ fn snapshot_readers_see_no_torn_state_and_compute_once() {
         .collect();
 
     let cache = Arc::new(SharedRouteCache::new());
-    assert!(cache.is_lock_free());
     for spec in &specs {
         cache.compute(&net, spec);
     }
@@ -205,8 +185,8 @@ fn snapshot_readers_see_no_torn_state_and_compute_once() {
         });
 
         // The loop-detection toggle at middle M is footprint-scoped: it
-        // evicts exactly the M-poison, and the in-flight marker lets
-        // exactly one of the 8 racing threads recompute it.
+        // evicts exactly the M-poison, and exactly one of the 8 racing
+        // threads recomputes it.
         assert_eq!(
             cache.misses(),
             MIDDLES as u64 + phase + 1,

@@ -11,7 +11,7 @@ use lifeguard_repro::asmap::{AsId, TopologyConfig};
 use lifeguard_repro::bgp::{ImportPolicy, LoopDetection, Prefix};
 use lifeguard_repro::sim::static_routes::{compute_routes_reference, RouteTable};
 use lifeguard_repro::sim::{
-    compute_routes, AnnouncementSpec, Network, RouteComputer, RouteTableCache, SharedRouteCache,
+    compute_routes, AnnouncementSpec, Network, RouteComputer, SharedRouteCache,
 };
 use proptest::prelude::*;
 
@@ -137,26 +137,27 @@ proptest! {
         let origin = pick_origin(&net);
         let specs = spec_menu(&net, origin);
 
-        let computer = RouteComputer::with_threads(threads);
-        let mut cache = RouteTableCache::new();
-        let tables = cache.compute_batch(&computer, &net, &specs);
-        prop_assert_eq!(tables.len(), specs.len());
+        let batch = RouteComputer::with_threads(threads).compute_batch(&net, &specs);
+        prop_assert_eq!(batch.len(), specs.len());
+        let cache = SharedRouteCache::new();
+        let tables: Vec<_> = specs.iter().map(|s| cache.compute(&net, s)).collect();
 
-        for (spec, table) in specs.iter().zip(&tables) {
+        for ((spec, batched), cached) in specs.iter().zip(&batch).zip(&tables) {
             let scratch = compute_routes(&net, spec);
             let reference = compute_routes_reference(&net, spec);
-            assert_same_table("batch vs scratch", table, &scratch, &net)?;
+            assert_same_table("batch vs scratch", batched, &scratch, &net)?;
+            assert_same_table("cache vs scratch", cached, &scratch, &net)?;
             assert_same_table("scratch vs reference", &scratch, &reference, &net)?;
         }
 
         // A second pass over the same specs must be pure cache hits: the
         // very same tables, not recomputations.
         let misses_after_first = cache.misses();
-        let again = cache.compute_batch(&computer, &net, &specs);
-        prop_assert_eq!(cache.misses(), misses_after_first, "second batch recomputed");
-        for (first, second) in tables.iter().zip(&again) {
-            prop_assert!(Arc::ptr_eq(first, second), "hit returned a different table");
+        for (spec, first) in specs.iter().zip(&tables) {
+            let second = cache.compute(&net, spec);
+            prop_assert!(Arc::ptr_eq(first, &second), "hit returned a different table");
         }
+        prop_assert_eq!(cache.misses(), misses_after_first, "second pass recomputed");
     }
 
     /// Mutating the network bumps its generation; the cache must drop its
@@ -171,7 +172,7 @@ proptest! {
         let target = if above.is_empty() { providers[0] } else { above[0] };
         let spec = AnnouncementSpec::poisoned(&net, pfx(), origin, &[target]);
 
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         let before = cache.compute(&net, &spec);
         assert_same_table("pre-mutation", &before, &compute_routes(&net, &spec), &net)?;
 
@@ -201,7 +202,7 @@ proptest! {
         let origin = pick_origin(&net);
         let specs = spec_menu(&net, origin);
 
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
         for spec in &specs {
             cache.compute(&net, spec);
         }
@@ -240,26 +241,17 @@ proptest! {
         }
     }
 
-    /// The shared sharded cache is observationally identical to the scratch
-    /// engine from 1, 2, and 8 concurrent threads, and reports the work as
-    /// hits/misses coherently (each unique spec computed exactly once) —
-    /// under both shard layouts: the lock-free snapshot store and the
-    /// retained mutex-per-shard oracle.
+    /// The shared cache is observationally identical to the scratch engine
+    /// from 1, 2, and 8 concurrent threads, and reports the work as
+    /// hits/misses coherently (each unique spec computed exactly once).
     #[test]
     fn shared_cache_matches_scratch_across_threads(seed in 1u64..10_000) {
         let net = Network::new(TopologyConfig::small(seed).generate());
         let origin = pick_origin(&net);
         let specs = spec_menu(&net, origin);
 
-        let layouts = [
-            SharedRouteCache::new as fn() -> SharedRouteCache,
-            SharedRouteCache::locked,
-        ];
-        for (threads, make) in [1usize, 2, 8]
-            .into_iter()
-            .flat_map(|t| layouts.iter().map(move |m| (t, m)))
-        {
-            let cache = Arc::new(make());
+        for threads in [1usize, 2, 8] {
+            let cache = Arc::new(SharedRouteCache::new());
             std::thread::scope(|s| {
                 for _ in 0..threads {
                     let cache = Arc::clone(&cache);
@@ -280,24 +272,21 @@ proptest! {
             prop_assert_eq!(
                 cache.misses(),
                 specs.len() as u64,
-                "each unique spec computes once ({} threads, lock_free={})",
-                threads,
-                cache.is_lock_free()
+                "each unique spec computes once ({} threads)",
+                threads
             );
             prop_assert_eq!(
                 cache.hits(),
                 ((threads - 1) * specs.len()) as u64,
-                "every other lookup is a hit ({} threads, lock_free={})",
-                threads,
-                cache.is_lock_free()
+                "every other lookup is a hit ({} threads)",
+                threads
             );
         }
     }
 
     /// Concurrent readers over a shared cache never observe a fixed point
     /// from before a mutation: after the network changes, every thread's
-    /// lookup matches a fresh scratch computation — under both shard
-    /// layouts.
+    /// lookup matches a fresh scratch computation.
     #[test]
     fn shared_cache_mutation_is_visible_to_all_threads(seed in 1u64..10_000) {
         let mut net = Network::new(TopologyConfig::small(seed).generate());
@@ -307,36 +296,33 @@ proptest! {
         let target = if above.is_empty() { providers[0] } else { above[0] };
         let specs = spec_menu(&net, origin);
 
-        let caches = [SharedRouteCache::new(), SharedRouteCache::locked()];
-        for cache in caches {
-            let cache = Arc::new(cache);
-            for spec in &specs {
-                cache.compute(&net, spec);
-            }
-            net.set_policy(
-                target,
-                ImportPolicy {
-                    loop_detection: LoopDetection::max_occurrences(1),
-                    ..ImportPolicy::standard()
-                },
-            );
-
-            std::thread::scope(|s| {
-                for _ in 0..8 {
-                    let cache = Arc::clone(&cache);
-                    let net = &net;
-                    let specs = &specs;
-                    s.spawn(move || {
-                        for spec in specs {
-                            let got = cache.compute(net, spec);
-                            let want = compute_routes(net, spec);
-                            for a in net.graph().ases() {
-                                assert_eq!(got.route(a), want.route(a), "stale route at {a}");
-                            }
-                        }
-                    });
-                }
-            });
+        let cache = Arc::new(SharedRouteCache::new());
+        for spec in &specs {
+            cache.compute(&net, spec);
         }
+        net.set_policy(
+            target,
+            ImportPolicy {
+                loop_detection: LoopDetection::max_occurrences(1),
+                ..ImportPolicy::standard()
+            },
+        );
+
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let cache = Arc::clone(&cache);
+                let net = &net;
+                let specs = &specs;
+                s.spawn(move || {
+                    for spec in specs {
+                        let got = cache.compute(net, spec);
+                        let want = compute_routes(net, spec);
+                        for a in net.graph().ases() {
+                            assert_eq!(got.route(a), want.route(a), "stale route at {a}");
+                        }
+                    }
+                });
+            }
+        });
     }
 }

@@ -15,7 +15,7 @@
 use lifeguard_repro::asmap::{AsId, Relationship, TopologyConfig};
 use lifeguard_repro::bgp::Prefix;
 use lifeguard_repro::sim::static_routes::compute_routes_reference;
-use lifeguard_repro::sim::{compute_routes, AnnouncementSpec, Network, RouteTableCache};
+use lifeguard_repro::sim::{compute_routes, AnnouncementSpec, Network, SharedRouteCache};
 use lifeguard_repro::workloads::FilterMatrix;
 
 fn pfx() -> Prefix {
@@ -97,7 +97,7 @@ fn check(
     seed: u64,
     op: usize,
     net: &Network,
-    cache: &mut RouteTableCache,
+    cache: &SharedRouteCache,
     origin: AsId,
     rng: &mut Rng,
 ) {
@@ -137,7 +137,7 @@ fn cache_survives_randomized_filter_and_link_churn() {
         let origin = pick_origin(&net);
         let live = all_links(&net);
         let mut down: Vec<(AsId, AsId, Relationship)> = Vec::new();
-        let mut cache = RouteTableCache::new();
+        let cache = SharedRouteCache::new();
 
         for op in 0..40 {
             match rng.below(8) {
@@ -160,7 +160,7 @@ fn cache_survives_randomized_filter_and_link_churn() {
                     }
                 }
                 _ => {
-                    check(seed, op, &net, &mut cache, origin, &mut rng);
+                    check(seed, op, &net, &cache, origin, &mut rng);
                     divergence_free_checks += 1;
                 }
             }
