@@ -191,7 +191,7 @@ pub fn run_alternates(cfg: &AlternatesConfig) -> AlternatesResult {
         }
 
         // The AS where the failing traceroute terminates is what the splice
-        // must avoid (the paper's criterion); fall back to the culprit if
+        // must avoid (the paper's rule); fall back to the culprit if
         // the traceroute shows nothing.
         let failing_tr = prober.traceroute(&dp, now, src, infra_addr(dst));
         let avoid = failing_tr

@@ -16,7 +16,7 @@
 //! is reported next to repair success to keep that artifact visible
 //! instead of folding it into "repairs failed".
 
-use crate::report::{pct, Table};
+use crate::report::{pct, Report, Table};
 use crate::worlds::production_prefix;
 use lg_asmap::{assign_filters, AsId, FilterDeployment, TopologyConfig};
 use lg_bgp::Prefix;
@@ -234,32 +234,69 @@ pub fn degradation_table(points: &[DegradationPoint]) -> Table {
     t
 }
 
-/// The curve as a JSON artifact (CI uploads this; no serde in-tree, so the
-/// rows are emitted by hand — every field is a plain number).
-pub fn degradation_json(points: &[DegradationPoint]) -> String {
-    let rows: Vec<String> = points
+/// The filter telemetry counters whose movement proves the deployment
+/// wiring is live.
+pub const FILTER_COUNTERS: [&str; 3] = [
+    "policy.filtered_path_len",
+    "policy.filtered_poisoned",
+    "policy.filtered_reserved",
+];
+
+/// Record the curve under `degradation.<i>.<field>`.
+pub fn degradation_numbers(points: &[DegradationPoint], r: &mut Report) {
+    for (i, p) in points.iter().enumerate() {
+        let fields = [
+            ("rate", p.rate),
+            ("filtering_ases", p.filtering_ases as f64),
+            ("baseline_delivery", p.baseline_delivery()),
+            ("attempted", p.attempted as f64),
+            ("repaired", p.repaired as f64),
+            ("success_rate", p.success_rate()),
+            ("filtered_everywhere", p.filtered_everywhere as f64),
+            ("no_alternate", p.no_alternate as f64),
+            ("default_leak", p.default_leak as f64),
+            ("other_refusals", p.other_refusals as f64),
+            ("mean_disturbed", p.mean_disturbed()),
+        ];
+        r.numbers(&format!("degradation.{i}"), &fields);
+    }
+}
+
+/// The degradation curve's shape: filtering degrades repair but does not
+/// eliminate it. `fired` is how far the [`FILTER_COUNTERS`] moved during
+/// the sweep — a filtered rerun in which no filter ever fired means the
+/// deployment wiring regressed.
+pub fn degradation_checks(points: &[DegradationPoint], fired: u64, r: &mut Report) {
+    let n = points.len();
+    r.check("at_least_three_rates", n >= 3, format!("{n} rates"));
+    // The unfiltered baseline, the middle (partial-deployment) rate, and
+    // the highest rate.
+    let (clean, half, full) = (&points[0], &points[n / 2], &points[n - 1]);
+    let baseline = clean.rate == 0.0 && clean.filtering_ases == 0;
+    let detail = format!("rate {}, {} ASes", clean.rate, clean.filtering_ases);
+    r.check("first_point_is_unfiltered_baseline", baseline, detail);
+    let detail = format!("policy.filtered_* moved by {fired}");
+    r.check("filters_fired", fired > 0, detail);
+    let success = [clean, half, full].map(|p| p.success_rate());
+    let detail = format!("success {success:.2?} at clean / middle / full rate");
+    r.check(
+        "full_deployment_degrades_success",
+        success[2] < success[0],
+        detail.clone(),
+    );
+    r.check(
+        "partial_deployment_costs_success",
+        success[1] < success[0],
+        detail,
+    );
+    // Degraded, not eliminated: some *partial* deployment rate must leave
+    // repair alive. (Total core deployment legitimately kills it — every
+    // tier-1/2 drops the poisoned announcement.)
+    let alive = points
         .iter()
-        .map(|p| {
-            format!(
-                "  {{\"rate\": {:.2}, \"filtering_ases\": {}, \"baseline_delivery\": {:.4}, \
-                 \"attempted\": {}, \"repaired\": {}, \"success_rate\": {:.4}, \
-                 \"filtered_everywhere\": {}, \"no_alternate\": {}, \"default_leak\": {}, \
-                 \"other_refusals\": {}, \"mean_disturbed\": {:.2}}}",
-                p.rate,
-                p.filtering_ases,
-                p.baseline_delivery(),
-                p.attempted,
-                p.repaired,
-                p.success_rate(),
-                p.filtered_everywhere,
-                p.no_alternate,
-                p.default_leak,
-                p.other_refusals,
-                p.mean_disturbed(),
-            )
-        })
-        .collect();
-    format!("[\n{}\n]\n", rows.join(",\n"))
+        .any(|p| p.rate > 0.0 && p.success_rate() > 0.0);
+    let detail = "paper: degrades, not kills".to_string();
+    r.check("repair_survives_some_filtered_rate", alive, detail);
 }
 
 #[cfg(test)]
@@ -315,9 +352,11 @@ mod tests {
     #[test]
     fn json_artifact_is_well_formed_enough() {
         let points = run_degradation(&TopologyConfig::small(5), &[0.0, 0.5], 2, 4);
-        let json = degradation_json(&points);
-        assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("\"rate\"").count(), 2);
-        assert_eq!(json.matches("\"success_rate\"").count(), 2);
+        let mut report = Report::default();
+        degradation_numbers(&points, &mut report);
+        let json = crate::paper::receipt(&[], &[("degradation", report)]).to_string();
+        assert_eq!(json.matches(".rate\"").count(), 2);
+        assert_eq!(json.matches("success_rate\"").count(), 2);
+        assert!(json.contains("\"degradation.1.rate\":0.5"), "{json}");
     }
 }

@@ -1,23 +1,26 @@
 //! Experiment runners for the LIFEGUARD reproduction.
 //!
-//! Every table and figure of the paper's evaluation has a bench target
-//! under `benches/` (run with `cargo bench`); the logic lives here so the
-//! Table 1 summary can aggregate the individual experiments and so unit
-//! tests can exercise reduced configurations.
+//! Every table and figure of the paper's evaluation is an item of the
+//! [`paper`] registry, run by the one `paper` binary (`cargo run --release
+//! -p lg-bench --bin paper -- [ITEM…] [--full] [--out PATH]`); the logic
+//! lives in the modules below so Table 1 can aggregate the individual
+//! experiments and so unit tests can exercise reduced configurations.
 //!
-//! | Paper item | Module | Bench target |
+//! | Paper item | Module | `paper` item |
 //! |---|---|---|
-//! | Fig 1 | [`outage_figs`] | `fig1_outage_durations` |
-//! | Fig 5 | [`outage_figs`] | `fig5_residual_duration` |
-//! | Fig 6 | [`convergence`] | `fig6_convergence` |
-//! | Table 1 | all | `table1_summary` |
-//! | Table 2 | [`loadmodel`] | `table2_update_load` |
-//! | §2.2 | [`alternates`] | `sec22_alternate_paths` |
-//! | §5.1 | [`efficacy`] | `sec51_efficacy` |
-//! | §4.2 end-to-end | [`impact`] | `repair_impact` |
-//! | §5.2 | [`disruptive`], [`convergence`] | `sec52_disruptiveness` |
-//! | §5.3 | [`accuracy`] | `sec53_accuracy` |
-//! | §5.4 | [`scalability`] | `sec54_scalability` |
+//! | Fig 1 | [`outage_figs`] | `fig1` |
+//! | Fig 5 | [`outage_figs`] | `fig5` |
+//! | Fig 6 | [`convergence`] | `fig6` |
+//! | Table 1 | all | `table1` |
+//! | Table 2 | [`loadmodel`] | `table2` |
+//! | §2.2 | [`alternates`] | `sec22` |
+//! | §5.1 | [`efficacy`] | `sec51` |
+//! | §5.2 | [`disruptive`], [`convergence`] | `sec52` |
+//! | §5.3 | [`accuracy`] | `sec53` |
+//! | §5.4 | [`scalability`] | `sec54` |
+//! | §4.2 end-to-end | [`impact`] | `impact` |
+//! | filter deployment curve | [`degradation`] | `degradation` |
+//! | full-table load curve | [`tableload`] | `tableload` |
 
 pub mod accuracy;
 pub mod alternates;
@@ -28,6 +31,7 @@ pub mod efficacy;
 pub mod impact;
 pub mod loadmodel;
 pub mod outage_figs;
+pub mod paper;
 pub mod report;
 pub mod scalability;
 pub mod tableload;

@@ -1,4 +1,5 @@
-//! Plain-text result tables with paper-vs-measured columns.
+//! Plain-text result tables with paper-vs-measured columns, and the
+//! per-item [`Report`] the `paper` runner collects into its receipt.
 
 /// A printable experiment table.
 pub struct Table {
@@ -60,6 +61,62 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
+}
+
+/// One shape check: a claim about an item's numbers that the `paper`
+/// runner turns into an exit code.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Check {
+    /// Name, unique within the item.
+    pub name: String,
+    /// Whether the claim held.
+    pub ok: bool,
+    /// The values the claim was evaluated on.
+    pub detail: String,
+}
+
+/// What one `paper` item reports besides its printed tables.
+#[derive(Clone, Debug, Default)]
+pub struct Report {
+    /// Seeded values: identical on every run of one commit.
+    pub numbers: Vec<(String, f64)>,
+    /// Wall-clock readings: vary run to run, kept apart for that reason.
+    pub timings: Vec<(String, f64)>,
+    /// Shape checks, each evaluated exactly once.
+    pub checks: Vec<Check>,
+}
+
+impl Report {
+    /// Record `prefix.<name>` for each of `fields` as deterministic numbers.
+    pub fn numbers(&mut self, prefix: &str, fields: &[(&str, f64)]) {
+        self.numbers.extend(named(prefix, fields));
+    }
+
+    /// Record `prefix.<name>` for each of `fields` as wall-clock readings.
+    pub fn timings(&mut self, prefix: &str, fields: &[(&str, f64)]) {
+        self.timings.extend(named(prefix, fields));
+    }
+
+    /// Record a shape check.
+    pub fn check(&mut self, name: &str, ok: bool, detail: String) {
+        let name = name.to_string();
+        self.checks.push(Check { name, ok, detail });
+    }
+
+    /// Names of the checks that did not hold.
+    pub fn failed(&self) -> Vec<&str> {
+        let failed = self.checks.iter().filter(|c| !c.ok);
+        failed.map(|c| c.name.as_str()).collect()
+    }
+}
+
+fn named<'a>(
+    prefix: &'a str,
+    fields: &'a [(&str, f64)],
+) -> impl Iterator<Item = (String, f64)> + 'a {
+    fields
+        .iter()
+        .map(move |(f, v)| (format!("{prefix}.{f}"), *v))
 }
 
 /// Format a fraction as a percentage string.

@@ -11,12 +11,13 @@
 //! The size curve extends the study to Internet scale: calibrated
 //! topologies from 1k to 75k ASes through generation, `Network`
 //! preprocessing, and the frontier fixed point, with memory budgets read
-//! off the CSR layout and the engine's own counters. CI asserts the
-//! fixed-point curve grows sub-quadratically in the AS count.
+//! off the CSR layout and the engine's own counters. [`scale_checks`]
+//! asserts the fixed-point curve grows sub-quadratically in the AS count
+//! and that the engine's memory counters stay within their budgets.
 
 use std::time::Instant;
 
-use crate::report::Table;
+use crate::report::{Report, Table};
 use crate::worlds::{mesh_world, MeshWorld};
 use lg_asmap::TopologyConfig;
 use lg_atlas::{Atlas, RefreshScheduler, RefreshStats, ResponsivenessDb};
@@ -168,7 +169,7 @@ pub fn refresh_table(r: &RefreshEconomics) -> Table {
 }
 
 /// One point on the Internet-scale size curve.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ScalePoint {
     /// AS count.
     pub n: usize,
@@ -193,11 +194,11 @@ pub struct ScalePoint {
     pub est_peak_rss_bytes: usize,
 }
 
-/// The curve's sizes: 1k/5k/10k/25k always; 75k opt-in via `LG_SCALE_MAX`
-/// (it needs ~a minute and real memory, so CI runs it only on demand).
-pub fn scale_sizes() -> Vec<usize> {
+/// The curve's sizes: 1k/5k/10k/25k always; 75k with `paper --full` (it
+/// needs ~a minute and real memory, so CI runs it only on demand).
+pub fn scale_sizes(full: bool) -> Vec<usize> {
     let mut sizes = vec![1_000, 5_000, 10_000, 25_000];
-    if std::env::var("LG_SCALE_MAX").is_ok() {
+    if full {
         sizes.push(75_000);
     }
     sizes
@@ -323,30 +324,65 @@ pub fn scale_table(points: &[ScalePoint]) -> Table {
     t
 }
 
-/// The curve as a JSON artifact (CI uploads this; no serde in-tree, so
-/// rows are emitted by hand — every field is a plain number).
-pub fn scale_json(points: &[ScalePoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "  {{\"n\": {}, \"edges\": {}, \"gen_ms\": {:.3}, \"preprocess_ms\": {:.3}, \
-                 \"fixed_point_ms\": {:.4}, \"reference_ms\": {:.4}, \"graph_bytes\": {}, \
-                 \"arena_nodes\": {}, \"peak_pending\": {}, \"est_peak_rss_bytes\": {}}}",
-                p.n,
-                p.edges,
-                p.gen_ms,
-                p.preprocess_ms,
-                p.fixed_point_ms,
-                p.reference_ms,
-                p.graph_bytes,
-                p.arena_nodes,
-                p.peak_pending,
-                p.est_peak_rss_bytes,
-            )
-        })
-        .collect();
-    format!("[\n{}\n]\n", rows.join(",\n"))
+/// Record the curve under `sec54.scale.<i>.<field>`: sizes and the engine's
+/// own counters as numbers, wall clocks as timings.
+pub fn scale_numbers(points: &[ScalePoint], r: &mut Report) {
+    for (i, p) in points.iter().enumerate() {
+        let counts = [
+            ("n", p.n),
+            ("edges", p.edges),
+            ("graph_bytes", p.graph_bytes),
+            ("arena_nodes", p.arena_nodes),
+            ("peak_pending", p.peak_pending),
+            ("est_peak_rss_bytes", p.est_peak_rss_bytes),
+        ];
+        r.numbers(
+            &format!("sec54.scale.{i}"),
+            &counts.map(|(f, v)| (f, v as f64)),
+        );
+        let clocks = [
+            ("gen_ms", p.gen_ms),
+            ("preprocess_ms", p.preprocess_ms),
+            ("fixed_point_ms", p.fixed_point_ms),
+            ("reference_ms", p.reference_ms),
+        ];
+        r.timings(&format!("sec54.scale.{i}"), &clocks);
+    }
+}
+
+/// Fixed-point wall-clock growth first → last point (compared end to end to
+/// ride over per-point noise), and what quadratic growth in the AS count
+/// would have been.
+pub fn scale_growth(points: &[ScalePoint]) -> (f64, f64) {
+    let (first, last) = (&points[0], &points[points.len() - 1]);
+    let growth = last.fixed_point_ms / first.fixed_point_ms.max(1e-6);
+    (growth, (last.n as f64 / first.n as f64).powi(2))
+}
+
+/// The size curve's shape. `span` is `(first size, least last size)` the
+/// curve must cover — `(1000, 25000)` for the paper run.
+pub fn scale_checks(points: &[ScalePoint], span: (usize, usize), r: &mut Report) {
+    let ns: Vec<usize> = points.iter().map(|p| p.n).collect();
+    let at = |bad: fn(&ScalePoint) -> bool| -> Vec<usize> {
+        points.iter().filter(|p| bad(p)).map(|p| p.n).collect()
+    };
+    let increasing = ns.windows(2).all(|w| w[0] < w[1]);
+    r.check("scale_sizes_increasing", increasing, format!("{ns:?}"));
+    let spans = ns[0] == span.0 && ns[ns.len() - 1] >= span.1;
+    r.check("scale_spans_sizes", spans, format!("{ns:?} vs {span:?}"));
+    let (growth, quad) = scale_growth(points);
+    let detail = format!("{growth:.1}x vs {quad:.0}x bound");
+    r.check("scale_fixed_point_subquadratic", growth < quad, detail);
+    let over = at(|p| p.arena_nodes > p.n + 16);
+    let detail = format!("arena_nodes > n + 16 at {over:?}");
+    r.check("scale_arena_one_node_per_as", over.is_empty(), detail);
+    let slow = at(|p| p.reference_ms > 0.0 && p.fixed_point_ms > 2.0 * p.reference_ms);
+    let detail = format!("frontier > 2x reference at {slow:?}");
+    r.check(
+        "scale_frontier_within_2x_reference",
+        slow.is_empty(),
+        detail,
+    );
 }
 
 #[cfg(test)]
@@ -369,7 +405,7 @@ mod tests {
 
     #[test]
     fn scale_curve_runs_and_serializes() {
-        // Test-sized points; the CI job runs the real 1k..25k curve.
+        // Test-sized points; `paper sec54` runs the real 1k..25k curve.
         let points = run_scale_curve(&[200, 400], 5);
         assert_eq!(points.len(), 2);
         assert!(points.windows(2).all(|w| w[0].n < w[1].n));
@@ -383,9 +419,11 @@ mod tests {
             assert!(p.arena_nodes <= p.n + 16, "arena past one node per AS");
             assert!(p.est_peak_rss_bytes > p.graph_bytes);
         }
-        let json = scale_json(&points);
-        assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("\"fixed_point_ms\"").count(), 2);
-        assert_eq!(json.matches("\"est_peak_rss_bytes\"").count(), 2);
+        let mut report = Report::default();
+        scale_numbers(&points, &mut report);
+        let json = crate::paper::receipt(&[], &[("sec54", report)]).to_string();
+        assert_eq!(json.matches("fixed_point_ms\"").count(), 2);
+        assert_eq!(json.matches("est_peak_rss_bytes\"").count(), 2);
+        assert!(json.contains("\"sec54.scale.1.n\":400"), "{json}");
     }
 }

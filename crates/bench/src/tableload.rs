@@ -3,8 +3,8 @@
 //! The paper's vantage points carry full BGP tables (hundreds of
 //! thousands of prefixes), while most of the reproduction's experiments
 //! drive one. This bench scales the *prefix count* over the calibrated
-//! 10k-AS topology — 1k and 10k prefixes always, 100k behind
-//! `LG_SCALE_MAX` — and measures where full tables actually bite:
+//! 10k-AS topology — 1k and 10k prefixes always, 100k with
+//! `paper --full` — and measures where full tables actually bite:
 //! per-update table costs and memory, not propagation volume.
 //!
 //! Each point runs four phases on a fresh simulator over the shared
@@ -28,7 +28,7 @@
 //! Propagation of the bulk wave is deliberately *not* drained: a full
 //! table crossing a 10k-AS graph is Θ(p·E) events — linear in `p` and
 //! hours of wall clock at 100k — and would only measure event volume,
-//! which `sec54_scalability` already curves. What must stay flat is the
+//! which `paper sec54` already curves. What must stay flat is the
 //! *per-update* cost; the no-drain phases isolate it. (Seeded sends all
 //! land on one tick, so the wire-packing accountant also sees its
 //! best case here: per-provider groups of thousands of prefixes folded
@@ -41,7 +41,7 @@
 
 use std::time::Instant;
 
-use crate::report::Table;
+use crate::report::{Report, Table};
 use lg_bgp::Prefix;
 use lg_sim::{AnnouncementSpec, DynamicSim, DynamicSimConfig, Network, Time};
 use lg_telemetry::Registry;
@@ -51,12 +51,12 @@ use lg_workloads::churn::churn_network_sized;
 /// across sizes so the converged baseline costs the same everywhere.
 pub const COHORT: usize = 32;
 
-/// The bench table's sizes: 1k/10k always; 100k opt-in via `LG_SCALE_MAX`
-/// (it is minutes of wall clock and a few GiB of queue, so CI runs it
-/// only on demand).
-pub fn table_load_sizes() -> Vec<usize> {
+/// The bench table's sizes: 1k/10k always; 100k with `paper --full` (it
+/// is minutes of wall clock and a few GiB of queue, so CI runs it only on
+/// demand).
+pub fn table_load_sizes(full: bool) -> Vec<usize> {
     let mut sizes = vec![1_000, 10_000];
-    if std::env::var("LG_SCALE_MAX").is_ok() {
+    if full {
         sizes.push(100_000);
     }
     sizes
@@ -69,7 +69,7 @@ pub fn table_prefix(i: u32) -> Prefix {
 }
 
 /// One point on the full-table load curve.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TableLoadPoint {
     /// Installed prefix count.
     pub prefixes: usize,
@@ -110,7 +110,7 @@ pub struct TableLoadPoint {
 
 impl TableLoadPoint {
     /// The prefix-count-dependent wall time: everything except the
-    /// constant-size cohort. This is the column CI's sub-quadratic gate
+    /// constant-size cohort. This is the column the sub-quadratic check
     /// compares across sizes.
     pub fn bulk_ms(&self) -> f64 {
         self.bulk_announce_ms + self.bulk_flap_ms + self.bulk_withdraw_ms
@@ -246,42 +246,88 @@ pub fn table_load_table(points: &[TableLoadPoint]) -> Table {
     t
 }
 
-/// The curve as a JSON artifact (CI validates and uploads this; no serde
-/// in-tree, so rows are emitted by hand — every field is a plain number).
-pub fn table_load_json(points: &[TableLoadPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "  {{\"prefixes\": {}, \"cohort\": {}, \"cohort_ms\": {:.3}, \
-                 \"bulk_announce_ms\": {:.3}, \"bulk_flap_ms\": {:.3}, \
-                 \"bulk_withdraw_ms\": {:.3}, \"bulk_ms\": {:.3}, \"loc_entries\": {}, \
-                 \"adj_entries\": {}, \"out_state_entries\": {}, \"pending_events\": {}, \
-                 \"interned_paths\": {}, \"interned_prefixes\": {}, \"updates_sent\": {}, \
-                 \"updates_packed\": {}, \"wire_updates\": {}, \"wire_bytes\": {}, \
-                 \"wire_bytes_unpacked\": {}}}",
-                p.prefixes,
-                p.cohort,
-                p.cohort_ms,
-                p.bulk_announce_ms,
-                p.bulk_flap_ms,
-                p.bulk_withdraw_ms,
-                p.bulk_ms(),
-                p.loc_entries,
-                p.adj_entries,
-                p.out_state_entries,
-                p.pending_events,
-                p.interned_paths,
-                p.interned_prefixes,
-                p.updates_sent,
-                p.updates_packed,
-                p.wire_updates,
-                p.wire_bytes,
-                p.wire_bytes_unpacked,
-            )
-        })
-        .collect();
-    format!("[\n{}\n]\n", rows.join(",\n"))
+/// Record the curve under `tableload.<i>.<field>`: table sizes and the
+/// engine's own counters as numbers, wall clocks as timings.
+pub fn table_load_numbers(points: &[TableLoadPoint], r: &mut Report) {
+    for (i, p) in points.iter().enumerate() {
+        let counts = [
+            ("prefixes", p.prefixes as u64),
+            ("cohort", p.cohort as u64),
+            ("loc_entries", p.loc_entries as u64),
+            ("adj_entries", p.adj_entries as u64),
+            ("out_state_entries", p.out_state_entries as u64),
+            ("pending_events", p.pending_events as u64),
+            ("interned_paths", p.interned_paths as u64),
+            ("interned_prefixes", p.interned_prefixes as u64),
+            ("updates_sent", p.updates_sent),
+            ("updates_packed", p.updates_packed),
+            ("wire_updates", p.wire_updates),
+            ("wire_bytes", p.wire_bytes),
+            ("wire_bytes_unpacked", p.wire_bytes_unpacked),
+        ];
+        r.numbers(
+            &format!("tableload.{i}"),
+            &counts.map(|(f, v)| (f, v as f64)),
+        );
+        let clocks = [
+            ("cohort_ms", p.cohort_ms),
+            ("bulk_announce_ms", p.bulk_announce_ms),
+            ("bulk_flap_ms", p.bulk_flap_ms),
+            ("bulk_withdraw_ms", p.bulk_withdraw_ms),
+            ("bulk_ms", p.bulk_ms()),
+        ];
+        r.timings(&format!("tableload.{i}"), &clocks);
+    }
+}
+
+/// Bulk (table-size-dependent) wall-clock growth first → last point, and
+/// what quadratic growth in the prefix count would have been. The cohort
+/// phase is constant-size and excluded.
+pub fn table_load_growth(points: &[TableLoadPoint]) -> (f64, f64) {
+    let (first, last) = (&points[0], &points[points.len() - 1]);
+    let growth = last.bulk_ms() / first.bulk_ms().max(1e-6);
+    (
+        growth,
+        (last.prefixes as f64 / first.prefixes as f64).powi(2),
+    )
+}
+
+/// The load curve's shape. `span` is `(first size, least last size)` the
+/// curve must cover — `(1000, 10000)` for the paper run.
+pub fn table_load_checks(points: &[TableLoadPoint], span: (usize, usize), r: &mut Report) {
+    let ns: Vec<usize> = points.iter().map(|p| p.prefixes).collect();
+    let (first, last) = (&points[0], &points[points.len() - 1]);
+    let at = |bad: fn(&TableLoadPoint) -> bool| -> Vec<usize> {
+        points
+            .iter()
+            .filter(|p| bad(p))
+            .map(|p| p.prefixes)
+            .collect()
+    };
+    let increasing = ns.windows(2).all(|w| w[0] < w[1]);
+    r.check("tableload_sizes_increasing", increasing, format!("{ns:?}"));
+    let spans = ns[0] == span.0 && ns[ns.len() - 1] >= span.1;
+    r.check(
+        "tableload_spans_sizes",
+        spans,
+        format!("{ns:?} vs {span:?}"),
+    );
+    let (growth, quad) = table_load_growth(points);
+    let detail = format!("{growth:.1}x vs {quad:.0}x bound");
+    r.check("tableload_bulk_subquadratic", growth < quad, detail);
+    // Every prefix from one origin reuses the same handful of path nodes.
+    let flat = last.interned_paths <= 2 * first.interned_paths;
+    let detail = format!("{} -> {} paths", first.interned_paths, last.interned_paths);
+    r.check("tableload_arena_flat", flat, detail);
+    let lost = at(|p| p.out_state_entries < p.prefixes - p.cohort);
+    let detail = format!("out_state_entries < prefixes - cohort at {lost:?}");
+    r.check("tableload_out_state_covers_table", lost.is_empty(), detail);
+    let idle = at(|p| p.updates_packed == 0 || p.wire_updates == 0);
+    let detail = format!("UPDATE packing never engaged at {idle:?}");
+    r.check("tableload_packing_engaged", idle.is_empty(), detail);
+    let unsaved = at(|p| p.wire_bytes >= p.wire_bytes_unpacked);
+    let detail = format!("wire_bytes >= unpacked at {unsaved:?}");
+    r.check("tableload_packing_saves_bytes", unsaved.is_empty(), detail);
 }
 
 #[cfg(test)]
@@ -291,8 +337,8 @@ mod tests {
 
     #[test]
     fn table_load_curve_runs_and_serializes() {
-        // Test-sized: a ~50-AS world and a 64→256 prefix sweep; the CI job
-        // runs the real 1k/10k curve on the calibrated 10k-AS topology.
+        // Test-sized: a ~50-AS world and a 64→256 prefix sweep; `paper
+        // tableload` runs the real 1k/10k curve on calibrated-10k.
         let net = churn_network(9);
         let points = run_table_load_on(&net, &[64, 256], 8);
         assert_eq!(points.len(), 2);
@@ -331,9 +377,11 @@ mod tests {
         assert!(b.out_state_entries > a.out_state_entries);
         assert!(b.updates_sent > a.updates_sent);
 
-        let json = table_load_json(&points);
-        assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("\"bulk_ms\"").count(), 2);
-        assert_eq!(json.matches("\"interned_paths\"").count(), 2);
+        let mut report = Report::default();
+        table_load_numbers(&points, &mut report);
+        let json = crate::paper::receipt(&[], &[("tableload", report)]).to_string();
+        assert_eq!(json.matches("bulk_ms\"").count(), 2);
+        assert_eq!(json.matches("interned_paths\"").count(), 2);
+        assert!(json.contains("\"tableload.1.prefixes\":256"), "{json}");
     }
 }

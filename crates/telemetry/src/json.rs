@@ -1,9 +1,11 @@
 //! A minimal JSON value model, parser, and writer.
 //!
-//! The scenario loader and the `lifeguard-sim --json` output need plain
-//! JSON; the build environment cannot fetch serde, so this module provides
-//! the small dependency-free subset the repo uses: full JSON parsing into a
-//! [`Value`] tree (objects keep insertion order) and compact serialization.
+//! The scenario loader, the `lifeguard-sim --json` output, the `paper`
+//! receipt and the tests that read artifacts back all need plain JSON; the
+//! build environment cannot fetch serde, so this module provides the small
+//! dependency-free subset the repo uses: full JSON parsing into a
+//! [`Value`] tree (objects keep insertion order) and serialization —
+//! compact with `{}`, one field per line with `{:#}`.
 
 use std::fmt;
 
@@ -41,6 +43,14 @@ impl Value {
         }
     }
 
+    /// The value as a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The value as an unsigned integer (rejects fractions and negatives).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -68,11 +78,18 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Scenarios, receipts and
+/// traces nest a handful of levels; the cap keeps a hostile document from
+/// overflowing the stack through `value -> array -> value`.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -84,8 +101,10 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -125,8 +144,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -138,6 +157,19 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -231,12 +263,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so they never fall inside a multi-byte scalar
+                    // and `pos` stays on a char boundary of `text`.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -273,8 +309,23 @@ impl Parser<'_> {
 }
 
 impl fmt::Display for Value {
-    /// Compact serialization (no extra whitespace).
+    /// Compact serialization (no extra whitespace) with `{}`; with `{:#}`
+    /// every array item and object field goes on its own line, indented two
+    /// spaces per level, so two documents diff line by line.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, f.alternate().then_some(0))
+    }
+}
+
+impl Value {
+    /// `indent` is the current nesting level in pretty mode, `None` in
+    /// compact mode.
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+        let newline = |f: &mut fmt::Formatter<'_>, level: usize| match indent {
+            Some(base) => write!(f, "\n{:width$}", "", width = 2 * (base + level)),
+            None => Ok(()),
+        };
+        let inner = indent.map(|base| base + 1);
         match self {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => write!(f, "{b}"),
@@ -286,25 +337,32 @@ impl fmt::Display for Value {
                 }
             }
             Value::Str(s) => write_escaped(f, s),
+            Value::Arr(items) if items.is_empty() => f.write_str("[]"),
             Value::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    newline(f, 1)?;
+                    v.write(f, inner)?;
                 }
+                newline(f, 0)?;
                 f.write_str("]")
             }
+            Value::Obj(fields) if fields.is_empty() => f.write_str("{}"),
             Value::Obj(fields) => {
                 f.write_str("{")?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         f.write_str(",")?;
                     }
+                    newline(f, 1)?;
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    v.write(f, inner)?;
                 }
+                newline(f, 0)?;
                 f.write_str("}")
             }
         }
@@ -361,6 +419,38 @@ mod tests {
         let v = parse(src).unwrap();
         assert_eq!(v.to_string(), src);
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn pretty_form_is_line_per_field_and_reparses() {
+        let v = parse(r#"{"a":[1,{"b":"x"}],"e":[],"o":{}}"#).unwrap();
+        let pretty = format!("{v:#}");
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": \"x\"\n    }\n  ],\n  \"e\": [],\n  \"o\": {}\n}"
+        );
+        assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(2_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
+        let err = parse(&"{\"k\":".repeat(200)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // At the cap is fine; siblings do not accumulate depth.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        assert!(parse(&format!("[{}]", vec!["[[]]"; 500].join(","))).is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One from_utf8 of the whole remaining document per character made
+        // this minutes in a debug build.
+        let body = "aé\\n".repeat(250_000);
+        let v = parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(v.as_str().map(str::len), Some(250_000 * 4));
     }
 
     #[test]

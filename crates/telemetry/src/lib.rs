@@ -33,24 +33,23 @@
 //! keyed by a per-incident [`trace::TraceId`], exportable as a
 //! Chrome/Perfetto `trace.json` — and [`timeseries`] periodically diffs
 //! snapshots into per-metric sample rings rendered as Prometheus text
-//! exposition (the /metrics surface). All file emitters write atomically
-//! ([`atomic_write`]: temp + rename) so a killed run never leaves a
-//! truncated artifact.
+//! exposition (the /metrics surface). A binary is asked for these files
+//! through the three flags of [`Artifacts`], and everything is written
+//! atomically ([`atomic_write`]: temp + rename) so a killed run never
+//! leaves a truncated artifact. [`json`] is the workspace's one JSON value
+//! model: scenario files, receipts and artifact checks all go through it.
 
+mod artifacts;
+pub mod json;
 mod metrics;
 mod registry;
 mod snapshot;
 pub mod timeseries;
 pub mod trace;
 
+pub use artifacts::Artifacts;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Span};
 pub use registry::{global, Registry};
-pub use snapshot::{
-    atomic_write, emit_if_configured, record_host_facts, MetricValue, TelemetrySnapshot,
-    ENV_TELEMETRY_OUT,
-};
-pub use timeseries::{
-    emit_timeseries_if_configured, global_timeseries, sample_global_timeseries, TimeSeries,
-    ENV_TIMESERIES_OUT,
-};
-pub use trace::{TraceId, ENV_TRACE_OUT};
+pub use snapshot::{atomic_write, record_host_facts, MetricValue, TelemetrySnapshot};
+pub use timeseries::{global_timeseries, sample_global_timeseries, TimeSeries};
+pub use trace::TraceId;

@@ -1,15 +1,11 @@
 //! Frozen registry state: JSON run reports, tables, and diffing.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::OnceLock;
 
 use crate::metrics::HistogramSnapshot;
 use crate::registry::global;
-
-/// Environment variable naming the file the global registry should be
-/// dumped to at the end of a run (see [`emit_if_configured`]).
-pub const ENV_TELEMETRY_OUT: &str = "LG_TELEMETRY_OUT";
 
 /// One frozen metric value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -205,8 +201,8 @@ fn json_string(out: &mut String, s: &str) {
 /// contention and scaling claims cannot be checked there; stamping it
 /// makes that machine-checkable by consumers of the JSON.
 ///
-/// Called automatically by [`emit_if_configured`]; bench mains that only
-/// print tables can call it directly.
+/// Called by [`crate::Artifacts::begin`], so every artifact a binary
+/// writes carries them.
 pub fn record_host_facts() {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
     global().gauge("host.available_parallelism").set(cores);
@@ -262,26 +258,4 @@ pub fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })
-}
-
-/// If `LG_TELEMETRY_OUT` names a path, write the global registry's
-/// snapshot there as JSON (atomically — temp + rename) and return the
-/// path. Binaries and bench mains call this once at exit so any run can
-/// produce a `telemetry.json` report without code changes. Host and
-/// provenance facts ([`record_host_facts`]) are stamped into the report
-/// first, and the companion trace / time-series emitters run too, so one
-/// exit hook honours all three `LG_*_OUT` variables.
-pub fn emit_if_configured() -> Option<PathBuf> {
-    crate::trace::emit_trace_if_configured();
-    crate::timeseries::emit_timeseries_if_configured();
-    let path = PathBuf::from(std::env::var_os(ENV_TELEMETRY_OUT)?);
-    record_host_facts();
-    let json = global().snapshot().to_json();
-    match atomic_write(&path, &json) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("telemetry: failed to write {}: {e}", path.display());
-            None
-        }
-    }
 }

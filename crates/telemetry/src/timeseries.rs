@@ -1,7 +1,7 @@
 //! Periodic time-series sampling of a [`Registry`] and Prometheus text
 //! exposition — the /metrics surface for the Lifeguard-as-a-service
-//! daemon, exercised today by `lifeguard-sim --timeseries` and
-//! `LG_TIMESERIES_OUT` in the bench mains.
+//! daemon, exercised today by the `--timeseries` flag of `lifeguard-sim` and
+//! `paper`.
 //!
 //! A [`TimeSeries`] keeps, per metric, a fixed-capacity ring of
 //! `(at_ms, value, delta)` samples produced by diffing successive
@@ -16,16 +16,10 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
 use crate::registry::{global, Registry};
-use crate::snapshot::{record_host_facts, MetricValue, TelemetrySnapshot};
-
-/// Environment variable naming the file the global time series should
-/// render its Prometheus exposition to at the end of a run
-/// (see [`emit_timeseries_if_configured`]).
-pub const ENV_TIMESERIES_OUT: &str = "LG_TIMESERIES_OUT";
+use crate::snapshot::{MetricValue, TelemetrySnapshot};
 
 /// Default per-metric sample-ring capacity for [`global_timeseries`].
 pub const DEFAULT_SAMPLES: usize = 1024;
@@ -267,7 +261,7 @@ fn escape_label(value: &str) -> String {
 }
 
 /// The process-wide sampler fed by [`sample_global_timeseries`] and
-/// drained by [`emit_timeseries_if_configured`].
+/// drained by [`crate::Artifacts::finish`].
 pub fn global_timeseries() -> &'static Mutex<TimeSeries> {
     static GLOBAL: OnceLock<Mutex<TimeSeries>> = OnceLock::new();
     GLOBAL.get_or_init(|| Mutex::new(TimeSeries::new(DEFAULT_SAMPLES)))
@@ -279,24 +273,4 @@ pub fn sample_global_timeseries(at_ms: u64) {
         .lock()
         .unwrap()
         .sample(global().snapshot(), at_ms);
-}
-
-/// If `LG_TIMESERIES_OUT` names a path, render the global time series'
-/// Prometheus exposition there (atomically — temp + rename) and return
-/// the path. Takes one final sample first (stamping host/provenance
-/// facts) so a run that never sampled still exports its end state.
-pub fn emit_timeseries_if_configured() -> Option<PathBuf> {
-    let path = PathBuf::from(std::env::var_os(ENV_TIMESERIES_OUT)?);
-    record_host_facts();
-    let mut ts = global_timeseries().lock().unwrap();
-    let at_ms = ts.latest_at_ms().map_or(0, |t| t + 1);
-    ts.sample(global().snapshot(), at_ms);
-    let text = ts.render_prometheus();
-    match crate::atomic_write(&path, &text) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("timeseries: failed to write {}: {e}", path.display());
-            None
-        }
-    }
 }

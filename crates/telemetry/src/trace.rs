@@ -33,17 +33,12 @@ use std::cell::{Cell, OnceCell, UnsafeCell};
 use std::fmt;
 use std::fmt::Write as _;
 use std::mem::MaybeUninit;
-use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Environment variable naming the file the recorder should export a
-/// Chrome/Perfetto trace to at the end of a run
-/// (see [`emit_trace_if_configured`]).
-pub const ENV_TRACE_OUT: &str = "LG_TRACE_OUT";
-
-/// Default per-thread ring capacity (events) used by [`enable_from_env`].
+/// Default per-thread ring capacity (events): what `--trace` enables the
+/// recorder at (see [`crate::Artifacts`]).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 // ---------------------------------------------------------------------------
@@ -444,16 +439,6 @@ pub fn enable(capacity: usize) -> &'static Recorder {
     }
 }
 
-/// Enable the recorder (at [`DEFAULT_CAPACITY`]) iff `LG_TRACE_OUT` is
-/// set, so any bench main opts into tracing purely through the
-/// environment. Returns whether tracing is (now) enabled.
-pub fn enable_from_env() -> bool {
-    if std::env::var_os(ENV_TRACE_OUT).is_some() {
-        enable(DEFAULT_CAPACITY);
-    }
-    enabled()
-}
-
 // ---------------------------------------------------------------------------
 // Ambient trace context
 // ---------------------------------------------------------------------------
@@ -726,19 +711,4 @@ pub fn export_chrome(threads: &[ThreadEvents]) -> String {
     }
     out.push_str("\n]\n}\n");
     out
-}
-
-/// If `LG_TRACE_OUT` names a path and the recorder is enabled, export the
-/// Chrome trace there (atomically — temp + rename) and return the path.
-pub fn emit_trace_if_configured() -> Option<PathBuf> {
-    let path = PathBuf::from(std::env::var_os(ENV_TRACE_OUT)?);
-    let rec = recorder()?;
-    let json = export_chrome(&rec.snapshot());
-    match crate::atomic_write(&path, &json) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("trace: failed to write {}: {e}", path.display());
-            None
-        }
-    }
 }

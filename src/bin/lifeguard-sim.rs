@@ -9,73 +9,46 @@
 //!
 //! Scenario format: see `src/scenario.rs` and the `scenarios/` directory.
 //! `--telemetry PATH` writes the process-global metric snapshot (counters,
-//! gauges, histograms) as JSON after the run; `LG_TELEMETRY_OUT=PATH` does
-//! the same via the environment. `--trace PATH` enables the flight recorder
-//! and writes a Chrome/Perfetto `trace.json` (open in `ui.perfetto.dev`)
-//! after the run; `--timeseries PATH` samples the metric registry once per
-//! simulated tick and writes Prometheus text exposition. All outputs are
-//! written atomically (temp file + rename).
+//! gauges, histograms) as JSON after the run. `--trace PATH` enables the
+//! flight recorder and writes a Chrome/Perfetto `trace.json` (open in
+//! `ui.perfetto.dev`) after the run; `--timeseries PATH` samples the metric
+//! registry once per simulated tick and writes Prometheus text exposition.
+//! The three flags are [`lg_telemetry::Artifacts`], shared with `paper`;
+//! all outputs are written atomically (temp file + rename).
 
+use lg_telemetry::Artifacts;
 use lifeguard_repro::scenario;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: lifeguard-sim <scenario.json> [--json] [--telemetry PATH] \
-         [--trace PATH] [--timeseries PATH]"
+        "usage: lifeguard-sim <scenario.json> [--json] {}",
+        Artifacts::USAGE
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut path: Option<String> = None;
     let mut as_json = false;
-    let mut telemetry_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut timeseries_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut artifacts = Artifacts::default();
+    while let Some(arg) = args.next() {
+        match artifacts.take(&arg, &mut args) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(_) => return usage(),
+        }
+        match arg.as_str() {
             "--json" => as_json = true,
-            "--telemetry" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    return usage();
-                };
-                telemetry_out = Some(p.clone());
-            }
-            "--trace" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    return usage();
-                };
-                trace_out = Some(p.clone());
-            }
-            "--timeseries" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    return usage();
-                };
-                timeseries_out = Some(p.clone());
-            }
             p if path.is_none() && !p.starts_with('-') => path = Some(p.to_string()),
             _ => return usage(),
         }
-        i += 1;
     }
     let Some(path) = path else {
         return usage();
     };
-
-    // The flight recorder must be live before the run so span/instant calls
-    // inside the planner and simulator land in the per-thread rings.
-    if trace_out.is_some() {
-        lg_telemetry::trace::enable(lg_telemetry::trace::DEFAULT_CAPACITY);
-    } else {
-        lg_telemetry::trace::enable_from_env();
-    }
-    lg_telemetry::record_host_facts();
+    artifacts.begin();
 
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
@@ -99,35 +72,10 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(tpath) = &telemetry_out {
-        let snap = lg_telemetry::global().snapshot();
-        if let Err(e) = lg_telemetry::atomic_write(std::path::Path::new(tpath), &snap.to_json()) {
-            eprintln!("cannot write telemetry to {tpath}: {e}");
-            return ExitCode::from(1);
-        }
+    if let Err(e) = artifacts.finish() {
+        eprintln!("{e}");
+        return ExitCode::from(1);
     }
-    if let Some(tpath) = &trace_out {
-        if let Some(rec) = lg_telemetry::trace::recorder() {
-            let json = lg_telemetry::trace::export_chrome(&rec.snapshot());
-            if let Err(e) = lg_telemetry::atomic_write(std::path::Path::new(tpath), &json) {
-                eprintln!("cannot write trace to {tpath}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if let Some(tpath) = &timeseries_out {
-        let text = {
-            let mut ts = lg_telemetry::global_timeseries().lock().unwrap();
-            let at = ts.latest_at_ms().map_or(0, |t| t + 1);
-            ts.sample_registry(lg_telemetry::global(), at);
-            ts.render_prometheus()
-        };
-        if let Err(e) = lg_telemetry::atomic_write(std::path::Path::new(tpath), &text) {
-            eprintln!("cannot write timeseries to {tpath}: {e}");
-            return ExitCode::from(1);
-        }
-    }
-    lg_telemetry::emit_if_configured();
 
     if as_json {
         // Event log as structured JSON lines.

@@ -4,8 +4,11 @@
 //! one coherent namespace. See `README.md` for the tour and `DESIGN.md` for
 //! the paper-to-module mapping.
 
-pub mod json;
 pub mod scenario;
+
+/// The workspace's one JSON value model (lives in `lg-telemetry` so the
+/// `paper` runner can reach it too).
+pub use lg_telemetry::json;
 
 pub use lg_asmap as asmap;
 pub use lg_atlas as atlas;
