@@ -73,7 +73,7 @@ fn main() {
         failed = true;
     }
     let json = trace::export_chrome(&snapshot);
-    for marker in ["compute.seed", "compute.drain", "compute.materialize"] {
+    for marker in ["compute.seed", "compute.drain"] {
         if !json.contains(marker) {
             eprintln!("FAIL: export missing kernel span {marker}");
             failed = true;

@@ -4,7 +4,7 @@ use crate::report::{pct, Table};
 use crate::worlds::{production_prefix, MuxWorld};
 use lg_asmap::{AsId, TopologyConfig};
 use lg_bgp::Prefix;
-use lg_sim::{compute_routes, AnnouncementSpec, RouteComputer};
+use lg_sim::{compute_routes, AnnouncementSpec, SharedRouteCache};
 use lg_workloads::harvest_poison_targets;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -49,8 +49,8 @@ pub fn run_mux_efficacy(world: &MuxWorld, max_targets: usize) -> MuxEfficacy {
         &world.collector_peers,
         &world.providers,
     );
-    // One poisoned what-if table per target — independent computations,
-    // fanned out as a single parallel batch.
+    // One poisoned what-if table per target, all of one origin: the cache
+    // fills the prepended parent once and derives every poison from it.
     let cases: Vec<(AsId, Vec<AsId>)> = targets
         .into_iter()
         .take(max_targets)
@@ -68,13 +68,11 @@ pub fn run_mux_efficacy(world: &MuxWorld, max_targets: usize) -> MuxEfficacy {
             (!affected.is_empty()).then_some((a, affected))
         })
         .collect();
-    let specs: Vec<AnnouncementSpec> = cases
-        .iter()
-        .map(|(a, _)| AnnouncementSpec::poisoned(&world.net, prefix, world.origin, &[*a]))
-        .collect();
-    let tables = RouteComputer::new().compute_batch(&world.net, &specs);
+    let cache = SharedRouteCache::new();
     let mut out = MuxEfficacy::default();
-    for ((a, affected), table) in cases.into_iter().zip(tables) {
+    for (a, affected) in cases {
+        let spec = AnnouncementSpec::poisoned(&world.net, prefix, world.origin, &[a]);
+        let table = cache.compute(&world.net, &spec);
         for p in affected {
             out.cases += 1;
             if table.has_route(p) {
@@ -124,7 +122,7 @@ pub fn run_largescale(cfg: &TopologyConfig, n_origins: usize, n_sources: usize) 
     let origins: Vec<AsId> = stubs.iter().copied().take(n_origins).collect();
     let prefix = Prefix::from_octets(184, 164, 224, 0, 20);
 
-    let computer = RouteComputer::new();
+    let cache = SharedRouteCache::new();
     let mut out = SimEfficacy::default();
     for origin in origins {
         let base = compute_routes(&net, &AnnouncementSpec::plain(&net, prefix, origin));
@@ -154,13 +152,11 @@ pub fn run_largescale(cfg: &TopologyConfig, n_origins: usize, n_sources: usize) 
                 }
             }
         }
-        // Poisoned what-ifs for this origin are independent: batch them.
-        let specs: Vec<AnnouncementSpec> = candidates
-            .iter()
-            .map(|(a, _)| AnnouncementSpec::poisoned(&net, prefix, origin, &[*a]))
-            .collect();
-        let tables = computer.compute_batch(&net, &specs);
-        for ((_, srcs), table) in candidates.into_iter().zip(tables) {
+        // This origin's poisoned what-ifs share one prepended parent, which
+        // the cache fills on the first and derives the rest from.
+        for (a, srcs) in candidates {
+            let spec = AnnouncementSpec::poisoned(&net, prefix, origin, &[a]);
+            let table = cache.compute(&net, &spec);
             for s in srcs {
                 out.cases += 1;
                 if table.has_route(s) {

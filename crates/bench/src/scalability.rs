@@ -186,7 +186,7 @@ pub struct ScalePoint {
     pub reference_ms: f64,
     /// CSR topology footprint in bytes (`AsGraph::memory_bytes`).
     pub graph_bytes: usize,
-    /// Path-arena nodes at the fixed point.
+    /// Path-tree nodes written by the fixed point (`FrontierStats::arena_nodes`).
     pub arena_nodes: usize,
     /// Peak simultaneous entries in the delta queue.
     pub peak_pending: usize,

@@ -37,8 +37,9 @@ fn pfx() -> Prefix {
     Prefix::from_octets(184, 164, 224, 0, 20)
 }
 
-/// Route-cache traffic: a poison sweep (misses), a re-query (hits), and a
-/// footprint-scoped invalidation (evictions by scope).
+/// Route-cache traffic: a poison sweep (misses: one parent fill, then
+/// derivations), a re-query (hits), and a footprint-scoped invalidation
+/// (evictions by scope).
 fn exercise_cache() {
     let mut g = GraphBuilder::with_ases(18);
     for i in 1..=16u32 {
@@ -149,8 +150,11 @@ fn every_instrumented_subsystem_reports() {
         "cache.hits",
         "cache.misses",
         "cache.evictions.footprint",
+        "cache.parent_fills",
         "compute.runs",
         "compute.arena_nodes",
+        "compute.delta_runs",
+        "compute.delta_candidates",
         "dynamic.updates_sent",
         "dynamic.updates_received",
         "dynamic.withdrawals_sent",
@@ -168,6 +172,7 @@ fn every_instrumented_subsystem_reports() {
     }
     for name in [
         "compute.wall_us",
+        "compute.delta_region",
         "dynamic.quiescence_ms",
         "core.isolation_ms",
     ] {
@@ -178,7 +183,7 @@ fn every_instrumented_subsystem_reports() {
 
     // Flight recorder: the exercised subsystems must have left spans and
     // lifecycle instants in the ring, and the Chrome export must carry
-    // them. The three `compute.*` kernel spans are what `trace_gate` times:
+    // them. The two `compute.*` kernel spans are what `trace_gate` times:
     // if they stopped recording, its overhead bound would pass trivially.
     let trace = rec.snapshot();
     if trace.iter().map(|t| t.events.len()).sum::<usize>() == 0 {
@@ -188,8 +193,8 @@ fn every_instrumented_subsystem_reports() {
     for marker in [
         "compute.seed",
         "compute.drain",
-        "compute.materialize",
         "cache.miss_fill",
+        "cache.delta_fill",
         "dynamic.quiescence",
         "repair.outage_detected",
         "repair.poisoned",

@@ -115,6 +115,17 @@ impl ImportPolicy {
         Self::default()
     }
 
+    /// Is any path-content filter configured — anything beyond loop
+    /// detection that can reject a path the AS itself does not appear in?
+    /// (`default_route` never affects import.)
+    pub fn filters_paths(&self) -> bool {
+        self.max_path_len.is_some()
+            || self.reject_peers_in_customer_path
+            || !self.deny_transit.is_empty()
+            || self.drop_poisoned
+            || self.drop_reserved_asn
+    }
+
     /// Does this AS accept `path` announced by a neighbor related by
     /// `rel_to_sender`, given the AS's peer list?
     pub fn accepts(
@@ -382,6 +393,73 @@ mod tests {
             policy.evaluate(ME, &[], Relationship::Customer, &p),
             ImportPolicy::default().evaluate(ME, &[], Relationship::Customer, &p)
         );
+    }
+
+    /// ASNs the lemma's property test draws from: few enough to collide
+    /// (loops, peers, deny lists), with reserved ones among them.
+    const POOL: [u32; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 23_456, 64_512];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// The lemma `lg-sim`'s delta what-if stands on: take any path
+        /// `chain ++ O^k`, replace origin copies strictly inside the tail
+        /// by other hops (`O-O-O` → `O-A-O`: length, first and last hop of
+        /// the tail kept), and no import policy at any AS but the origin
+        /// turns a rejection into an acceptance — whatever the chain, the
+        /// relationship, the peer list. A filter that breaks this (one
+        /// that *rewards* a hop, or counts origin copies) fails here, not
+        /// in a fuzzer three layers up.
+        #[test]
+        fn poison_hops_only_add_rejections(
+            flags: u8,
+            reject_at in 1u8..=4,
+            cap in proptest::option::of(0u8..10),
+            lists in (
+                proptest::collection::vec(0usize..POOL.len(), 0..3),
+                proptest::collection::vec(0usize..POOL.len(), 0..3),
+            ),
+            ends in (0usize..POOL.len(), 1usize..POOL.len(), 0u8..3),
+            chain in proptest::collection::vec(0usize..POOL.len(), 0..5),
+            inside in proptest::collection::vec(0usize..POOL.len(), 0..4),
+        ) {
+            let asn = |i: usize| AsId(POOL[i]);
+            let (deny, peers) = lists;
+            let (origin_ix, own_offset, rel) = ends;
+            let origin = asn(origin_ix);
+            // Any pool member but the origin: the origin never imports.
+            let own = asn((origin_ix + own_offset) % POOL.len());
+            let policy = ImportPolicy {
+                loop_detection: LoopDetection {
+                    reject_at: if reject_at == 4 { u8::MAX } else { reject_at },
+                },
+                reject_peers_in_customer_path: flags & 1 != 0,
+                deny_transit: deny.into_iter().map(asn).collect(),
+                max_path_len: cap,
+                drop_poisoned: flags & 2 != 0,
+                drop_reserved_asn: flags & 4 != 0,
+                default_route: flags & 8 != 0,
+            };
+            let peers: Vec<AsId> = peers.into_iter().map(asn).collect();
+            let rel = [Relationship::Customer, Relationship::Peer, Relationship::Provider]
+                [rel as usize];
+
+            let chain: Vec<AsId> = chain.into_iter().map(asn).collect();
+            let poisons: Vec<AsId> = inside.into_iter().map(asn).collect();
+            let with_tail = |tail: &AsPath| {
+                AsPath::from_hops(chain.iter().chain(tail.hops()).copied().collect())
+            };
+            let poisoned = AsPath::poisoned(origin, &poisons);
+            let prepended = AsPath::prepended_baseline(origin, poisoned.len());
+
+            let before = policy.evaluate(own, &peers, rel, &with_tail(&prepended));
+            let after = policy.evaluate(own, &peers, rel, &with_tail(&poisoned));
+            proptest::prop_assert!(
+                before.is_none() || after.is_some(),
+                "{:?} rejected {} ({:?}) yet accepts {}",
+                policy, with_tail(&prepended), before, with_tail(&poisoned)
+            );
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub struct OutageRecord {
 }
 
 impl OutageRecord {
-    /// Is the outage partial (criterion 2)?
+    /// Is the outage partial (the second §5.3 candidacy condition)?
     pub fn is_partial(&self) -> bool {
         !self.reachable_vps.is_empty()
     }

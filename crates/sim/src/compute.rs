@@ -19,11 +19,14 @@
 //!   reach — a loop-detection edit at AS X evicts only tables whose
 //!   seed-path footprint contains X; everything else survives. Generations
 //!   the log no longer reaches (a different network, deep staleness) flush
-//!   wholesale, so a stale entry can never be served.
+//!   wholesale, so a stale entry can never be served. A miss on a poisoned
+//!   spec is not recomputed but *derived* from the cached table of its
+//!   prepended parent (`O-A-O` from `O-O-O`), which differs from it at a
+//!   handful of ASes.
 
 use crate::announce::AnnouncementSpec;
 use crate::network::{DirtyScope, Network};
-use crate::static_routes::{compute_routes, RouteTable};
+use crate::static_routes::{compute_routes, derive_routes, prepended_parent, RouteTable};
 use lg_asmap::AsId;
 use lg_bgp::{AsPath, Prefix};
 use lg_telemetry::{Counter, Gauge, Registry};
@@ -185,11 +188,12 @@ impl Evictions {
 pub struct CacheStats {
     /// Lookups served from cache since construction.
     pub hits: u64,
-    /// Lookups that had to compute since construction.
+    /// Lookups that had to compute since construction (the internal fill
+    /// of a missing parent is part of its child's miss, not one more).
     pub misses: u64,
     /// Evictions since construction, by cause.
     pub evictions: Evictions,
-    /// Tables currently cached.
+    /// Tables currently cached, parents included.
     pub entries: usize,
 }
 
@@ -214,6 +218,8 @@ impl CacheStats {
 struct CacheTelemetry {
     hits: Counter,
     misses: Counter,
+    /// Prepended parents computed from scratch on behalf of a child's miss.
+    parent_fills: Counter,
     evict_footprint: Counter,
     evict_communities: Counter,
     evict_link: Counter,
@@ -228,6 +234,7 @@ impl CacheTelemetry {
         CacheTelemetry {
             hits: r.counter("cache.hits"),
             misses: r.counter("cache.misses"),
+            parent_fills: r.counter("cache.parent_fills"),
             evict_footprint: r.counter("cache.evictions.footprint"),
             evict_communities: r.counter("cache.evictions.communities"),
             evict_link: r.counter("cache.evictions.link"),
@@ -383,10 +390,19 @@ impl CacheShard {
 /// * Anything else — cold, stale or absent — takes the write lock, replays
 ///   the network's mutation log (evicting only the entries whose footprint
 ///   the logged [`DirtyScope`]s touch; a generation the log no longer
-///   reaches flushes wholesale), probes again, and on a true miss runs
-///   [`compute_routes`] *under the write lock* and inserts. A spec is
-///   therefore computed at most once per generation across all sharers, by
-///   construction; a miss blocks concurrent readers for one fixed point.
+///   reaches flushes wholesale), probes again, and on a true miss fills
+///   *under the write lock* and inserts. A spec is therefore computed at
+///   most once per generation across all sharers, by construction; a miss
+///   blocks concurrent readers for one fill.
+///
+/// How a miss is filled follows from the spec alone. A spec whose seed
+/// paths carry poison hops has a *parent* ([`prepended_parent`]: the same
+/// announcement with every seed path prepended instead, `O-A-O` →
+/// `O-O-O`), and its table differs from the parent's at a handful of ASes:
+/// the fill makes sure the parent is cached — an entry like any other,
+/// evicted by the same rules — and derives the child from it
+/// ([`derive_routes`]). Everything else, parents included, is a
+/// from-scratch [`compute_routes`].
 #[derive(Debug)]
 pub struct SharedRouteCache {
     shard: RwLock<CacheShard>,
@@ -419,9 +435,9 @@ impl SharedRouteCache {
         }
     }
 
-    // Both lock modes recover from poisoning: `compute_routes` is the one
-    // call that can panic under the write lock, the sync before it has
-    // completed and the insert happens only after it returns, so a poisoned
+    // Both lock modes recover from poisoning: the fill is the one thing that
+    // can panic under the write lock, the sync before it has completed and
+    // each insert happens only after its table is built, so a poisoned
     // shard is always consistent.
     fn read(&self) -> RwLockReadGuard<'_, CacheShard> {
         self.shard.read().unwrap_or_else(PoisonError::into_inner)
@@ -512,11 +528,35 @@ impl SharedRouteCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.tele.misses.inc();
-        let _fill_span = lg_telemetry::trace::span("cache.miss_fill");
-        let table = Arc::new(compute_routes(net, spec));
+        let table = Arc::new(self.fill(&mut shard, net, spec));
         shard.insert(key, Arc::clone(&table));
         self.tele.entries.set(shard.tables.len() as u64);
         table
+    }
+
+    /// Build the table of a spec the cache does not hold: derived from its
+    /// prepended parent when it has one (caching the parent first if that
+    /// is missing too), from scratch otherwise.
+    fn fill(&self, shard: &mut CacheShard, net: &Network, spec: &AnnouncementSpec) -> RouteTable {
+        let scratch = |spec| {
+            let _span = lg_telemetry::trace::span("cache.miss_fill");
+            compute_routes(net, spec)
+        };
+        let Some(parent_spec) = prepended_parent(spec) else {
+            return scratch(spec);
+        };
+        let parent_key = SpecKey::of(&parent_spec);
+        let parent = shard.lookup(&parent_key).unwrap_or_else(|| {
+            self.tele.parent_fills.inc();
+            let parent = Arc::new(scratch(&parent_spec));
+            shard.insert(parent_key, Arc::clone(&parent));
+            parent
+        });
+        let derived = {
+            let _span = lg_telemetry::trace::span("cache.delta_fill");
+            derive_routes(net, spec, &parent)
+        };
+        derived.unwrap_or_else(|| scratch(spec))
     }
 }
 
@@ -686,8 +726,9 @@ mod tests {
 
     #[test]
     fn dirty_invalidation_retains_majority_after_single_as_mutation() {
-        // Acceptance criterion: after a single-AS mutation, >= 50% of a
-        // poison-sweep cache survives (pre-incremental behavior: 0%).
+        // The bar incremental invalidation was accepted at: after a
+        // single-AS mutation, >= 50% of a poison-sweep cache survives
+        // (pre-incremental behavior: 0%).
         let mut g = GraphBuilder::with_ases(18);
         for i in 1..=16u32 {
             g.provider_customer(AsId(i), AsId(0));
@@ -701,7 +742,7 @@ mod tests {
         for spec in &sweep {
             cache.compute(&net, spec);
         }
-        assert_eq!(cache.len(), 16);
+        assert_eq!(cache.len(), 17, "16 poisons and their prepended parent");
 
         net.set_policy(
             AsId(3),
@@ -711,7 +752,7 @@ mod tests {
             },
         );
         cache.compute(&net, &sweep[0]);
-        let retained = cache.len() as f64 / 16.0;
+        let retained = cache.len() as f64 / 17.0;
         assert!(
             retained >= 0.5,
             "retention {retained} below the 50% acceptance floor"
@@ -751,8 +792,9 @@ mod tests {
     fn stats_pin_fifteen_of_sixteen_retained() {
         // The PR 2 bench claim (`dirty_invalidation_single_as`: one
         // recompute, 15/16 retained), pinned deterministically on the
-        // stats API: a 16-entry poison sweep, one single-AS loop-detection
-        // mutation, exactly one footprint eviction.
+        // stats API: a 16-poison sweep (17 entries with the prepended
+        // parent they are derived from, whose fill is no miss), one
+        // single-AS loop-detection mutation, exactly one footprint eviction.
         let mut g = GraphBuilder::with_ases(18);
         for i in 1..=16u32 {
             g.provider_customer(AsId(i), AsId(0));
@@ -766,7 +808,7 @@ mod tests {
         for spec in &sweep {
             cache.compute(&net, spec);
         }
-        assert_eq!(cache.stats().entries, 16);
+        assert_eq!(cache.stats().entries, 17);
 
         net.set_policy(
             AsId(3),
@@ -777,7 +819,7 @@ mod tests {
         );
         cache.compute(&net, &sweep[0]); // triggers the sync; AS1 poison hits
         let s = cache.stats();
-        assert_eq!(s.entries, 15, "15/16 entries retained");
+        assert_eq!(s.entries, 16, "15/16 poisons and the parent retained");
         assert_eq!(
             s.evictions,
             Evictions {
@@ -787,7 +829,7 @@ mod tests {
             "the one eviction is footprint-scoped"
         );
         assert_eq!((s.hits, s.misses), (1, 16));
-        assert!((s.retention_ratio() - 15.0 / 16.0).abs() < 1e-9);
+        assert!((s.retention_ratio() - 16.0 / 17.0).abs() < 1e-9);
     }
 
     /// Origin 0 below middles 1..=16, all under top AS 17; AS 18 starts
@@ -840,19 +882,20 @@ mod tests {
         // Scoped LinkDown keeps every table whose routes avoid the link:
         // AS17 uplinks through middle 1 except in the middle-1 poison,
         // where it falls back to middle 2 — so removing link 17-2 evicts
-        // exactly that one table.
+        // exactly that one table (the prepended parent the sweep is derived
+        // from, the 17th entry, uplinks through middle 1 like the rest).
         let mut net = star_net();
         let cache = SharedRouteCache::new();
         let sweep = poison_sweep(&net);
         for spec in &sweep {
             cache.compute(&net, spec);
         }
-        assert_eq!(cache.stats().entries, 16);
+        assert_eq!(cache.stats().entries, 17);
 
         net.remove_link(AsId(17), AsId(2));
         cache.compute(&net, &sweep[2]);
         let s = cache.stats();
-        assert_eq!(s.entries, 15, "15/16 entries retained");
+        assert_eq!(s.entries, 16, "15/16 poisons and the parent retained");
         assert_eq!(
             s.evictions,
             Evictions {
@@ -880,11 +923,12 @@ mod tests {
 
         // Attach the isolated AS 18 below middle 3. Every table where
         // middle 3 holds a route can now propagate over the new link; the
-        // middle-3 poison reaches neither endpoint and survives.
+        // middle-3 poison reaches neither endpoint and survives (the
+        // sweep's prepended parent routes at middle 3 and goes too).
         net.add_link(AsId(3), AsId(18), lg_asmap::Relationship::Customer);
         let t = cache.compute(&net, &sweep[2]);
         let s = cache.stats();
-        assert_eq!(s.evictions.link, 15, "only the AS3 poison retained");
+        assert_eq!(s.evictions.link, 16, "only the AS3 poison retained");
         assert_eq!((s.hits, s.misses), (1, 16), "retained table is a hit");
         assert!(same_table(&t, &compute_routes(&net, &sweep[2]), net.len()));
         for spec in &sweep {
@@ -956,12 +1000,12 @@ mod tests {
         for spec in &sweep {
             cache.compute(&net, spec);
         }
-        assert_eq!(cache.stats().entries, 16);
+        assert_eq!(cache.stats().entries, 17, "16 poisons and their parent");
 
         net.remove_link(AsId(15), AsId(16));
         cache.compute(&net, &sweep[15]);
         let s = cache.stats();
-        assert_eq!(s.entries, 16, "15 retained + the recomputed miss");
+        assert_eq!(s.entries, 17, "16 retained + the recomputed miss");
         assert_eq!(
             s.evictions,
             Evictions {
@@ -1010,7 +1054,8 @@ mod tests {
         cache.compute(&net, &plain);
         assert_eq!(cache.stats().evictions.footprint, 1);
 
-        // Global mutation: flushes whatever is left (plain entry).
+        // Global mutation: flushes whatever is left (the plain entry and
+        // the untagged prepended parent the poison was derived from).
         net.set_policy(
             AsId(3),
             ImportPolicy {
@@ -1020,10 +1065,10 @@ mod tests {
         );
         cache.compute(&net, &plain);
         let s = cache.stats();
-        assert_eq!(s.evictions.global, 1);
+        assert_eq!(s.evictions.global, 2);
         assert_eq!(s.evictions.generation_lost, 0);
-        assert_eq!(s.evictions.total(), 3);
-        assert_eq!(cache.invalidations(), 3);
+        assert_eq!(s.evictions.total(), 4);
+        assert_eq!(cache.invalidations(), 4);
     }
 
     #[test]

@@ -102,6 +102,10 @@ const MUTATION_HISTORY_CAP: usize = 1024;
 pub struct Network {
     graph: AsGraph,
     policies: Vec<ImportPolicy>,
+    /// `policies[a].filters_paths()`, kept beside the policies so the
+    /// static engine seeds its may-reject set with one copy instead of
+    /// walking every policy per fixed point.
+    path_filtered: Vec<bool>,
     /// Cached peer lists (import filters need them on the hot path).
     peer_lists: Vec<Vec<AsId>>,
     /// ASes that strip community attributes on export (§2.3: "many ASes do
@@ -126,6 +130,7 @@ impl Network {
         Network {
             graph,
             policies: vec![ImportPolicy::standard(); n],
+            path_filtered: vec![false; n],
             peer_lists,
             strips_communities: vec![false; n],
             generation,
@@ -251,6 +256,12 @@ impl Network {
         &self.policies[a.index()]
     }
 
+    /// Per AS: does its policy configure a path-content filter
+    /// ([`ImportPolicy::filters_paths`])?
+    pub fn path_filtered(&self) -> &[bool] {
+        &self.path_filtered
+    }
+
     /// Replace the import policy of `a` (loop-detection quirks, Cogent-style
     /// filters — §7.1).
     ///
@@ -264,6 +275,7 @@ impl Network {
     /// global.
     pub fn set_policy(&mut self, a: AsId, policy: ImportPolicy) {
         let scope = Self::policy_scope(a, &self.policies[a.index()], &policy);
+        self.path_filtered[a.index()] = policy.filters_paths();
         self.policies[a.index()] = policy;
         self.record_mutation(scope);
     }
@@ -314,6 +326,7 @@ impl Network {
                 if Self::policy_scope(AsId(i as u32), old, &new) != DirtyScope::Unchanged {
                     scope = DirtyScope::Global;
                 }
+                self.path_filtered[i] = new.filters_paths();
                 self.policies[i] = new;
             }
         }

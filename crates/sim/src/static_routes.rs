@@ -14,6 +14,14 @@
 //! that rejects a candidate (loop detection saw the poison, a filter fired)
 //! simply waits for the next-best candidate, exactly like a router that
 //! never installed the rejected path.
+//!
+//! Every AS exports exactly the route it selected, so the converged state is
+//! a tree: `path(a) = [learned_from(a)] ++ path(learned_from(a))`, ending in
+//! the seed path an origin neighbor accepted. A [`RouteTable`] stores that
+//! tree and nothing else, and the engine reads candidate paths straight off
+//! the tree it is building. [`derive_routes`] starts from the converged tree
+//! of a spec's prepended parent and re-decides only the ASes the poison can
+//! reach.
 
 use crate::announce::AnnouncementSpec;
 use crate::network::Network;
@@ -25,18 +33,18 @@ use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Global-registry handles for [`compute_routes`], resolved once. The
-/// function tallies locally and flushes at return, so the hot loop sees no
+/// Global-registry handles for the static engine, resolved once. A fixed
+/// point tallies locally and flushes at return, so the hot loop sees no
 /// atomics at all — the per-call cost is one `Instant` pair plus a handful
 /// of relaxed adds, well under the ≤5% overhead budget on a medium spec.
 struct ComputeMetrics {
-    /// Fixed points computed.
+    /// From-scratch fixed points computed.
     runs: Counter,
-    /// Candidates popped from the selection heap (fixed-point iterations).
+    /// Candidates popped by from-scratch fixed points.
     candidates: Counter,
-    /// Arena path nodes allocated.
+    /// Path-tree nodes written (one per routed AS plus the seed hops).
     arena_nodes: Counter,
-    /// Per-spec wall time, microseconds.
+    /// Per-spec wall time of a from-scratch fixed point, microseconds.
     wall_us: Histogram,
     /// Candidates rejected by a max-path-length cap (`policy.filtered_*`
     /// counters are shared by name with the dynamic engine, so they
@@ -46,6 +54,14 @@ struct ComputeMetrics {
     filtered_poisoned: Counter,
     /// Candidates rejected by a reserved-ASN filter.
     filtered_reserved: Counter,
+    /// Tables derived from a cached parent ([`derive_routes`]).
+    delta_runs: Counter,
+    /// Candidates popped by derivations.
+    delta_candidates: Counter,
+    /// ASes a derivation invalidated and re-decided.
+    delta_region: Histogram,
+    /// Derivations abandoned for a from-scratch fixed point.
+    delta_fallbacks: Counter,
 }
 
 fn compute_metrics() -> &'static ComputeMetrics {
@@ -60,127 +76,254 @@ fn compute_metrics() -> &'static ComputeMetrics {
             filtered_path_len: r.counter("policy.filtered_path_len"),
             filtered_poisoned: r.counter("policy.filtered_poisoned"),
             filtered_reserved: r.counter("policy.filtered_reserved"),
+            delta_runs: r.counter("compute.delta_runs"),
+            delta_candidates: r.counter("compute.delta_candidates"),
+            delta_region: r.histogram("compute.delta_region"),
+            delta_fallbacks: r.counter("compute.delta_fallbacks"),
         }
     })
 }
 
-/// Sentinel parent id terminating a [`PathArena`] chain.
-const NO_PARENT: u32 = u32::MAX;
+/// [`Hop::learned_from`] of an AS without a route.
+const NO_ROUTE: u32 = u32::MAX;
 
-/// Shared-structure storage for candidate AS paths.
-///
-/// Every candidate in the fixed-point loop used to carry its own cloned
-/// `AsPath` (and exporting a selected route to `k` neighbors cloned the
-/// exported path `k` times). The arena stores each path as a parent-pointer
-/// chain — `(nearest hop, rest-of-path)` — so an export is one arena push
-/// and candidates carry a `u32` node id. Paths materialize into an `AsPath`
-/// only when an AS actually accepts the route.
-struct PathArena {
-    /// `(hop, parent)`; a node's path reads nearest-first by chasing
-    /// parents until [`NO_PARENT`].
-    nodes: Vec<(AsId, u32)>,
+/// One AS's node in the next-hop tree: what it selected, minus the path,
+/// which is the walk to the root. Eight bytes.
+#[derive(Clone, Copy, Debug)]
+struct Hop {
+    /// The neighbor the selected route was learned from ([`NO_ROUTE`] when
+    /// the AS has none; the origin points at itself).
+    learned_from: u32,
+    /// Hops on the selected path, prepends included. Sixteen bits: a BGP
+    /// UPDATE's 4096 bytes hold about a thousand 4-byte ASNs.
+    len: u16,
+    /// The AS's relationship toward `learned_from`.
+    rel: Relationship,
+    /// Whether the announcement's communities were still attached.
+    communities: bool,
 }
 
-impl PathArena {
-    fn with_capacity(n: usize) -> Self {
-        PathArena {
-            nodes: Vec::with_capacity(n),
-        }
-    }
+impl Hop {
+    const NONE: Hop = Hop {
+        learned_from: NO_ROUTE,
+        len: 0,
+        rel: Relationship::Provider,
+        communities: false,
+    };
 
-    fn push(&mut self, hop: AsId, parent: u32) -> u32 {
-        let id = u32::try_from(self.nodes.len()).expect("path arena overflow");
-        self.nodes.push((hop, parent));
-        id
-    }
-
-    /// Store `hops` (nearest-first) as a chain; returns the head node.
-    fn intern(&mut self, hops: &[AsId]) -> u32 {
-        let mut parent = NO_PARENT;
-        for h in hops.iter().rev() {
-            parent = self.push(*h, parent);
-        }
-        parent
-    }
-
-    /// The hops of `node`, nearest-first.
-    fn hops(&self, node: u32) -> PathHops<'_> {
-        PathHops {
-            arena: self,
-            cur: node,
-        }
-    }
-
-    /// Copy the chain out into an owned `AsPath` (only done on acceptance).
-    fn materialize(&self, node: u32, len: usize) -> AsPath {
-        let mut v = Vec::with_capacity(len);
-        v.extend(self.hops(node));
-        AsPath::from_hops(v)
+    fn routed(&self) -> bool {
+        self.learned_from != NO_ROUTE
     }
 }
 
-struct PathHops<'a> {
-    arena: &'a PathArena,
-    cur: u32,
+/// One `(neighbor, path)` pair of the announcement, and whether the
+/// neighbor selected it — the root end of every path that runs through it.
+#[derive(Clone, Debug)]
+struct Seed {
+    neighbor: AsId,
+    path: AsPath,
+    accepted: bool,
 }
 
-impl Iterator for PathHops<'_> {
-    type Item = AsId;
-
-    fn next(&mut self) -> Option<AsId> {
-        if self.cur == NO_PARENT {
-            return None;
-        }
-        let (hop, parent) = self.arena.nodes[self.cur as usize];
-        self.cur = parent;
-        Some(hop)
-    }
+/// A path length as a [`Hop`] stores it.
+fn path_len(len: usize) -> u16 {
+    u16::try_from(len).expect("an AS path longer than 65535 hops is no BGP path")
 }
 
-/// The converged routing table for one prefix: each AS's selected route.
+/// A spec's seeds in canonical `(neighbor, path)` order: the order the cache
+/// keys on, and the order whose index breaks the tie between two seeds of
+/// one length to one neighbor exactly as path content would.
+fn canonical_seeds(spec: &AnnouncementSpec) -> Vec<Seed> {
+    let mut seeds = spec.seeds.clone();
+    seeds.sort_unstable();
+    seeds
+        .into_iter()
+        .map(|(neighbor, path)| Seed {
+            neighbor,
+            path,
+            accepted: false,
+        })
+        .collect()
+}
+
+/// The converged routing table for one prefix: each AS's selected route,
+/// stored as the next-hop tree those routes form (eight bytes per AS plus
+/// the announcement's seed paths and communities, once).
 #[derive(Clone, Debug)]
 pub struct RouteTable {
     /// The prefix this table is for.
     pub prefix: Prefix,
     /// The originating AS.
     pub origin: AsId,
-    routes: Vec<Option<Route>>,
+    hops: Vec<Hop>,
+    /// See [`canonical_seeds`].
+    seeds: Vec<Seed>,
+    communities: Vec<u32>,
+    /// ASes with a route, origin excluded.
+    routed: usize,
 }
 
 impl RouteTable {
+    /// The table before anything propagated: only the origin's self-route.
+    fn unrouted(spec: &AnnouncementSpec, n: usize) -> Self {
+        let mut hops = vec![Hop::NONE; n];
+        hops[spec.origin.index()] = Hop {
+            learned_from: spec.origin.0,
+            len: 0,
+            rel: Relationship::Customer,
+            communities: true,
+        };
+        RouteTable {
+            prefix: spec.prefix,
+            origin: spec.origin,
+            hops,
+            seeds: canonical_seeds(spec),
+            communities: spec.communities.clone(),
+            routed: 0,
+        }
+    }
+
+    /// Fold per-AS owned routes (the reference engine's output) into a
+    /// table. Asserts the one thing the tree takes for granted — every
+    /// selected path is its first hop followed by that hop's own selected
+    /// path, or a seed — on paths built by an engine that does not share
+    /// the representation.
+    fn from_owned_routes(spec: &AnnouncementSpec, routes: &[Option<Route>]) -> Self {
+        let mut table = RouteTable::unrouted(spec, routes.len());
+        for (i, route) in routes.iter().enumerate() {
+            let (a, Some(route)) = (AsId(i as u32), route) else {
+                continue;
+            };
+            if a == spec.origin {
+                continue;
+            }
+            if route.learned_from == spec.origin {
+                table
+                    .seeds
+                    .iter_mut()
+                    .find(|s| s.neighbor == a && s.path == route.path)
+                    .expect("an origin neighbor selects one of its seeds")
+                    .accepted = true;
+            } else {
+                let upstream = routes[route.learned_from.index()]
+                    .as_ref()
+                    .expect("a route is learned from an AS that holds one");
+                assert_eq!(
+                    route.path.hops().split_first(),
+                    Some((&route.learned_from, upstream.path.hops())),
+                    "path({a}) != [learned_from] ++ path(learned_from)"
+                );
+            }
+            table.hops[i] = Hop {
+                learned_from: route.learned_from.0,
+                len: path_len(route.path.len()),
+                rel: route.rel,
+                communities: !route.communities.is_empty(),
+            };
+            table.routed += 1;
+        }
+        table
+    }
+
     /// The route `a` selected, or `None` when `a` has no route (captive
-    /// behind a poisoned AS, disconnected, or filtered everywhere).
+    /// behind a poisoned AS, disconnected, or filtered everywhere). The
+    /// path is rebuilt by walking the tree.
     ///
     /// The origin itself reports a self-route with an empty path.
-    pub fn route(&self, a: AsId) -> Option<&Route> {
-        self.routes[a.index()].as_ref()
+    pub fn route(&self, a: AsId) -> Option<Route> {
+        let hop = self.hops[a.index()];
+        hop.routed().then(|| {
+            let mut path = Vec::with_capacity(hop.len as usize);
+            path.extend(self.path_hops(a));
+            Route {
+                prefix: self.prefix,
+                path: AsPath::from_hops(path),
+                learned_from: AsId(hop.learned_from),
+                rel: hop.rel,
+                communities: if hop.communities {
+                    self.communities.clone()
+                } else {
+                    Vec::new()
+                },
+            }
+        })
     }
 
     /// Whether `a` has any route to the prefix.
     pub fn has_route(&self, a: AsId) -> bool {
-        a == self.origin || self.routes[a.index()].is_some()
+        self.hops[a.index()].routed()
     }
 
     /// Next hop of `a` toward the origin, or `None` (origin or no route).
     pub fn next_hop(&self, a: AsId) -> Option<AsId> {
-        if a == self.origin {
-            return None;
-        }
-        self.routes[a.index()].as_ref().map(|r| r.learned_from)
+        let hop = self.hops[a.index()];
+        (hop.routed() && a != self.origin).then_some(AsId(hop.learned_from))
     }
 
     /// AS-level path `a` uses (selected AS path), prepends collapsed.
     pub fn as_path(&self, a: AsId) -> Option<Vec<AsId>> {
-        self.routes[a.index()].as_ref().map(|r| r.path.distinct())
+        self.has_route(a).then(|| {
+            let mut distinct: Vec<AsId> = Vec::new();
+            for h in self.path_hops(a) {
+                if !distinct.contains(&h) {
+                    distinct.push(h);
+                }
+            }
+            distinct
+        })
     }
 
     /// Number of ASes with a route (origin excluded).
     pub fn routed_count(&self) -> usize {
-        self.routes
+        self.routed
+    }
+
+    /// Heap bytes the table holds: the tree, the seed paths, the
+    /// communities. For the memory-budget tests.
+    #[doc(hidden)]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let seed_hops: usize = self.seeds.iter().map(|s| s.path.len()).sum();
+        self.hops.capacity() * size_of::<Hop>()
+            + self.seeds.capacity() * size_of::<Seed>()
+            + seed_hops * size_of::<AsId>()
+            + self.communities.capacity() * size_of::<u32>()
+    }
+
+    /// The hops of `a`'s selected path, nearest first; nothing for the
+    /// origin or an AS without a route.
+    fn path_hops(&self, a: AsId) -> TreeHops<'_> {
+        TreeHops {
+            table: self,
+            at: if a == self.origin { NO_ROUTE } else { a.0 },
+            tail: [].iter(),
+        }
+    }
+
+    /// Seed paths some origin neighbor selected.
+    fn accepted_seeds(&self) -> impl Iterator<Item = &Seed> {
+        self.seeds.iter().filter(|s| s.accepted)
+    }
+
+    /// Index of the seed origin neighbor `a` selected.
+    fn accepted_seed(&self, a: AsId) -> usize {
+        let first = self.seeds.partition_point(|s| s.neighbor < a);
+        let among_its_own = self.seeds[first..]
             .iter()
-            .enumerate()
-            .filter(|(i, r)| r.is_some() && AsId(*i as u32) != self.origin)
-            .count()
+            .take_while(|s| s.neighbor == a)
+            .position(|s| s.accepted);
+        first + among_its_own.expect("an AS routed via the origin accepted one of its seeds")
+    }
+
+    /// Does `child` hold a route learned from `parent` over a tree edge
+    /// above the origin's neighbors? (An origin neighbor's first hop is
+    /// whatever its seed path says, so those edges are read off the seeds.)
+    fn tree_edge(&self, child: AsId, parent: AsId) -> bool {
+        parent != self.origin
+            && self
+                .hops
+                .get(child.index())
+                .is_some_and(|h| h.learned_from == parent.0)
     }
 
     /// Does any selected route traverse the link `a`-`b` (either
@@ -190,15 +333,17 @@ impl RouteTable {
     /// check conservative for cache invalidation (never misses a user of
     /// the link).
     pub fn uses_link(&self, a: AsId, b: AsId) -> bool {
-        self.routes.iter().enumerate().any(|(i, r)| {
-            let Some(route) = r else { return false };
-            let mut prev = AsId(i as u32);
-            route.path.hops().iter().any(|&h| {
-                let hit = (prev == a && h == b) || (prev == b && h == a);
-                prev = h;
-                hit
+        let hit = |x: AsId, y: AsId| (x == a && y == b) || (x == b && y == a);
+        self.tree_edge(a, b)
+            || self.tree_edge(b, a)
+            || self.accepted_seeds().any(|seed| {
+                let mut prev = seed.neighbor;
+                seed.path.hops().iter().any(|&h| {
+                    let found = hit(prev, h);
+                    prev = h;
+                    found
+                })
             })
-        })
     }
 
     /// Does `x` appear as a hop on any selected path? Holding a route is
@@ -208,24 +353,46 @@ impl RouteTable {
     /// peer-link eviction predicate runs per entry — [`Self::ases_via`]
     /// allocates, this doesn't.
     pub fn routes_via(&self, x: AsId) -> bool {
-        self.routes
-            .iter()
-            .any(|r| r.as_ref().is_some_and(|route| route.traverses(x)))
+        (x != self.origin && self.hops.iter().any(|h| h.learned_from == x.0))
+            || self.accepted_seeds().any(|seed| seed.path.contains(x))
     }
 
     /// ASes whose selected path traverses `x` (origin excluded).
     pub fn ases_via(&self, x: AsId) -> Vec<AsId> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let a = AsId(i as u32);
-                match r {
-                    Some(route) if a != self.origin && route.traverses(x) && a != x => Some(a),
-                    _ => None,
-                }
-            })
+        (0..self.hops.len() as u32)
+            .map(AsId)
+            .filter(|&a| a != self.origin && a != x && self.path_hops(a).any(|h| h == x))
             .collect()
+    }
+}
+
+/// A selected path read off a [`RouteTable`]'s tree: the chain of
+/// `learned_from` links up to an origin neighbor, then the seed path that
+/// neighbor accepted.
+struct TreeHops<'a> {
+    table: &'a RouteTable,
+    /// The AS whose `learned_from` is the next hop; [`NO_ROUTE`] once the
+    /// walk is inside (or past) the seed path.
+    at: u32,
+    tail: std::slice::Iter<'a, AsId>,
+}
+
+impl Iterator for TreeHops<'_> {
+    type Item = AsId;
+
+    fn next(&mut self) -> Option<AsId> {
+        if self.at == NO_ROUTE {
+            return self.tail.next().copied();
+        }
+        let hop = self.table.hops[self.at as usize];
+        if hop.learned_from == self.table.origin.0 {
+            let seed = self.table.accepted_seed(AsId(self.at));
+            self.at = NO_ROUTE;
+            self.tail = self.table.seeds[seed].path.hops().iter();
+            return self.tail.next().copied();
+        }
+        self.at = hop.learned_from;
+        hop.routed().then_some(AsId(hop.learned_from))
     }
 }
 
@@ -233,19 +400,17 @@ impl RouteTable {
 /// prefix is the bucket coordinate, so only the tiebreak tail is stored.
 ///
 /// The global pop order must reproduce [`compute_routes_reference`]'s key
-/// `(class, len, to, learned_from, path-content)`. Arena node ids stand in
-/// for the content tiebreak: they are assigned in content-sorted order for
-/// seeds (see the sort in the fixed point) and in pop order for exports —
-/// and two distinct exported candidates can never tie on `(class, len, to,
-/// learned_from)`, because each AS exports at most once and the origin
-/// (whose duplicate seeds are the only same-`(to, learned_from)` pairs)
-/// never re-exports. So the id comparison either never fires or agrees
-/// with the content comparison.
+/// `(class, len, to, learned_from, path-content)`. The seed index stands in
+/// for the content tiebreak: two distinct candidates can tie on `(class,
+/// len, to, learned_from)` only when both are seeds to one neighbor —
+/// every other AS exports at most once, and the origin never re-exports —
+/// and [`canonical_seeds`] orders those by content.
 #[derive(PartialEq, Eq)]
 struct Pending {
     to: AsId,
     learned_from: AsId,
-    path: u32,
+    /// Index into the table's seeds when `learned_from` is the origin.
+    seed: u32,
     rel: Relationship,
     /// Whether the spec's communities are still attached (they are only
     /// ever the spec's full list or stripped to nothing).
@@ -257,7 +422,7 @@ impl Ord for Pending {
         self.to
             .cmp(&other.to)
             .then_with(|| self.learned_from.cmp(&other.learned_from))
-            .then_with(|| self.path.cmp(&other.path))
+            .then_with(|| self.seed.cmp(&other.seed))
     }
 }
 
@@ -316,7 +481,7 @@ impl DeltaQueue {
     }
 
     /// Pop the globally least candidate by `(class, len, to, learned_from,
-    /// path)`. Lower classes win regardless of length, so the scan is
+    /// seed)`. Lower classes win regardless of length, so the scan is
     /// class-major.
     fn pop(&mut self) -> Option<(u8, u32, Pending)> {
         for c in 0..3 {
@@ -356,19 +521,21 @@ pub struct FrontierStats {
     pub policy_checks: u64,
     /// High-water mark of simultaneously pending candidates.
     pub peak_pending: usize,
-    /// Path-arena nodes allocated.
+    /// Path-tree nodes written: one per AS that accepted a route plus the
+    /// hops of the offered seed paths (the tree is what used to be a
+    /// separate path arena, hence the name).
     pub arena_nodes: usize,
 }
 
 /// Dominance key for never-reject pruning: `(class, len, learned_from,
-/// path)` packed so a single integer compare decides. `to` is omitted —
+/// seed)` packed so a single integer compare decides. `to` is omitted —
 /// the key is only ever compared within one AS's slot.
 #[inline]
-fn pack_key(class: u8, len: u32, learned_from: AsId, path: u32) -> u128 {
+fn pack_key(class: u8, len: u32, learned_from: AsId, seed: u32) -> u128 {
     ((class as u128) << 96)
         | ((len as u128) << 64)
         | ((learned_from.0 as u128) << 32)
-        | path as u128
+        | seed as u128
 }
 
 /// Compute the converged table for `spec` over `net`.
@@ -377,13 +544,14 @@ fn pack_key(class: u8, len: u32, learned_from: AsId, path: u32) -> u128 {
 /// non-neighbors are ignored defensively.
 ///
 /// This is the frontier engine: candidates live in a [`DeltaQueue`]
-/// bucketed by preference, paths in a shared [`PathArena`], and ASes whose
+/// bucketed by preference, paths in the tree being built, and ASes whose
 /// import policy can never reject (no filters configured and not on the
 /// announcement's footprint, i.e. loop detection cannot fire) are pruned
 /// down to their single best pending candidate — only ASes whose best
 /// route can still change are revisited. It is differentially tested
 /// against [`compute_routes_reference`] (tests/compute_equivalence.rs) and
-/// produces byte-identical tables.
+/// produces byte-identical tables. It never consults a cache: it is the
+/// oracle [`derive_routes`] is tested against and how parents are built.
 pub fn compute_routes(net: &Network, spec: &AnnouncementSpec) -> RouteTable {
     frontier_fixed_point(net, spec).0
 }
@@ -398,226 +566,436 @@ pub fn compute_routes_with_stats(
     frontier_fixed_point(net, spec)
 }
 
-/// Offer a candidate to the queue, applying never-reject dominance pruning.
-///
-/// For an AS that cannot reject (see the precompute in the fixed point),
-/// the first candidate popped for it is guaranteed to be accepted; any
-/// candidate whose full key is worse than the best already pending for that
-/// AS would pop later, find the AS routed, and be skipped — so dropping it
-/// here cannot change the fixed point. This is what bounds queue memory to
-/// O(V) on filter-free regions of the graph.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn offer(
-    queue: &mut DeltaQueue,
-    best: &mut [u128],
-    can_reject: &[bool],
-    pruned: &mut u64,
-    class: u8,
-    len: u32,
-    p: Pending,
-) {
-    let slot = p.to.index();
-    if !can_reject[slot] {
-        let key = pack_key(class, len, p.learned_from, p.path);
-        if key >= best[slot] {
-            *pruned += 1;
-            return;
-        }
-        best[slot] = key;
-    }
-    queue.push(class, len, p);
+/// One run of the frontier: the tree being built, the pending candidates,
+/// and what the run may skip. [`compute_routes`] starts it from the origin
+/// alone, [`derive_routes`] from a converged parent with a hole in it.
+struct Frontier<'a> {
+    net: &'a Network,
+    table: RouteTable,
+    /// Whether ASes were routed before the run began (a parent's kept
+    /// routes) — see [`Self::drain`].
+    derived: bool,
+    /// `can_reject[a]`: may `a`'s import policy ever reject a candidate of
+    /// this announcement? Loop detection only fires when `a` itself appears
+    /// in the offered path; exporters on a candidate's path are ASes that
+    /// accepted before the push (an AS with a selected route is never
+    /// offered more), so `a` can only appear via the seed paths — the
+    /// announcement's footprint. Everything else needs a configured filter.
+    /// `default_route` never affects import (data-plane only).
+    can_reject: Vec<bool>,
+    /// Best pending dominance key per never-reject AS; `u128::MAX` = none.
+    /// Empty in a derived run, whose queue its region already bounds: an
+    /// n-sized array would cost more than the run.
+    best: Vec<u128>,
+    queue: DeltaQueue,
+    stats: FrontierStats,
+    /// Popped candidates a filter rejected [path-len, poisoned,
+    /// reserved-ASN], flushed to the `policy.filtered_*` counters by
+    /// [`Self::finish`] so the hot loop stays atomics-free.
+    filtered: [u64; 3],
 }
 
-fn frontier_fixed_point(net: &Network, spec: &AnnouncementSpec) -> (RouteTable, FrontierStats) {
-    let started = Instant::now();
-    let seed_span = lg_telemetry::trace::span("compute.seed");
-    let mut stats = FrontierStats::default();
-    // Local tally of filter rejections [path-len, poisoned, reserved-ASN];
-    // flushed to the `policy.filtered_*` counters at return so the hot
-    // loop stays atomics-free.
-    let mut filtered = [0u64; 3];
-    let n = net.len();
-    let mut routes: Vec<Option<Route>> = vec![None; n];
-    let mut arena = PathArena::with_capacity(n + spec.seeds.len() * 4);
-    let mut queue = DeltaQueue::new();
-
-    // `can_reject[a]`: may `a`'s import policy ever reject a candidate of
-    // this announcement? Loop detection only fires when `a` itself appears
-    // in the offered path; exporters on a candidate's path are ASes that
-    // accepted before the push (an AS with a selected route is never
-    // offered more), so `a` can only appear via the seed paths — the
-    // announcement's footprint. Everything else needs a configured filter.
-    // `default_route` never affects import (data-plane only).
-    let mut can_reject: Vec<bool> = (0..n as u32)
-        .map(|i| {
-            let p = net.policy(AsId(i));
-            p.max_path_len.is_some()
-                || p.reject_peers_in_customer_path
-                || !p.deny_transit.is_empty()
-                || p.drop_poisoned
-                || p.drop_reserved_asn
-        })
-        .collect();
-    for (_, path) in &spec.seeds {
-        for h in path.hops() {
-            // Poison hops can name reserved ASNs outside the graph; those
-            // are never candidate targets, so only in-graph hops matter.
-            if h.index() < n {
-                can_reject[h.index()] = true;
+impl<'a> Frontier<'a> {
+    fn new(net: &'a Network, table: RouteTable, derived: bool) -> Self {
+        let n = net.len();
+        let mut can_reject = net.path_filtered().to_vec();
+        for seed in &table.seeds {
+            for h in seed.path.hops() {
+                // Poison hops can name reserved ASNs outside the graph; those
+                // are never candidate targets, so only in-graph hops matter.
+                if h.index() < n {
+                    can_reject[h.index()] = true;
+                }
             }
         }
+        Frontier {
+            net,
+            table,
+            derived,
+            can_reject,
+            best: if derived {
+                Vec::new()
+            } else {
+                vec![u128::MAX; n]
+            },
+            queue: DeltaQueue::new(),
+            stats: FrontierStats::default(),
+            filtered: [0; 3],
+        }
     }
-    // Best pending dominance key per never-reject AS; u128::MAX = none.
-    let mut best: Vec<u128> = vec![u128::MAX; n];
 
-    // The origin's own entry: a self-route with an empty path so the data
-    // plane can recognize delivery.
-    routes[spec.origin.index()] = Some(Route {
-        prefix: spec.prefix,
-        path: AsPath::empty(),
-        learned_from: spec.origin,
-        rel: Relationship::Customer,
-        communities: spec.communities.clone(),
-    });
+    /// Offer a candidate to the queue, applying never-reject dominance
+    /// pruning.
+    ///
+    /// For an AS that cannot reject, the first candidate popped for it is
+    /// guaranteed to be accepted; any candidate whose full key is worse
+    /// than the best already pending for that AS would pop later, find the
+    /// AS routed, and be skipped — so dropping it here cannot change the
+    /// fixed point. This is what bounds queue memory to O(V) on filter-free
+    /// regions of the graph.
+    #[inline]
+    fn offer(&mut self, class: u8, len: u32, p: Pending) {
+        let slot = p.to.index();
+        if !self.derived && !self.can_reject[slot] {
+            let key = pack_key(class, len, p.learned_from, p.seed);
+            if key >= self.best[slot] {
+                self.stats.pruned += 1;
+                return;
+            }
+            self.best[slot] = key;
+        }
+        self.queue.push(class, len, p);
+    }
 
-    // Seed candidates, sorted by the reference ordering key (content
-    // comparison last) before interning so arena-id order — the heap's
-    // final tiebreak — matches the reference even for duplicate seeds to
-    // the same neighbor.
-    let mut seeds: Vec<(AsId, &AsPath, Relationship)> = spec
-        .seeds
-        .iter()
-        .filter_map(|(nbr, path)| {
-            net.graph()
-                .relationship(*nbr, spec.origin)
-                .map(|rel| (*nbr, path, rel))
-        })
-        .collect();
-    seeds.sort_by(|a, b| {
-        (a.2.pref_class(), a.1.len(), a.0, a.1).cmp(&(b.2.pref_class(), b.1.len(), b.0, b.1))
-    });
-    for (nbr, path, rel) in seeds {
-        let node = arena.intern(path.hops());
-        offer(
-            &mut queue,
-            &mut best,
-            &can_reject,
-            &mut stats.pruned,
+    /// Offer seed `i` to its neighbor (nothing when they are not adjacent).
+    fn offer_seed(&mut self, i: usize) {
+        let origin = self.table.origin;
+        let (nbr, len) = (self.table.seeds[i].neighbor, self.table.seeds[i].path.len());
+        let Some(rel) = self.net.graph().relationship(nbr, origin) else {
+            return;
+        };
+        self.stats.arena_nodes += len;
+        self.offer(
             rel.pref_class(),
-            path.len() as u32,
+            len as u32,
             Pending {
                 to: nbr,
-                learned_from: spec.origin,
-                path: node,
+                learned_from: origin,
+                seed: i as u32,
                 rel,
                 with_communities: true,
             },
         );
     }
 
-    drop(seed_span);
-    let drain_span = lg_telemetry::trace::span("compute.drain");
-    while let Some((_, len, cand)) = queue.pop() {
-        stats.popped += 1;
-        let to = cand.to;
-        if routes[to.index()].is_some() {
-            continue; // already selected a better (or equal-popped-first) route
+    /// Why `to`'s import policy refuses the route `learned_from` offers it
+    /// (`learned_from`'s selected path behind `learned_from` itself, or
+    /// seed path `seed` when that is the origin); `None` when it accepts.
+    fn rejects(
+        &self,
+        to: AsId,
+        rel: Relationship,
+        learned_from: AsId,
+        seed: u32,
+        len: u32,
+    ) -> Option<RejectReason> {
+        let (policy, peers) = (self.net.policy(to), self.net.peers_of(to));
+        let table = &self.table;
+        if learned_from == table.origin {
+            let hops = table.seeds[seed as usize].path.hops().iter().copied();
+            policy.evaluate_hops(to, peers, rel, hops, len as usize)
+        } else {
+            let hops = std::iter::once(learned_from).chain(table.path_hops(learned_from));
+            policy.evaluate_hops(to, peers, rel, hops, len as usize)
         }
-        // Import policy: loop detection and filters, straight off the
-        // arena. Never-reject ASes skip the walk entirely — their first
-        // popped candidate is their converged selection by construction.
-        if can_reject[to.index()] {
-            stats.policy_checks += 1;
-            let rejected = net.policy(to).evaluate_hops(
-                to,
-                net.peers_of(to),
-                cand.rel,
-                arena.hops(cand.path),
-                len as usize,
-            );
-            if let Some(reason) = rejected {
-                match reason {
-                    RejectReason::PathLenCap => filtered[0] += 1,
-                    RejectReason::Poisoned => filtered[1] += 1,
-                    RejectReason::ReservedAsn => filtered[2] += 1,
-                    _ => {}
-                }
-                continue;
-            }
-        }
-        let route = Route {
-            prefix: spec.prefix,
-            path: arena.materialize(cand.path, len as usize),
-            learned_from: cand.learned_from,
-            rel: cand.rel,
-            communities: if cand.with_communities {
-                spec.communities.clone()
-            } else {
-                Vec::new()
-            },
-        };
-
-        // Export the newly selected route: one arena push covers every
-        // neighbor. Communities survive unless this AS strips them.
-        let exported = arena.push(to, cand.path);
-        let exported_len = len + 1;
-        let exported_communities = cand.with_communities && !net.strips_communities(to);
-        for (m, rel_to_m) in net.graph().neighbors(to) {
-            if *m == route.learned_from {
-                continue;
-            }
-            if !route.rel.exportable_to(*rel_to_m) {
-                continue;
-            }
-            if routes[m.index()].is_some() {
-                continue; // m already finalized; candidate would lose anyway
-            }
-            let m_rel = rel_to_m.reverse(); // m's view of `to`
-            offer(
-                &mut queue,
-                &mut best,
-                &can_reject,
-                &mut stats.pruned,
-                m_rel.pref_class(),
-                exported_len,
-                Pending {
-                    to: *m,
-                    learned_from: to,
-                    path: exported,
-                    rel: m_rel,
-                    with_communities: exported_communities,
-                },
-            );
-        }
-
-        routes[to.index()] = Some(route);
     }
 
-    drop(drain_span);
-    let _materialize_span = lg_telemetry::trace::span("compute.materialize");
-    stats.pushed = queue.pushed;
-    stats.peak_pending = queue.peak;
-    stats.arena_nodes = arena.nodes.len();
+    /// Would `a` refuse the route it holds if it were offered today? (A
+    /// derived run asks: the seed behind the path is not the one `a`
+    /// accepted it with.)
+    fn rejects_selected(&self, a: AsId) -> bool {
+        let hop = self.table.hops[a.index()];
+        let upstream = AsId(hop.learned_from);
+        let seed = if upstream == self.table.origin {
+            self.table.accepted_seed(a)
+        } else {
+            0
+        };
+        self.rejects(a, hop.rel, upstream, seed as u32, hop.len as u32)
+            .is_some()
+    }
+
+    /// Pop candidates in preference order until none is pending, settling
+    /// every AS without a route on the first one it accepts.
+    ///
+    /// A from-scratch run only ever meets routed neighbors that settled on
+    /// an earlier, better key; a derived run can also meet a kept neighbor
+    /// that would now *prefer* the export it is being skipped for, which
+    /// the kept tree cannot express. Returns `false` at the first such
+    /// export, with the table unusable.
+    fn drain(&mut self) -> bool {
+        let net = self.net;
+        while let Some((_, len, cand)) = self.queue.pop() {
+            self.stats.popped += 1;
+            let to = cand.to;
+            if self.table.hops[to.index()].routed() {
+                continue; // already selected a better (or equal-popped-first) route
+            }
+            // Import policy: loop detection and filters, straight off the
+            // tree. Never-reject ASes skip the walk entirely — their first
+            // popped candidate is their converged selection by construction.
+            if self.can_reject[to.index()] {
+                self.stats.policy_checks += 1;
+                let rejected = self.rejects(to, cand.rel, cand.learned_from, cand.seed, len);
+                if let Some(reason) = rejected {
+                    match reason {
+                        RejectReason::PathLenCap => self.filtered[0] += 1,
+                        RejectReason::Poisoned => self.filtered[1] += 1,
+                        RejectReason::ReservedAsn => self.filtered[2] += 1,
+                        _ => {}
+                    }
+                    continue;
+                }
+            }
+            self.table.hops[to.index()] = Hop {
+                learned_from: cand.learned_from.0,
+                len: path_len(len as usize),
+                rel: cand.rel,
+                communities: cand.with_communities,
+            };
+            if cand.learned_from == self.table.origin {
+                self.table.seeds[cand.seed as usize].accepted = true;
+            }
+            self.table.routed += 1;
+            self.stats.arena_nodes += 1;
+
+            // Export the newly selected route. Communities survive unless
+            // this AS strips them.
+            let exported_len = len + 1;
+            let exported_communities = cand.with_communities && !net.strips_communities(to);
+            for (m, rel_to_m) in net.graph().neighbors(to) {
+                if *m == cand.learned_from || !cand.rel.exportable_to(*rel_to_m) {
+                    continue;
+                }
+                let m_rel = rel_to_m.reverse(); // m's view of `to`
+                let held = self.table.hops[m.index()];
+                if held.routed() {
+                    // m already finalized; the candidate loses — unless m
+                    // is a kept AS that never saw an offer this good.
+                    if self.derived
+                        && (m_rel.pref_class(), exported_len, to.0)
+                            < (held.rel.pref_class(), held.len as u32, held.learned_from)
+                        && !(self.can_reject[m.index()]
+                            && self.rejects(*m, m_rel, to, 0, exported_len).is_some())
+                    {
+                        return false;
+                    }
+                    continue;
+                }
+                self.offer(
+                    m_rel.pref_class(),
+                    exported_len,
+                    Pending {
+                        to: *m,
+                        learned_from: to,
+                        seed: 0,
+                        rel: m_rel,
+                        with_communities: exported_communities,
+                    },
+                );
+            }
+        }
+        true
+    }
+
+    /// Close the run: flush the filter counters, hand back the table.
+    fn finish(mut self) -> (RouteTable, FrontierStats) {
+        self.stats.pushed = self.queue.pushed;
+        self.stats.peak_pending = self.queue.peak;
+        let m = compute_metrics();
+        m.filtered_path_len.add(self.filtered[0]);
+        m.filtered_poisoned.add(self.filtered[1]);
+        m.filtered_reserved.add(self.filtered[2]);
+        (self.table, self.stats)
+    }
+}
+
+fn frontier_fixed_point(net: &Network, spec: &AnnouncementSpec) -> (RouteTable, FrontierStats) {
+    let started = Instant::now();
+    let seed_span = lg_telemetry::trace::span("compute.seed");
+    let mut frontier = Frontier::new(net, RouteTable::unrouted(spec, net.len()), false);
+    for i in 0..frontier.table.seeds.len() {
+        frontier.offer_seed(i);
+    }
+    drop(seed_span);
+    {
+        let _drain_span = lg_telemetry::trace::span("compute.drain");
+        let settled = frontier.drain();
+        debug_assert!(settled, "only a derived run can be abandoned");
+    }
+    let (table, stats) = frontier.finish();
 
     let m = compute_metrics();
     m.runs.inc();
     m.candidates.add(stats.popped);
     m.arena_nodes.add(stats.arena_nodes as u64);
     m.wall_us.record_elapsed_us(started);
-    m.filtered_path_len.add(filtered[0]);
-    m.filtered_poisoned.add(filtered[1]);
-    m.filtered_reserved.add(filtered[2]);
+    (table, stats)
+}
 
-    // The origin's self-route must not leak out as a normal route.
-    (
+/// The spec `spec`'s table can be derived from: the same prefix, origin,
+/// seeded neighbors and communities with every seed path replaced by the
+/// prepended baseline of its own length (`O-A-O` → `O-O-O`).
+///
+/// `None` when `spec` *is* such a baseline, and for the shapes the
+/// derivation's lemma does not cover: a seed path that does not start and
+/// end with the origin (origin copies elsewhere in the tail are what
+/// [`lg_bgp::ImportPolicy`]'s filters saw in the parent), or a neighbor
+/// seeded twice (the parent cannot say which of its two identical
+/// baselines stands for which path).
+pub(crate) fn prepended_parent(spec: &AnnouncementSpec) -> Option<AnnouncementSpec> {
+    let origin = spec.origin;
+    let shaped = |p: &AsPath| p.first() == Some(origin) && p.origin() == Some(origin);
+    let poisoned = |p: &AsPath| p.hops().iter().any(|h| *h != origin);
+    if !spec.seeds.iter().all(|(_, p)| shaped(p)) || !spec.seeds.iter().any(|(_, p)| poisoned(p)) {
+        return None;
+    }
+    let mut neighbors: Vec<AsId> = spec.seeds.iter().map(|(n, _)| *n).collect();
+    neighbors.sort_unstable();
+    if neighbors.windows(2).any(|w| w[0] == w[1]) {
+        return None;
+    }
+    Some(AnnouncementSpec {
+        seeds: spec
+            .seeds
+            .iter()
+            .map(|(n, p)| (*n, AsPath::prepended_baseline(origin, p.len())))
+            .collect(),
+        ..spec.clone()
+    })
+}
+
+/// Derive `spec`'s converged table from `parent`, the converged table of
+/// [`prepended_parent`]`(spec)` over the same `net` — byte-identical to
+/// [`compute_routes`]`(net, spec)`, at the cost of the ASes the poison
+/// reaches instead of all of them.
+///
+/// Soundness rests on one lemma (`lg-bgp`'s
+/// `poison_hops_only_add_rejections` property test): swapping origin
+/// copies in a seed tail for other hops, length kept, can only make an
+/// import policy reject *more*. So an AS whose own selected path — same
+/// chain, new tail — is still accepted, all the way up, keeps that route:
+/// nothing better that it refused before became acceptable. The rest is
+/// the *region*: every AS that now rejects its selection, everything below
+/// one in the tree, and every AS the parent left without a route (it may
+/// accept an offer that only exists now). The region is emptied, offered
+/// the exports of its kept neighbors and the spec's own seeds, and drained
+/// in the engine's order.
+///
+/// One thing a kept route cannot survive: a re-decided AS that lost a long
+/// customer route and settled on a short peer or provider route now
+/// exports a *better* candidate to a kept customer than the parent ever
+/// did. [`Frontier::drain`] sees that at export time and gives up; `None`
+/// tells the caller to run [`compute_routes`] (counted in
+/// `compute.delta_fallbacks`).
+pub(crate) fn derive_routes(
+    net: &Network,
+    spec: &AnnouncementSpec,
+    parent: &RouteTable,
+) -> Option<RouteTable> {
+    const UNKNOWN: u8 = 0;
+    const KEPT: u8 = 1;
+    const REGION: u8 = 2;
+
+    let n = net.len();
+    let origin = spec.origin;
+    assert_eq!(parent.hops.len(), n, "parent computed over another network");
+    // One seed per neighbor on both sides, so canonical order lines seed i
+    // of the parent up with seed i here: same neighbor, new path.
+    let mut seeds = canonical_seeds(spec);
+    assert!(
+        seeds
+            .iter()
+            .map(|s| s.neighbor)
+            .eq(parent.seeds.iter().map(|s| s.neighbor)),
+        "parent is not the spec's prepended parent"
+    );
+    for (seed, baseline) in seeds.iter_mut().zip(&parent.seeds) {
+        seed.accepted = baseline.accepted;
+    }
+    let mut frontier = Frontier::new(
+        net,
         RouteTable {
             prefix: spec.prefix,
-            origin: spec.origin,
-            routes,
+            origin,
+            hops: parent.hops.clone(),
+            seeds,
+            communities: spec.communities.clone(),
+            routed: parent.routed,
         },
-        stats,
-    )
+        true,
+    );
+
+    // The region: an AS with no route in the parent, or whose selection
+    // the new tail makes unacceptable, and everything below one in the
+    // tree. Walk up from each AS to the first decided ancestor — deciding
+    // the walked ones that are roots — then stamp the chain with its
+    // verdict.
+    let mut mark = vec![UNKNOWN; n];
+    mark[origin.index()] = KEPT;
+    let mut region: Vec<u32> = Vec::new();
+    let mut chain: Vec<usize> = Vec::new();
+    for i in 0..n {
+        let mut at = i;
+        while mark[at] == UNKNOWN {
+            let (a, hop) = (AsId(at as u32), frontier.table.hops[at]);
+            if !hop.routed() || (frontier.can_reject[at] && frontier.rejects_selected(a)) {
+                mark[at] = REGION;
+            } else {
+                chain.push(at);
+                at = hop.learned_from as usize;
+            }
+        }
+        let verdict = mark[at];
+        for c in chain.drain(..) {
+            mark[c] = verdict;
+        }
+        if mark[i] == REGION {
+            region.push(i as u32);
+        }
+    }
+    for &i in &region {
+        let table = &mut frontier.table;
+        let hop = std::mem::replace(&mut table.hops[i as usize], Hop::NONE);
+        if hop.routed() {
+            table.routed -= 1;
+        }
+        if hop.learned_from == origin.0 {
+            // Still marked accepted, so still findable.
+            let seed = table.accepted_seed(AsId(i));
+            table.seeds[seed].accepted = false;
+        }
+    }
+
+    // What the kept ASes export into the region, and the origin's seeds.
+    for &i in &region {
+        let a = AsId(i);
+        for (m, rel_to_m) in net.graph().neighbors(a) {
+            let held = frontier.table.hops[m.index()];
+            if *m == origin || !held.routed() || !held.rel.exportable_to(rel_to_m.reverse()) {
+                continue;
+            }
+            frontier.offer(
+                rel_to_m.pref_class(),
+                held.len as u32 + 1,
+                Pending {
+                    to: a,
+                    learned_from: *m,
+                    seed: 0,
+                    rel: *rel_to_m,
+                    with_communities: held.communities && !net.strips_communities(*m),
+                },
+            );
+        }
+    }
+    for i in 0..frontier.table.seeds.len() {
+        let nbr = frontier.table.seeds[i].neighbor;
+        if mark.get(nbr.index()) == Some(&REGION) {
+            frontier.offer_seed(i);
+        }
+    }
+
+    let settled = frontier.drain();
+    let (table, stats) = frontier.finish();
+    let m = compute_metrics();
+    if !settled {
+        m.delta_fallbacks.inc();
+        return None;
+    }
+    m.delta_runs.inc();
+    m.delta_candidates.add(stats.popped);
+    m.delta_region.record(region.len() as u64);
+    Some(table)
 }
 
 /// The effective data-plane path of `a` toward the table's origin, default
@@ -685,7 +1063,10 @@ impl PartialOrd for RefCandidate {
 }
 
 /// The original clone-heavy fixed point, kept verbatim as a differential
-/// oracle for [`compute_routes`]. Not part of the public API.
+/// oracle for [`compute_routes`]: it owns a full `AsPath` per candidate and
+/// per selected route, and only folds them into a [`RouteTable`] at the end
+/// ([`RouteTable::from_owned_routes`], which asserts the tree invariant on
+/// those owned paths). Not part of the public API.
 #[doc(hidden)]
 pub fn compute_routes_reference(net: &Network, spec: &AnnouncementSpec) -> RouteTable {
     let n = net.len();
@@ -765,11 +1146,7 @@ pub fn compute_routes_reference(net: &Network, spec: &AnnouncementSpec) -> Route
         routes[to.index()] = Some(route);
     }
 
-    RouteTable {
-        prefix: spec.prefix,
-        origin: spec.origin,
-        routes,
-    }
+    RouteTable::from_owned_routes(spec, &routes)
 }
 
 #[cfg(test)]
@@ -1084,7 +1461,7 @@ mod tests {
             let (table, stats) = compute_routes_with_stats(&net, &spec);
             let oracle = compute_routes_reference(&net, &spec);
             for a in net.graph().ases() {
-                assert_eq!(table.route(a), oracle.route(a).cloned().as_ref());
+                assert_eq!(table.route(a), oracle.route(a));
             }
             // The whole point of the frontier: dominated candidates die at
             // push time, so the pending set stays far below total pushes.
@@ -1095,7 +1472,7 @@ mod tests {
                 stats.peak_pending,
                 net.len()
             );
-            // One arena node per accepted AS plus the interned seeds.
+            // One tree node per accepted AS plus the offered seed paths.
             let seed_hops: usize = spec.seeds.iter().map(|(_, p)| p.len()).sum();
             assert!(stats.arena_nodes <= net.len() + seed_hops);
         }
@@ -1135,7 +1512,167 @@ mod tests {
         assert!(stats.policy_checks > 0);
         let oracle = compute_routes_reference(&net, &spec);
         for a in net.graph().ases() {
-            assert_eq!(table.route(a), oracle.route(a).cloned().as_ref());
+            assert_eq!(table.route(a), oracle.route(a));
+        }
+    }
+
+    /// Derive `spec` from its freshly computed prepended parent.
+    fn derive(net: &Network, spec: &AnnouncementSpec) -> Option<RouteTable> {
+        let parent = prepended_parent(spec).expect("spec has a parent");
+        derive_routes(net, spec, &compute_routes(net, &parent))
+    }
+
+    fn assert_same_routes(got: &RouteTable, want: &RouteTable, net: &Network) {
+        for a in net.graph().ases() {
+            assert_eq!(got.route(a), want.route(a), "route at {a}");
+        }
+        assert_eq!(got.routed_count(), want.routed_count());
+    }
+
+    #[test]
+    fn only_poisoned_specs_with_one_seed_per_neighbor_have_a_parent() {
+        let (net, o, ids) = fig2();
+        let (a, b) = (ids[0], ids[1]);
+        assert!(prepended_parent(&AnnouncementSpec::plain(&net, pfx(), o)).is_none());
+        assert!(prepended_parent(&AnnouncementSpec::prepended(&net, pfx(), o, 3)).is_none());
+
+        let poisoned = AnnouncementSpec::poisoned(&net, pfx(), o, &[a]);
+        let parent = prepended_parent(&poisoned).expect("O-A-O has the parent O-O-O");
+        assert_eq!(parent, AnnouncementSpec::prepended(&net, pfx(), o, 3));
+        let double = AnnouncementSpec::poisoned(&net, pfx(), o, &[a, a]);
+        assert_eq!(
+            prepended_parent(&double),
+            Some(AnnouncementSpec::prepended(&net, pfx(), o, 4))
+        );
+
+        // A tail that does not start and end with the origin, or two seeds
+        // to one neighbor: computed from scratch.
+        let forged = AnnouncementSpec::via(pfx(), o, AsPath::from_hops(vec![o, a]), &[b]);
+        assert!(prepended_parent(&forged).is_none());
+        let mut twice = poisoned.clone();
+        twice.seeds.push((b, AsPath::prepended_baseline(o, 3)));
+        assert!(prepended_parent(&twice).is_none());
+    }
+
+    #[test]
+    fn derived_table_matches_scratch_on_fig2() {
+        let (net, o, ids) = fig2();
+        for poisons in [&ids[..1], &ids[2..3], &ids[..2], &[ids[0], ids[0]]] {
+            let spec = AnnouncementSpec::poisoned(&net, pfx(), o, poisons);
+            let derived = derive(&net, &spec).expect("no kept AS is offered better");
+            assert_same_routes(&derived, &compute_routes(&net, &spec), &net);
+        }
+    }
+
+    #[test]
+    fn kept_customer_offered_a_better_route_falls_back_to_scratch() {
+        // The one thing a kept route cannot survive. Y(1) reaches origin
+        // O(0) over a long customer chain 2-3-4-5 and peers with P(6), a
+        // provider of O. X(10) buys from Y and from V(7), whose chain 8-9 is
+        // shorter than Y's, so X routes via V. Poisoning 3 cuts Y's
+        // customer route; Y settles on the short *peer* route via P and now
+        // offers X a provider route two hops shorter than V's — but X sits
+        // outside everything the poison invalidated.
+        let id = AsId;
+        let mut g = GraphBuilder::with_ases(11);
+        for (provider, customer) in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 0)] {
+            g.provider_customer(id(provider), id(customer));
+        }
+        g.provider_customer(id(6), id(0));
+        g.peer(id(1), id(6));
+        for (provider, customer) in [(7, 8), (8, 9), (9, 0), (7, 10), (1, 10)] {
+            g.provider_customer(id(provider), id(customer));
+        }
+        let net = Network::new(g.build());
+        let baseline = compute_routes(&net, &AnnouncementSpec::prepended(&net, pfx(), id(0), 3));
+        assert_eq!(
+            baseline.next_hop(id(1)),
+            Some(id(2)),
+            "Y on its customer route"
+        );
+        assert_eq!(baseline.next_hop(id(10)), Some(id(7)), "X via V");
+
+        let spec = AnnouncementSpec::poisoned(&net, pfx(), id(0), &[id(3)]);
+        let scratch = compute_routes(&net, &spec);
+        assert_eq!(scratch.next_hop(id(1)), Some(id(6)), "Y falls to its peer");
+        assert_eq!(scratch.next_hop(id(10)), Some(id(1)), "X must switch to Y");
+        assert!(derive(&net, &spec).is_none(), "derivation must give up");
+
+        // Through the cache the fallback is invisible but counted.
+        let fallbacks = || {
+            let snapshot = lg_telemetry::global().snapshot();
+            snapshot.counter("compute.delta_fallbacks").unwrap_or(0)
+        };
+        let before = fallbacks();
+        let cached = crate::SharedRouteCache::new().compute(&net, &spec);
+        assert_same_routes(&cached, &scratch, &net);
+        assert!(fallbacks() > before);
+
+        // A poison that spares Y's customer route is derived as usual.
+        let spec = AnnouncementSpec::poisoned(&net, pfx(), id(0), &[id(8)]);
+        let derived = derive(&net, &spec).expect("nothing is offered better");
+        assert_same_routes(&derived, &compute_routes(&net, &spec), &net);
+    }
+
+    #[test]
+    fn link_and_hop_queries_read_the_seed_tail() {
+        let (net, o, ids) = fig2();
+        let (a, b, c, e) = (ids[0], ids[1], ids[2], ids[4]);
+        let t = compute_routes(&net, &AnnouncementSpec::poisoned(&net, pfx(), o, &[a]));
+        // Tree edges, either direction; the holder-to-first-hop edge of an
+        // origin neighbor; and the hop pairs inside the tail B accepted,
+        // which are no adjacencies at all.
+        assert!(t.uses_link(c, b) && t.uses_link(b, c));
+        assert!(t.uses_link(b, o));
+        assert!(t.uses_link(o, a) && t.uses_link(a, o));
+        assert!(!t.uses_link(a, b), "A dropped the route it learned from B");
+        assert!(!t.uses_link(e, a));
+        // A holds no route yet is a hop on every selected path.
+        assert!(t.routes_via(a) && t.routes_via(o) && t.routes_via(b));
+        assert!(!t.routes_via(e), "E routes but carries nobody");
+        assert_eq!(t.ases_via(a), vec![b, c, ids[3], e]);
+    }
+
+    #[test]
+    fn tree_queries_match_a_scan_of_rebuilt_paths() {
+        // The three path queries answer from the tree; what they must equal
+        // is what a scan of every AS's rebuilt path says.
+        use lg_asmap::gen::TopologyConfig;
+        let net = Network::new(TopologyConfig::small(31).generate());
+        let ases: Vec<AsId> = net.graph().ases().collect();
+        let origin = *ases
+            .iter()
+            .find(|a| net.graph().tier(**a) == 4 && net.graph().providers(**a).len() >= 2)
+            .expect("multihomed stub");
+        let victim = net.graph().providers(net.graph().providers(origin)[0])[0];
+        for spec in [
+            AnnouncementSpec::plain(&net, pfx(), origin),
+            AnnouncementSpec::poisoned(&net, pfx(), origin, &[victim, AsId(64_512)]),
+        ] {
+            let t = compute_routes(&net, &spec);
+            let routes: Vec<(AsId, Route)> = ases
+                .iter()
+                .filter_map(|a| Some((*a, t.route(*a)?)))
+                .collect();
+            let mut probes = ases.clone();
+            probes.push(AsId(64_512));
+            for &x in &probes {
+                let via = |(a, r): &(AsId, Route)| (r.traverses(x) && *a != x).then_some(*a);
+                let want: Vec<AsId> = routes.iter().filter_map(via).collect();
+                assert_eq!(t.ases_via(x), want, "ases_via({x})");
+                let on_a_path = routes.iter().any(|(_, r)| r.traverses(x));
+                assert_eq!(t.routes_via(x), on_a_path, "routes_via({x})");
+                for &y in &probes {
+                    let scan = routes.iter().any(|(a, r)| {
+                        let holder_then_hops = std::iter::once(a).chain(r.path.hops());
+                        let pairs = holder_then_hops.zip(r.path.hops());
+                        pairs
+                            .into_iter()
+                            .any(|(p, h)| (*p, *h) == (x, y) || (*p, *h) == (y, x))
+                    });
+                    assert_eq!(t.uses_link(x, y), scan, "uses_link({x}, {y})");
+                }
+            }
         }
     }
 

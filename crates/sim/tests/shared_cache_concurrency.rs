@@ -120,7 +120,9 @@ fn concurrent_lookups_survive_mutation_generations() {
 /// * **compute-once per generation** — each phase evicts exactly one entry
 ///   (the poison whose footprint names the victim) and recomputes exactly
 ///   once, no matter how many threads race the miss: the fill runs under
-///   the write lock, so the losers of the race re-probe and hit.
+///   the write lock, so the losers of the race re-probe and hit. The
+///   prepended parent every poison is derived from is filled once, by the
+///   first cold miss, and is no miss of its own.
 #[test]
 fn readers_see_no_torn_state_and_compute_once() {
     const THREADS: usize = 8;
@@ -138,7 +140,8 @@ fn readers_see_no_torn_state_and_compute_once() {
         .map(|t| AnnouncementSpec::poisoned(&net, pfx(), AsId(0), &[AsId(t)]))
         .collect();
 
-    let cache = Arc::new(SharedRouteCache::new());
+    let registry = lg_telemetry::Registry::new();
+    let cache = Arc::new(SharedRouteCache::with_registry(&registry));
     for spec in &specs {
         cache.compute(&net, spec);
     }
@@ -197,7 +200,16 @@ fn readers_see_no_torn_state_and_compute_once() {
     let stats = cache.stats();
     assert_eq!(stats.evictions.footprint, phases, "one eviction per phase");
     assert_eq!(stats.evictions.total(), phases, "no other scope fired");
-    assert_eq!(stats.entries, MIDDLES as usize, "every eviction refilled");
+    assert_eq!(
+        stats.entries,
+        MIDDLES as usize + 1,
+        "every eviction refilled, beside the parent"
+    );
+    assert_eq!(
+        registry.snapshot().counter("cache.parent_fills"),
+        Some(1),
+        "the parent's footprint is the origin alone: filled once, never evicted"
+    );
     assert_eq!(
         stats.hits + stats.misses,
         MIDDLES as u64 + phases * (THREADS as u64 * MIDDLES as u64),

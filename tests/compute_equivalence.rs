@@ -3,7 +3,8 @@
 //! shape the system issues (plain, prepended, globally poisoned, selectively
 //! poisoned), for any thread count, across cache hits, and across
 //! generation-bump invalidations. `compute_routes` itself is additionally
-//! pinned against the retained pre-arena reference engine.
+//! pinned against the retained owned-path reference engine, and so is every
+//! table the cache *derives* from a prepended parent instead of computing.
 
 use std::sync::Arc;
 
@@ -13,6 +14,7 @@ use lifeguard_repro::sim::static_routes::{compute_routes_reference, RouteTable};
 use lifeguard_repro::sim::{
     compute_routes, AnnouncementSpec, Network, RouteComputer, SharedRouteCache,
 };
+use lifeguard_repro::workloads::FilterMatrix;
 use proptest::prelude::*;
 
 fn pfx() -> Prefix {
@@ -32,7 +34,9 @@ fn pick_origin(net: &Network) -> AsId {
 
 /// Every announcement shape the repair planner and benches issue. The
 /// poison target sits two levels above the origin when the topology is deep
-/// enough (the interesting case: reroutes rather than disconnects).
+/// enough (the interesting case: reroutes rather than disconnects). The
+/// poisoned, double-poisoned and selective entries are the ones the cache
+/// derives from the prepended entry of their own length.
 fn spec_menu(net: &Network, origin: AsId) -> Vec<AnnouncementSpec> {
     let providers = net.graph().providers(origin);
     let above = net.graph().providers(providers[0]);
@@ -45,6 +49,7 @@ fn spec_menu(net: &Network, origin: AsId) -> Vec<AnnouncementSpec> {
         AnnouncementSpec::plain(net, pfx(), origin),
         AnnouncementSpec::prepended(net, pfx(), origin, 3),
         AnnouncementSpec::poisoned(net, pfx(), origin, &[target]),
+        AnnouncementSpec::poisoned(net, pfx(), origin, &[target, target]),
     ];
     if providers.len() >= 2 {
         specs.push(AnnouncementSpec::selective_poison(
@@ -96,21 +101,37 @@ fn calibrated_10k_frontier_matches_reference_within_budget() {
     );
 
     let origin = pick_origin(&net);
+    let cache = SharedRouteCache::new();
     for spec in spec_menu(&net, origin) {
         let (got, stats) = compute_routes_with_stats(&net, &spec);
         let want = compute_routes_reference(&net, &spec);
+        // Derived from its prepended parent when the spec has one.
+        let cached = cache.compute(&net, &spec);
         assert_eq!(got.prefix, want.prefix);
         assert_eq!(got.origin, want.origin);
         for a in net.graph().ases() {
-            assert_eq!(got.route(a), want.route(a), "route at {a} diverged");
+            let route = want.route(a);
+            assert_eq!(got.route(a), route, "route at {a} diverged");
+            assert_eq!(cached.route(a), route, "cached route at {a} diverged");
         }
-        // Frontier budget: the arena holds one node per AS that accepted a
-        // route plus the interned seed path, and the delta queue never
+        // Table budget: the next-hop tree is eight bytes per AS, and the
+        // seed paths are stored once, not once per AS that routes via them.
+        let seed_bytes: usize = spec.seeds.iter().map(|(_, p)| 64 + 4 * p.len()).sum();
+        for table in [&got, &*cached] {
+            assert!(
+                table.heap_bytes() <= 8 * n + seed_bytes,
+                "table holds {} bytes for {} ASes",
+                table.heap_bytes(),
+                n
+            );
+        }
+        // Frontier budget: the tree gains one node per AS that accepted a
+        // route plus the offered seed paths, and the delta queue never
         // buffers more than a small multiple of the AS count.
         let seed_hops: usize = spec.seeds.iter().map(|(_, p)| p.len()).sum();
         assert!(
             stats.arena_nodes <= n + seed_hops,
-            "arena grew past one node per AS: {} > {} + {}",
+            "tree grew past one node per AS: {} > {} + {}",
             stats.arena_nodes,
             n,
             seed_hops
@@ -123,6 +144,72 @@ fn calibrated_10k_frontier_matches_reference_within_budget() {
         );
         assert!(stats.pruned > 0, "dominance pruning never fired at 10k");
     }
+}
+
+/// The delta differential: every spec the cache derives from a prepended
+/// parent — the poisoned, double-poisoned and selective entries of the menu
+/// plus a poison at each of a spread of ASes, stubs and the origin's own
+/// providers included — must equal the scratch engine and the reference
+/// engine route for route, under every filter kind of the CI matrix (where
+/// "unaffected" stops being obvious: a cap or a poison filter fires on the
+/// *new* tail at ASes the poison never names). Topologies are seeded from
+/// `LG_CHURN_SEED` (CI pins two bases and draws a third); failures print
+/// the replay line.
+#[test]
+fn derived_tables_match_both_engines_under_every_filter_kind() {
+    let base: u64 = match std::env::var("LG_CHURN_SEED") {
+        Ok(s) => s
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("LG_CHURN_SEED must be a u64, got {s:?}")),
+        Err(_) => 20_120_813,
+    };
+    let matrices = FilterMatrix::from_env().map_or(FilterMatrix::ALL.to_vec(), |m| vec![m]);
+    let derived_before = derived_so_far();
+    for k in 0..24u64 {
+        let topo_seed = base.wrapping_add(k) % 1_000_000 + 1;
+        for matrix in &matrices {
+            let mut net = Network::new(TopologyConfig::small(topo_seed).generate());
+            matrix.apply(&mut net, topo_seed);
+            let origin = pick_origin(&net);
+            let mut specs = spec_menu(&net, origin);
+            let n = net.len() as u64;
+            specs.extend((0..12).map(|j| {
+                let target = AsId(((topo_seed + j * 7919) % n) as u32);
+                AnnouncementSpec::poisoned(&net, pfx(), origin, &[target])
+            }));
+
+            let cache = SharedRouteCache::new();
+            for (i, spec) in specs.iter().enumerate() {
+                let cached = cache.compute(&net, spec);
+                let scratch = compute_routes(&net, spec);
+                let reference = compute_routes_reference(&net, spec);
+                let replay = format!(
+                    "spec {i} ({:?}), topology small({topo_seed}), matrix {} \
+                     (replay LG_CHURN_SEED={base})",
+                    spec.seeds.first().map(|(_, p)| p),
+                    matrix.label()
+                );
+                for a in net.graph().ases() {
+                    let want = reference.route(a);
+                    assert_eq!(scratch.route(a), want, "scratch at {a}: {replay}");
+                    assert_eq!(cached.route(a), want, "cache at {a}: {replay}");
+                }
+            }
+        }
+    }
+    assert!(
+        derived_so_far() > derived_before,
+        "the sweep derived nothing: every fill went to the scratch engine"
+    );
+}
+
+/// Tables derived so far in this process (`compute.delta_runs`).
+fn derived_so_far() -> u64 {
+    lg_telemetry::global()
+        .snapshot()
+        .counter("compute.delta_runs")
+        .unwrap_or(0)
 }
 
 proptest! {
@@ -206,7 +293,9 @@ proptest! {
         for spec in &specs {
             cache.compute(&net, spec);
         }
-        prop_assert_eq!(cache.len(), specs.len());
+        // One entry per spec, and the length-4 prepended parent of the
+        // double poison (the other parents are on the menu themselves).
+        prop_assert_eq!(cache.len(), specs.len() + 1);
 
         // Flip loop detection at an arbitrary AS (possibly one no footprint
         // names — then nothing may be evicted).
