@@ -67,8 +67,9 @@ fn exercise_cache() {
     cache.compute(&net, &sweep[0]); // footprint eviction + recompute
 }
 
-/// Dynamic-engine traffic: baseline convergence, then a poison transition
-/// landing inside the MRAI shadow (deferrals, withdrawals).
+/// Dynamic-engine traffic: baseline convergence, a poison transition
+/// landing inside the MRAI shadow (deferrals, withdrawals), then a session
+/// reset while an UPDATE is in flight over it (a stale drop).
 fn exercise_dynamic() {
     let net = fig2_world();
     let mut sim = DynamicSim::new(&net, DynamicSimConfig::default());
@@ -82,6 +83,15 @@ fn exercise_dynamic() {
     ));
     sim.run_until_quiescent(Time::from_mins(60));
     assert!(sim.quiescent(), "dynamic engine must reach quiescence");
+    // Past every MRAI timer, un-poison; 60 ms on, B (41 ms from the origin)
+    // has passed the route to A (45 ms further) and the B-A session flaps.
+    sim.run_until(sim.now() + 120_000);
+    sim.announce(&AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3));
+    sim.run_until(sim.now() + 60);
+    sim.fail_link(AsId(2), AsId(1));
+    sim.restore_link(AsId(2), AsId(1));
+    sim.run_until_quiescent(sim.now() + 30 * 60_000);
+    assert!(sim.quiescent(), "dynamic engine must settle after the flap");
 }
 
 /// Probe-budget traffic: plain pings against a healthy world.
@@ -160,6 +170,14 @@ fn every_instrumented_subsystem_reports() {
         "dynamic.withdrawals_sent",
         "dynamic.mrai_deferrals",
         "dynamic.loc_rib_changes",
+        "dynamic.events_recv",
+        "dynamic.events_mrai_fire",
+        "dynamic.stale_drops",
+        "dynamic.decision_runs",
+        "dynamic.interner_hits",
+        "dynamic.interner_misses",
+        "packing.groups",
+        "packing.encodes",
         "probe.pings",
         "core.outages_detected",
         "core.poisons_applied",

@@ -24,17 +24,18 @@ pub fn compare_routes(a: &Route, b: &Route) -> Ordering {
         .then_with(|| a.path.cmp(&b.path))
 }
 
-/// Select the best route from candidates (already policy-filtered).
-pub fn select_best<'a, I: IntoIterator<Item = &'a Route>>(candidates: I) -> Option<&'a Route> {
-    candidates.into_iter().min_by(|a, b| compare_routes(a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::path::AsPath;
     use crate::prefix::Prefix;
     use lg_asmap::{AsId, Relationship};
+
+    /// The best of `candidates` (already policy-filtered) under
+    /// [`compare_routes`].
+    fn select_best<'a, I: IntoIterator<Item = &'a Route>>(candidates: I) -> Option<&'a Route> {
+        candidates.into_iter().min_by(|a, b| compare_routes(a, b))
+    }
 
     fn route(rel: Relationship, hops: Vec<u32>, from: u32) -> Route {
         Route {

@@ -14,6 +14,7 @@
 //! (the layer a deployment uses to speak to its BGP-Mux upstream).
 
 pub mod decision;
+pub mod hash;
 pub mod path;
 pub mod policy;
 pub mod prefix;
@@ -24,12 +25,13 @@ pub mod session;
 pub mod trie;
 pub mod wire;
 
-pub use decision::{compare_routes, select_best};
+pub use decision::compare_routes;
+pub use hash::IdHashMap;
 pub use path::{AsPath, PathId, PathInterner};
 pub use policy::{is_reserved_asn, ImportPolicy, LoopDetection, RejectReason};
 pub use prefix::Prefix;
 pub use prefix_id::{interned_prefix_count, PrefixId, PrefixInterner};
-pub use rib::{AdjRibIn, ArenaRibIn, ArenaRoute, IdRibIn, IdRoute};
+pub use rib::{IdRibIn, IdRoute};
 pub use route::Route;
 pub use session::{OutRing, Session, SessionConfig, SessionEvent};
 pub use trie::PrefixTrie;

@@ -1,8 +1,8 @@
 //! AS paths, prepending, and poison insertion, plus a hash-consed
 //! parent-pointer interner for engines that handle many overlapping paths.
 
+use crate::hash::IdHashMap;
 use lg_asmap::AsId;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A BGP AS path, stored nearest-AS first (the AS that announced the route to
@@ -176,8 +176,12 @@ pub struct PathInterner {
     /// `(hop, parent, hop count)` per node; a path is a node id, read
     /// nearest-hop-first by following parents.
     nodes: Vec<(AsId, u32, u32)>,
-    /// Hash-consing table: `(hop, parent)` → existing node.
-    dedup: HashMap<(AsId, u32), u32>,
+    /// Hash-consing table: `(hop, parent)` → existing node. Keys are
+    /// arena-internal and the table is probed only, never iterated (the
+    /// [`crate::hash`] rules).
+    dedup: IdHashMap<(AsId, u32), u32>,
+    /// [`Self::prepend`] calls answered by an existing node.
+    hits: u64,
 }
 
 impl PathInterner {
@@ -191,10 +195,17 @@ impl PathInterner {
         self.nodes.len()
     }
 
+    /// [`Self::prepend`] calls that re-used an existing node (a miss
+    /// allocates exactly one node, so misses are [`Self::node_count`]).
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
     /// The path `hop` prepended to `tail` (the announced-by operation),
     /// re-using an existing node when this exact path was seen before.
     pub fn prepend(&mut self, tail: PathId, hop: AsId) -> PathId {
         if let Some(&node) = self.dedup.get(&(hop, tail.0)) {
+            self.hits += 1;
             return PathId(node);
         }
         let len = self.len(tail) as u32 + 1;

@@ -165,6 +165,7 @@ impl ImportPolicy {
     ) -> bool
     where
         I: IntoIterator<Item = AsId>,
+        I::IntoIter: Clone,
     {
         self.evaluate_hops(own, peers, rel_to_sender, hops, hops_len)
             .is_none()
@@ -176,10 +177,12 @@ impl ImportPolicy {
     /// transit deny list checks every hop except the last (the origin — we
     /// refuse to route *through* a denied AS, not *to* it), the length cap
     /// short-circuits before the scan, the reserved-ASN filter checks each
-    /// hop, and the poison filter tracks the previous hop plus a seen-set
-    /// (allocated only when the filter is on) to catch non-adjacent repeats
-    /// while letting adjacent prepending through. Returns the first reason
-    /// to fire, or `None` when the path is accepted.
+    /// hop, and the poison filter tracks the previous hop and, where a hop
+    /// starts a new run, re-walks a clone of the iterator over the hops
+    /// before it to catch non-adjacent repeats while letting adjacent
+    /// prepending through (no allocation: the dynamic engine calls this
+    /// once per received UPDATE). Returns the first reason to fire, or
+    /// `None` when the path is accepted.
     pub fn evaluate_hops<I>(
         &self,
         own: AsId,
@@ -190,6 +193,30 @@ impl ImportPolicy {
     ) -> Option<RejectReason>
     where
         I: IntoIterator<Item = AsId>,
+        I::IntoIter: Clone,
+    {
+        // Two copies of the pass, so the one without the poison filter —
+        // the static engine's per-candidate check on nearly every AS —
+        // carries nothing of the re-walk.
+        let hops = hops.into_iter();
+        if self.drop_poisoned {
+            self.walk_hops::<_, true>(own, peers, rel_to_sender, hops, hops_len)
+        } else {
+            self.walk_hops::<_, false>(own, peers, rel_to_sender, hops, hops_len)
+        }
+    }
+
+    #[inline(always)]
+    fn walk_hops<I, const DROP_POISONED: bool>(
+        &self,
+        own: AsId,
+        peers: &[AsId],
+        rel_to_sender: Relationship,
+        hops: I,
+        hops_len: usize,
+    ) -> Option<RejectReason>
+    where
+        I: Iterator<Item = AsId> + Clone,
     {
         if let Some(cap) = self.max_path_len {
             if hops_len > cap as usize {
@@ -201,12 +228,8 @@ impl ImportPolicy {
         let reject_at = self.loop_detection.reject_at as u64;
         let mut own_count: u64 = 0;
         let mut prev: Option<AsId> = None;
-        let mut seen: Vec<AsId> = if self.drop_poisoned {
-            Vec::with_capacity(hops_len)
-        } else {
-            Vec::new()
-        };
-        for (idx, h) in hops.into_iter().enumerate() {
+        let from_start = hops.clone();
+        for (idx, h) in hops.enumerate() {
             if h == own {
                 own_count += 1;
                 if own_count >= reject_at {
@@ -222,12 +245,9 @@ impl ImportPolicy {
             if self.drop_reserved_asn && is_reserved_asn(h) {
                 return Some(RejectReason::ReservedAsn);
             }
-            if self.drop_poisoned {
-                if prev != Some(h) {
-                    if seen.contains(&h) {
-                        return Some(RejectReason::Poisoned);
-                    }
-                    seen.push(h);
+            if DROP_POISONED {
+                if prev != Some(h) && from_start.clone().take(idx).any(|e| e == h) {
+                    return Some(RejectReason::Poisoned);
                 }
                 prev = Some(h);
             }

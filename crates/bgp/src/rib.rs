@@ -1,219 +1,20 @@
 //! Adjacency RIB-In: per-neighbor route storage with best-path selection.
 //!
-//! Three representations share the semantics: [`AdjRibIn`] stores owned
-//! [`Route`]s, [`ArenaRibIn`] stores [`ArenaRoute`]s whose paths live in a
-//! shared [`PathInterner`] — the message-level engine processes one UPDATE
-//! per neighbor per churn step, and interning turns each of those from an
-//! O(path) clone into an O(1) id copy — and [`IdRibIn`] goes one step
-//! further for full-table workloads, keying by dense [`PrefixId`] so a
-//! candidate ([`IdRoute`]) is three words and carries no per-prefix copy of
-//! the prefix itself.
+//! One representation, [`IdRibIn`]: candidates are [`IdRoute`]s — three
+//! words, `Copy` — whose paths live in a shared [`PathInterner`] arena
+//! (the message-level engine processes one UPDATE per neighbor per churn
+//! step, and interning turns each of those from an O(path) clone into an
+//! O(1) id copy) and whose prefix is a dense [`PrefixId`] key, so no
+//! candidate carries a copy of the prefix. Selection replicates
+//! [`crate::compare_routes`] over owned [`crate::Route`]s level for level,
+//! which the tests below pin.
 
-use crate::decision::select_best;
 use crate::path::{PathId, PathInterner};
-use crate::prefix::Prefix;
 use crate::prefix_id::PrefixId;
-use crate::route::Route;
 use lg_asmap::{AsId, Relationship};
-use std::collections::HashMap;
 
-/// Routes received from each neighbor, per prefix, plus best-path selection.
-///
-/// This is the state a single BGP speaker keeps for its neighbors. Import
-/// filtering happens *before* insertion (the caller applies
-/// [`crate::ImportPolicy`]); the RIB stores accepted routes only, mirroring
-/// a router's post-policy Adj-RIB-In.
-#[derive(Default, Debug, Clone)]
-pub struct AdjRibIn {
-    routes: HashMap<Prefix, HashMap<AsId, Route>>,
-}
-
-impl AdjRibIn {
-    /// Empty RIB.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert or replace the route from `route.learned_from` for
-    /// `route.prefix`. Returns the replaced route, if any.
-    pub fn insert(&mut self, route: Route) -> Option<Route> {
-        self.routes
-            .entry(route.prefix)
-            .or_default()
-            .insert(route.learned_from, route)
-    }
-
-    /// Withdraw the route from `neighbor` for `prefix`. Returns it if present.
-    pub fn withdraw(&mut self, neighbor: AsId, prefix: Prefix) -> Option<Route> {
-        let per = self.routes.get_mut(&prefix)?;
-        let out = per.remove(&neighbor);
-        if per.is_empty() {
-            self.routes.remove(&prefix);
-        }
-        out
-    }
-
-    /// Drop every route learned from `neighbor` (session reset / link down).
-    /// Returns the affected prefixes.
-    pub fn withdraw_neighbor(&mut self, neighbor: AsId) -> Vec<Prefix> {
-        let mut affected = Vec::new();
-        self.routes.retain(|prefix, per| {
-            if per.remove(&neighbor).is_some() {
-                affected.push(*prefix);
-            }
-            !per.is_empty()
-        });
-        affected.sort_unstable();
-        affected
-    }
-
-    /// The best route for `prefix` under the decision process.
-    pub fn best(&self, prefix: Prefix) -> Option<&Route> {
-        select_best(self.routes.get(&prefix)?.values())
-    }
-
-    /// The route learned from a specific neighbor.
-    pub fn from_neighbor(&self, neighbor: AsId, prefix: Prefix) -> Option<&Route> {
-        self.routes.get(&prefix)?.get(&neighbor)
-    }
-
-    /// All candidate routes for `prefix`, unordered.
-    pub fn candidates(&self, prefix: Prefix) -> impl Iterator<Item = &Route> {
-        self.routes
-            .get(&prefix)
-            .into_iter()
-            .flat_map(|m| m.values())
-    }
-
-    /// Prefixes with at least one route.
-    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.routes.keys().copied()
-    }
-
-    /// Number of (prefix, neighbor) entries.
-    pub fn entry_count(&self) -> usize {
-        self.routes.values().map(|m| m.len()).sum()
-    }
-}
-
-/// A received route whose path is interned: the per-neighbor unit of an
-/// [`ArenaRibIn`]. `Copy` — moving one is two words, not a `Vec` clone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArenaRoute {
-    /// Destination prefix.
-    pub prefix: Prefix,
-    /// Interned AS path (resolve through the owning [`PathInterner`]).
-    pub path: PathId,
-    /// Neighbor that announced it.
-    pub learned_from: AsId,
-    /// Business relationship to that neighbor.
-    pub rel: Relationship,
-}
-
-impl ArenaRoute {
-    /// Materialize into an owned [`Route`] (no communities — the dynamic
-    /// engine does not model community propagation).
-    pub fn to_route(self, paths: &PathInterner) -> Route {
-        Route {
-            prefix: self.prefix,
-            path: paths.materialize(self.path),
-            learned_from: self.learned_from,
-            rel: self.rel,
-            communities: Vec::new(),
-        }
-    }
-}
-
-/// [`AdjRibIn`] over interned paths: same storage shape and selection
-/// semantics, but routes are `Copy` and path operations go through the
-/// caller's [`PathInterner`].
-///
-/// Selection ([`Self::best`]) replicates [`crate::compare_routes`] exactly
-/// — relationship class, then hop count, then neighbor id, then path
-/// content — so an engine migrating from owned routes selects identically.
-#[derive(Default, Debug, Clone)]
-pub struct ArenaRibIn {
-    routes: HashMap<Prefix, HashMap<AsId, ArenaRoute>>,
-}
-
-impl ArenaRibIn {
-    /// Empty RIB.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert or replace the route from `route.learned_from` for
-    /// `route.prefix`. Returns the replaced route, if any.
-    pub fn insert(&mut self, route: ArenaRoute) -> Option<ArenaRoute> {
-        self.routes
-            .entry(route.prefix)
-            .or_default()
-            .insert(route.learned_from, route)
-    }
-
-    /// Withdraw the route from `neighbor` for `prefix`. Returns it if present.
-    pub fn withdraw(&mut self, neighbor: AsId, prefix: Prefix) -> Option<ArenaRoute> {
-        let per = self.routes.get_mut(&prefix)?;
-        let out = per.remove(&neighbor);
-        if per.is_empty() {
-            self.routes.remove(&prefix);
-        }
-        out
-    }
-
-    /// Drop every route learned from `neighbor` (session reset / link down).
-    /// Returns the affected prefixes.
-    pub fn withdraw_neighbor(&mut self, neighbor: AsId) -> Vec<Prefix> {
-        let mut affected = Vec::new();
-        self.routes.retain(|prefix, per| {
-            if per.remove(&neighbor).is_some() {
-                affected.push(*prefix);
-            }
-            !per.is_empty()
-        });
-        affected.sort_unstable();
-        affected
-    }
-
-    /// The best route for `prefix` under the decision process.
-    pub fn best(&self, prefix: Prefix, paths: &PathInterner) -> Option<ArenaRoute> {
-        self.routes.get(&prefix)?.values().copied().min_by(|a, b| {
-            a.rel
-                .pref_class()
-                .cmp(&b.rel.pref_class())
-                .then_with(|| paths.len(a.path).cmp(&paths.len(b.path)))
-                .then_with(|| a.learned_from.cmp(&b.learned_from))
-                .then_with(|| paths.cmp_content(a.path, b.path))
-        })
-    }
-
-    /// The route learned from a specific neighbor.
-    pub fn from_neighbor(&self, neighbor: AsId, prefix: Prefix) -> Option<&ArenaRoute> {
-        self.routes.get(&prefix)?.get(&neighbor)
-    }
-
-    /// All candidate routes for `prefix`, unordered.
-    pub fn candidates(&self, prefix: Prefix) -> impl Iterator<Item = &ArenaRoute> {
-        self.routes
-            .get(&prefix)
-            .into_iter()
-            .flat_map(|m| m.values())
-    }
-
-    /// Prefixes with at least one route.
-    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.routes.keys().copied()
-    }
-
-    /// Number of (prefix, neighbor) entries.
-    pub fn entry_count(&self) -> usize {
-        self.routes.values().map(|m| m.len()).sum()
-    }
-}
-
-/// A received route in an [`IdRibIn`]: like [`ArenaRoute`] minus the
-/// prefix — the RIB keys by [`PrefixId`], so storing the prefix per
-/// candidate would replicate it once per neighbor at full-table scale.
+/// A received route in an [`IdRibIn`]. The RIB keys by [`PrefixId`], so the
+/// prefix is not stored per candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IdRoute {
     /// Interned AS path (resolve through the owning [`PathInterner`]).
@@ -224,21 +25,30 @@ pub struct IdRoute {
     pub rel: Relationship,
 }
 
-/// [`ArenaRibIn`] keyed by dense [`PrefixId`]: identical storage shape and
-/// selection semantics, sized for full-table workloads where per-entry
-/// prefix copies and `Prefix` hashing dominate.
+/// Routes received from each neighbor, per prefix, plus best-path
+/// selection: the state a single BGP speaker keeps for its neighbors.
+/// Import filtering happens *before* insertion (the caller applies
+/// [`crate::ImportPolicy`]); the RIB stores accepted routes only, mirroring
+/// a router's post-policy Adj-RIB-In.
 ///
-/// Selection ([`Self::best`]) replicates [`ArenaRibIn::best`] level for
-/// level — relationship class, then hop count, then neighbor id, then path
-/// content — so the dynamic engine selects identically after the key swap.
+/// Layout: a table sorted by dense [`PrefixId`], probed by binary search,
+/// each entry holding that prefix's candidates sorted by neighbor — the
+/// dynamic engine probes this once or twice per received UPDATE, and two
+/// levels of SipHash were most of that cost. A prefix's entry is never
+/// removed: the last withdrawal leaves an empty candidate list behind, so
+/// a full-table announce/withdraw cycle does not memmove the table once
+/// per prefix (candidate lists are degree-sized; those do shift).
 ///
-/// [`Self::withdraw_neighbor`] returns affected ids in *unsorted map
-/// order*: id order is process-global interning order, so callers that
-/// feed observable output (reselection cascades, logs) must sort by the
-/// resolved [`Prefix`](crate::Prefix) themselves.
+/// The table is probed only. The one walk that produces output,
+/// [`Self::withdraw_neighbor`], sorts what it returns by resolved
+/// [`Prefix`](crate::Prefix): id order is process-global interning order
+/// and must never steer a reselection cascade or a log.
+///
+/// Selection ([`Self::best`]) is [`crate::compare_routes`] — relationship
+/// class, then hop count, then neighbor id, then path content.
 #[derive(Default, Debug, Clone)]
 pub struct IdRibIn {
-    routes: HashMap<PrefixId, HashMap<AsId, IdRoute>>,
+    routes: Vec<(PrefixId, Vec<IdRoute>)>,
 }
 
 impl IdRibIn {
@@ -247,41 +57,64 @@ impl IdRibIn {
         Self::default()
     }
 
+    fn candidates_of(&self, prefix: PrefixId) -> &[IdRoute] {
+        match self.routes.binary_search_by_key(&prefix, |&(p, _)| p) {
+            Ok(i) => &self.routes[i].1,
+            Err(_) => &[],
+        }
+    }
+
     /// Insert or replace the route from `route.learned_from` for `prefix`.
     /// Returns the replaced route, if any.
     pub fn insert(&mut self, prefix: PrefixId, route: IdRoute) -> Option<IdRoute> {
-        self.routes
-            .entry(prefix)
-            .or_default()
-            .insert(route.learned_from, route)
+        let i = match self.routes.binary_search_by_key(&prefix, |&(p, _)| p) {
+            Ok(i) => i,
+            Err(i) => {
+                self.routes.insert(i, (prefix, Vec::new()));
+                i
+            }
+        };
+        let per = &mut self.routes[i].1;
+        match per.binary_search_by_key(&route.learned_from, |r| r.learned_from) {
+            Ok(j) => Some(std::mem::replace(&mut per[j], route)),
+            Err(j) => {
+                per.insert(j, route);
+                None
+            }
+        }
     }
 
     /// Withdraw the route from `neighbor` for `prefix`. Returns it if present.
     pub fn withdraw(&mut self, neighbor: AsId, prefix: PrefixId) -> Option<IdRoute> {
-        let per = self.routes.get_mut(&prefix)?;
-        let out = per.remove(&neighbor);
-        if per.is_empty() {
-            self.routes.remove(&prefix);
-        }
-        out
+        let i = self
+            .routes
+            .binary_search_by_key(&prefix, |&(p, _)| p)
+            .ok()?;
+        let per = &mut self.routes[i].1;
+        let j = per
+            .binary_search_by_key(&neighbor, |r| r.learned_from)
+            .ok()?;
+        Some(per.remove(j))
     }
 
     /// Drop every route learned from `neighbor` (session reset / link down).
-    /// Returns the affected prefix ids, unsorted (see type docs).
+    /// Returns the affected prefix ids, sorted by the prefixes they resolve
+    /// to (see the type docs).
     pub fn withdraw_neighbor(&mut self, neighbor: AsId) -> Vec<PrefixId> {
         let mut affected = Vec::new();
-        self.routes.retain(|prefix, per| {
-            if per.remove(&neighbor).is_some() {
+        for (prefix, per) in &mut self.routes {
+            if let Ok(j) = per.binary_search_by_key(&neighbor, |r| r.learned_from) {
+                per.remove(j);
                 affected.push(*prefix);
             }
-            !per.is_empty()
-        });
+        }
+        affected.sort_by_cached_key(|id| id.resolve());
         affected
     }
 
     /// The best route for `prefix` under the decision process.
     pub fn best(&self, prefix: PrefixId, paths: &PathInterner) -> Option<IdRoute> {
-        self.routes.get(&prefix)?.values().copied().min_by(|a, b| {
+        self.candidates_of(prefix).iter().copied().min_by(|a, b| {
             a.rel
                 .pref_class()
                 .cmp(&b.rel.pref_class())
@@ -293,140 +126,139 @@ impl IdRibIn {
 
     /// The route learned from a specific neighbor.
     pub fn from_neighbor(&self, neighbor: AsId, prefix: PrefixId) -> Option<&IdRoute> {
-        self.routes.get(&prefix)?.get(&neighbor)
+        let per = self.candidates_of(prefix);
+        let j = per
+            .binary_search_by_key(&neighbor, |r| r.learned_from)
+            .ok()?;
+        Some(&per[j])
     }
 
-    /// All candidate routes for `prefix`, unordered.
+    /// All candidate routes for `prefix`, by neighbor id.
     pub fn candidates(&self, prefix: PrefixId) -> impl Iterator<Item = &IdRoute> {
-        self.routes
-            .get(&prefix)
-            .into_iter()
-            .flat_map(|m| m.values())
-    }
-
-    /// Prefix ids with at least one route, unsorted (see type docs).
-    pub fn prefixes(&self) -> impl Iterator<Item = PrefixId> + '_ {
-        self.routes.keys().copied()
+        self.candidates_of(prefix).iter()
     }
 
     /// Number of (prefix, neighbor) entries.
     pub fn entry_count(&self) -> usize {
-        self.routes.values().map(|m| m.len()).sum()
+        self.routes.iter().map(|(_, per)| per.len()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::compare_routes;
     use crate::path::AsPath;
+    use crate::prefix::Prefix;
+    use crate::route::Route;
     use lg_asmap::Relationship;
 
     fn pfx() -> Prefix {
         Prefix::from_octets(10, 0, 0, 0, 16)
     }
 
-    fn route(from: u32, rel: Relationship, hops: Vec<u32>) -> Route {
-        Route {
-            prefix: pfx(),
-            path: AsPath::from_hops(hops.into_iter().map(AsId).collect()),
-            learned_from: AsId(from),
-            rel,
-            communities: vec![],
-        }
+    fn pid() -> PrefixId {
+        PrefixId::of(pfx())
     }
 
-    #[test]
-    fn insert_select_withdraw_cycle() {
-        let mut rib = AdjRibIn::new();
-        rib.insert(route(1, Relationship::Provider, vec![1, 100]));
-        rib.insert(route(2, Relationship::Customer, vec![2, 3, 100]));
-        assert_eq!(rib.best(pfx()).unwrap().learned_from, AsId(2));
-        rib.withdraw(AsId(2), pfx());
-        assert_eq!(rib.best(pfx()).unwrap().learned_from, AsId(1));
-        rib.withdraw(AsId(1), pfx());
-        assert!(rib.best(pfx()).is_none());
-        assert_eq!(rib.entry_count(), 0);
-    }
-
-    #[test]
-    fn reinsert_replaces_previous_route() {
-        let mut rib = AdjRibIn::new();
-        rib.insert(route(1, Relationship::Peer, vec![1, 2, 100]));
-        let old = rib.insert(route(1, Relationship::Peer, vec![1, 100]));
-        assert!(old.is_some());
-        assert_eq!(rib.entry_count(), 1);
-        assert_eq!(rib.best(pfx()).unwrap().path_len(), 2);
-    }
-
-    #[test]
-    fn withdraw_neighbor_clears_all_its_routes() {
-        let mut rib = AdjRibIn::new();
-        let other = Prefix::from_octets(20, 0, 0, 0, 16);
-        rib.insert(route(1, Relationship::Peer, vec![1, 100]));
-        rib.insert(Route {
-            prefix: other,
-            path: AsPath::from_hops(vec![AsId(1), AsId(100)]),
-            learned_from: AsId(1),
-            rel: Relationship::Peer,
-            communities: vec![],
-        });
-        rib.insert(route(2, Relationship::Peer, vec![2, 100]));
-        let affected = rib.withdraw_neighbor(AsId(1));
-        assert_eq!(affected, vec![pfx(), other]);
-        assert_eq!(rib.best(pfx()).unwrap().learned_from, AsId(2));
-        assert!(rib.best(other).is_none());
-    }
-
-    #[test]
-    fn from_neighbor_lookup() {
-        let mut rib = AdjRibIn::new();
-        rib.insert(route(1, Relationship::Peer, vec![1, 100]));
-        assert!(rib.from_neighbor(AsId(1), pfx()).is_some());
-        assert!(rib.from_neighbor(AsId(2), pfx()).is_none());
-    }
-
-    fn arena_route(
-        paths: &mut PathInterner,
-        from: u32,
-        rel: Relationship,
-        hops: Vec<u32>,
-    ) -> ArenaRoute {
-        ArenaRoute {
-            prefix: pfx(),
+    fn route(paths: &mut PathInterner, from: u32, rel: Relationship, hops: Vec<u32>) -> IdRoute {
+        IdRoute {
             path: paths.intern(&AsPath::from_hops(hops.into_iter().map(AsId).collect())),
             learned_from: AsId(from),
             rel,
         }
     }
 
+    /// The owned route an [`IdRoute`] stands for: what the decision
+    /// process's reference comparator reads.
+    fn owned(r: IdRoute, paths: &PathInterner) -> Route {
+        Route {
+            prefix: pfx(),
+            path: paths.materialize(r.path),
+            learned_from: r.learned_from,
+            rel: r.rel,
+            communities: vec![],
+        }
+    }
+
     #[test]
-    fn arena_rib_insert_select_withdraw_cycle() {
+    fn insert_select_withdraw_cycle() {
         let mut paths = PathInterner::new();
-        let mut rib = ArenaRibIn::new();
-        rib.insert(arena_route(
-            &mut paths,
-            1,
-            Relationship::Provider,
-            vec![1, 100],
-        ));
-        rib.insert(arena_route(
-            &mut paths,
-            2,
-            Relationship::Customer,
-            vec![2, 3, 100],
-        ));
-        assert_eq!(rib.best(pfx(), &paths).unwrap().learned_from, AsId(2));
-        rib.withdraw(AsId(2), pfx());
-        assert_eq!(rib.best(pfx(), &paths).unwrap().learned_from, AsId(1));
-        rib.withdraw(AsId(1), pfx());
-        assert!(rib.best(pfx(), &paths).is_none());
+        let mut rib = IdRibIn::new();
+        rib.insert(
+            pid(),
+            route(&mut paths, 1, Relationship::Provider, vec![1, 100]),
+        );
+        rib.insert(
+            pid(),
+            route(&mut paths, 2, Relationship::Customer, vec![2, 3, 100]),
+        );
+        assert_eq!(rib.best(pid(), &paths).unwrap().learned_from, AsId(2));
+        rib.withdraw(AsId(2), pid());
+        assert_eq!(rib.best(pid(), &paths).unwrap().learned_from, AsId(1));
+        rib.withdraw(AsId(1), pid());
+        assert!(rib.best(pid(), &paths).is_none());
         assert_eq!(rib.entry_count(), 0);
     }
 
     #[test]
+    fn reinsert_replaces_previous_route() {
+        let mut paths = PathInterner::new();
+        let mut rib = IdRibIn::new();
+        rib.insert(
+            pid(),
+            route(&mut paths, 1, Relationship::Peer, vec![1, 2, 100]),
+        );
+        let old = rib.insert(
+            pid(),
+            route(&mut paths, 1, Relationship::Peer, vec![1, 100]),
+        );
+        assert!(old.is_some());
+        assert_eq!(rib.entry_count(), 1);
+        assert_eq!(paths.len(rib.best(pid(), &paths).unwrap().path), 2);
+    }
+
+    #[test]
+    fn withdraw_neighbor_clears_all_its_routes() {
+        let mut paths = PathInterner::new();
+        let mut rib = IdRibIn::new();
+        let other = Prefix::from_octets(20, 0, 0, 0, 16);
+        let low = Prefix::from_octets(9, 9, 0, 0, 16);
+        let (other_id, low_id) = (PrefixId::of(other), PrefixId::of(low));
+        let r1 = route(&mut paths, 1, Relationship::Peer, vec![1, 100]);
+        for id in [other_id, pid(), low_id] {
+            rib.insert(id, r1);
+        }
+        rib.insert(
+            pid(),
+            route(&mut paths, 2, Relationship::Peer, vec![2, 100]),
+        );
+        let affected = rib.withdraw_neighbor(AsId(1));
+        // Sorted by the prefixes themselves, whatever ids they drew.
+        assert_eq!(affected, vec![low_id, pid(), other_id]);
+        assert_eq!(rib.best(pid(), &paths).unwrap().learned_from, AsId(2));
+        assert!(rib.best(other_id, &paths).is_none());
+        assert!(rib.withdraw_neighbor(AsId(1)).is_empty());
+    }
+
+    #[test]
+    fn from_neighbor_lookup() {
+        let mut paths = PathInterner::new();
+        let mut rib = IdRibIn::new();
+        rib.insert(
+            pid(),
+            route(&mut paths, 1, Relationship::Peer, vec![1, 100]),
+        );
+        assert!(rib.from_neighbor(AsId(1), pid()).is_some());
+        assert!(rib.from_neighbor(AsId(2), pid()).is_none());
+        assert_eq!(rib.candidates(pid()).count(), 1);
+    }
+
+    #[test]
     fn arena_rib_selects_exactly_like_owned_rib() {
-        // Same candidate set through both representations: identical pick,
-        // including every tiebreak level.
+        // The same candidate set as interned routes in the RIB and as owned
+        // `Route`s under `compare_routes`: identical pick at every tiebreak
+        // level of the decision process.
         let cases: Vec<Vec<(u32, Relationship, Vec<u32>)>> = vec![
             // Class beats length.
             vec![
@@ -443,61 +275,85 @@ mod tests {
                 (5, Relationship::Peer, vec![5, 100]),
                 (3, Relationship::Peer, vec![3, 100]),
             ],
-            // Content tiebreak (same class, length, would-be neighbor).
+            // Same class and length again, paths differing mid-way.
             vec![
                 (4, Relationship::Peer, vec![4, 2, 100]),
-                (4, Relationship::Peer, vec![4, 1, 100]),
+                (104, Relationship::Peer, vec![4, 1, 100]),
             ],
         ];
         for case in cases {
-            let mut owned = AdjRibIn::new();
             let mut paths = PathInterner::new();
-            let mut arena = ArenaRibIn::new();
+            let mut rib = IdRibIn::new();
+            let mut reference: Vec<Route> = Vec::new();
             for (from, rel, hops) in &case {
-                // The owned RIB keys by neighbor; emulate multi-candidate
-                // content ties by perturbing learned_from in both the same
-                // way (last hop distinguishes).
-                let from = if owned.from_neighbor(AsId(*from), pfx()).is_some() {
-                    from + 100
-                } else {
-                    *from
-                };
-                owned.insert(route(from, *rel, hops.clone()));
-                let mut r = arena_route(&mut paths, from, *rel, hops.clone());
-                r.learned_from = AsId(from);
-                arena.insert(r);
+                let r = route(&mut paths, *from, *rel, hops.clone());
+                rib.insert(pid(), r);
+                reference.push(owned(r, &paths));
             }
-            let want = owned.best(pfx()).unwrap();
-            let got = arena.best(pfx(), &paths).unwrap();
-            assert_eq!(got.learned_from, want.learned_from);
-            assert_eq!(got.rel, want.rel);
-            assert_eq!(paths.materialize(got.path), want.path);
-            assert_eq!(got.to_route(&paths).path, want.path);
+            let want = reference
+                .iter()
+                .min_by(|a, b| compare_routes(a, b))
+                .unwrap();
+            let got = rib.best(pid(), &paths).unwrap();
+            assert_eq!(owned(got, &paths), *want);
         }
+    }
+
+    #[test]
+    fn id_rib_selects_exactly_like_compare_routes() {
+        // Drain one candidate set best-first through the RIB and through
+        // the reference comparator over owned routes: same order all the
+        // way down, so selection is level-for-level the decision process.
+        let candidates: Vec<(u32, Relationship, Vec<u32>)> = vec![
+            (1, Relationship::Provider, vec![1, 100]),
+            (2, Relationship::Customer, vec![2, 3, 4, 100]),
+            (9, Relationship::Peer, vec![9, 3]),
+            (5, Relationship::Peer, vec![5, 100]),
+            (3, Relationship::Peer, vec![3, 100]),
+        ];
+        let mut paths = PathInterner::new();
+        let mut rib = IdRibIn::new();
+        let mut reference: Vec<Route> = Vec::new();
+        for (from, rel, hops) in &candidates {
+            let r = route(&mut paths, *from, *rel, hops.clone());
+            rib.insert(pid(), r);
+            reference.push(owned(r, &paths));
+        }
+        assert_eq!(rib.entry_count(), reference.len());
+        reference.sort_by(compare_routes);
+        for want in &reference {
+            let got = rib.best(pid(), &paths).expect("id RIB ran dry early");
+            assert_eq!(owned(got, &paths), *want);
+            rib.withdraw(want.learned_from, pid());
+        }
+        assert!(rib.best(pid(), &paths).is_none());
     }
 
     #[test]
     fn arena_rib_withdraw_of_never_announced_is_inert() {
         // Withdrawing a (neighbor, prefix) that was never announced must
-        // return None and leave no residue — neither an empty per-prefix
-        // map nor any effect on unrelated entries.
+        // return None and leave no residue, nor any effect on unrelated
+        // entries.
         let mut paths = PathInterner::new();
-        let mut rib = ArenaRibIn::new();
-        assert!(rib.withdraw(AsId(1), pfx()).is_none());
-        assert_eq!(rib.prefixes().count(), 0);
+        let mut rib = IdRibIn::new();
+        assert!(rib.withdraw(AsId(1), pid()).is_none());
+        assert_eq!(rib.entry_count(), 0);
         assert!(rib.withdraw_neighbor(AsId(1)).is_empty());
 
-        rib.insert(arena_route(&mut paths, 2, Relationship::Peer, vec![2, 100]));
+        rib.insert(
+            pid(),
+            route(&mut paths, 2, Relationship::Peer, vec![2, 100]),
+        );
         // Wrong neighbor, right prefix; right neighbor, wrong prefix.
-        assert!(rib.withdraw(AsId(1), pfx()).is_none());
-        let other = Prefix::from_octets(20, 0, 0, 0, 16);
+        assert!(rib.withdraw(AsId(1), pid()).is_none());
+        let other = PrefixId::of(Prefix::from_octets(20, 0, 0, 0, 16));
         assert!(rib.withdraw(AsId(2), other).is_none());
         assert_eq!(rib.entry_count(), 1);
-        assert_eq!(rib.best(pfx(), &paths).unwrap().learned_from, AsId(2));
+        assert_eq!(rib.best(pid(), &paths).unwrap().learned_from, AsId(2));
         // Double-withdraw: first succeeds, second is a no-op.
-        assert!(rib.withdraw(AsId(2), pfx()).is_some());
-        assert!(rib.withdraw(AsId(2), pfx()).is_none());
-        assert_eq!(rib.prefixes().count(), 0);
+        assert!(rib.withdraw(AsId(2), pid()).is_some());
+        assert!(rib.withdraw(AsId(2), pid()).is_none());
+        assert_eq!(rib.entry_count(), 0);
     }
 
     #[test]
@@ -507,104 +363,38 @@ mod tests {
         // hash-conses back to the original id, and selection sees the
         // restored route as if it never left.
         let mut paths = PathInterner::new();
-        let mut rib = ArenaRibIn::new();
-        let first = rib
-            .insert(arena_route(&mut paths, 1, Relationship::Peer, vec![1, 100]))
-            .is_none();
-        assert!(first);
-        let id0 = rib.from_neighbor(AsId(1), pfx()).unwrap().path;
+        let mut rib = IdRibIn::new();
+        let r = route(&mut paths, 1, Relationship::Peer, vec![1, 100]);
+        assert!(rib.insert(pid(), r).is_none());
+        let id0 = rib.from_neighbor(AsId(1), pid()).unwrap().path;
         let nodes = paths.node_count();
 
-        let gone = rib.withdraw(AsId(1), pfx()).unwrap();
+        let gone = rib.withdraw(AsId(1), pid()).unwrap();
         assert_eq!(gone.path, id0);
-        assert!(rib.best(pfx(), &paths).is_none());
+        assert!(rib.best(pid(), &paths).is_none());
 
-        let r = arena_route(&mut paths, 1, Relationship::Peer, vec![1, 100]);
+        let r = route(&mut paths, 1, Relationship::Peer, vec![1, 100]);
         assert_eq!(r.path, id0, "re-interned path must reuse the old id");
         assert_eq!(paths.node_count(), nodes, "interner grew on re-announce");
-        rib.insert(r);
-        let best = rib.best(pfx(), &paths).unwrap();
+        rib.insert(pid(), r);
+        let best = rib.best(pid(), &paths).unwrap();
         assert_eq!(best.learned_from, AsId(1));
         assert_eq!(best.path, id0);
 
         // A longer path sharing the tail only adds the new head node.
-        let r2 = arena_route(&mut paths, 3, Relationship::Peer, vec![3, 1, 100]);
+        let r2 = route(&mut paths, 3, Relationship::Peer, vec![3, 1, 100]);
         assert_eq!(paths.node_count(), nodes + 1);
-        rib.insert(r2);
-        assert_eq!(rib.best(pfx(), &paths).unwrap().learned_from, AsId(1));
-    }
-
-    #[test]
-    fn arena_rib_withdraw_neighbor_clears_all_its_routes() {
-        let mut paths = PathInterner::new();
-        let mut rib = ArenaRibIn::new();
-        let other = Prefix::from_octets(20, 0, 0, 0, 16);
-        rib.insert(arena_route(&mut paths, 1, Relationship::Peer, vec![1, 100]));
-        rib.insert(ArenaRoute {
-            prefix: other,
-            path: paths.intern(&AsPath::from_hops(vec![AsId(1), AsId(100)])),
-            learned_from: AsId(1),
-            rel: Relationship::Peer,
-        });
-        rib.insert(arena_route(&mut paths, 2, Relationship::Peer, vec![2, 100]));
-        let affected = rib.withdraw_neighbor(AsId(1));
-        assert_eq!(affected, vec![pfx(), other]);
-        assert_eq!(rib.best(pfx(), &paths).unwrap().learned_from, AsId(2));
-        assert!(rib.best(other, &paths).is_none());
-    }
-
-    #[test]
-    fn id_rib_selects_exactly_like_arena_rib() {
-        // The PrefixId-keyed twin must pick the same best route as the
-        // Prefix-keyed arena RIB for the same candidate set, at every
-        // tiebreak level.
-        let candidates: Vec<(u32, Relationship, Vec<u32>)> = vec![
-            (1, Relationship::Provider, vec![1, 100]),
-            (2, Relationship::Customer, vec![2, 3, 4, 100]),
-            (9, Relationship::Peer, vec![9, 3]),
-            (5, Relationship::Peer, vec![5, 100]),
-            (3, Relationship::Peer, vec![3, 100]),
-        ];
-        let mut paths = PathInterner::new();
-        let mut arena = ArenaRibIn::new();
-        let mut id_rib = IdRibIn::new();
-        let pid = PrefixId::of(pfx());
-        for (from, rel, hops) in &candidates {
-            let r = arena_route(&mut paths, *from, *rel, hops.clone());
-            arena.insert(r);
-            id_rib.insert(
-                pid,
-                IdRoute {
-                    path: r.path,
-                    learned_from: r.learned_from,
-                    rel: r.rel,
-                },
-            );
-        }
-        assert_eq!(id_rib.entry_count(), arena.entry_count());
-        while let Some(want) = arena.best(pfx(), &paths) {
-            let got = id_rib.best(pid, &paths).expect("id RIB ran dry early");
-            assert_eq!(got.learned_from, want.learned_from);
-            assert_eq!(got.rel, want.rel);
-            assert_eq!(got.path, want.path);
-            arena.withdraw(want.learned_from, pfx());
-            id_rib.withdraw(want.learned_from, pid);
-        }
-        assert!(id_rib.best(pid, &paths).is_none());
+        rib.insert(pid(), r2);
+        assert_eq!(rib.best(pid(), &paths).unwrap().learned_from, AsId(1));
     }
 
     #[test]
     fn id_rib_withdraw_neighbor_returns_all_affected_ids() {
         let mut paths = PathInterner::new();
         let mut rib = IdRibIn::new();
-        let a = PrefixId::of(pfx());
+        let a = pid();
         let b = PrefixId::of(Prefix::from_octets(20, 0, 0, 0, 16));
-        let path = paths.intern(&AsPath::from_hops(vec![AsId(1), AsId(100)]));
-        let route = IdRoute {
-            path,
-            learned_from: AsId(1),
-            rel: Relationship::Peer,
-        };
+        let route = route(&mut paths, 1, Relationship::Peer, vec![1, 100]);
         rib.insert(a, route);
         rib.insert(b, route);
         rib.insert(
@@ -614,13 +404,34 @@ mod tests {
                 ..route
             },
         );
-        let mut affected = rib.withdraw_neighbor(AsId(1));
-        affected.sort_unstable();
-        let mut want = vec![a, b];
-        want.sort_unstable();
-        assert_eq!(affected, want);
+        assert_eq!(rib.withdraw_neighbor(AsId(1)), vec![a, b]);
         assert_eq!(rib.best(a, &paths).unwrap().learned_from, AsId(2));
         assert!(rib.best(b, &paths).is_none());
         assert_eq!(rib.entry_count(), 1);
+    }
+
+    #[test]
+    fn full_table_announce_withdraw_cycles_keep_the_table() {
+        // Withdrawing the last candidate of a prefix resets its entry in
+        // place: re-announcing finds the slot again instead of shifting
+        // the id-sorted table, which is what keeps a full-table
+        // announce/withdraw cycle linear in the prefix count.
+        let mut paths = PathInterner::new();
+        let mut rib = IdRibIn::new();
+        let r = route(&mut paths, 1, Relationship::Peer, vec![1, 100]);
+        let ids: Vec<PrefixId> = (0..64u32)
+            .map(|i| PrefixId::of(Prefix::new(0x3000_0000 + (i << 8), 24)))
+            .collect();
+        for _ in 0..3 {
+            for id in &ids {
+                assert!(rib.insert(*id, r).is_none());
+            }
+            assert_eq!(rib.entry_count(), ids.len());
+            for id in &ids {
+                assert_eq!(rib.withdraw(AsId(1), *id), Some(r));
+            }
+            assert_eq!(rib.entry_count(), 0);
+            assert_eq!(rib.routes.len(), ids.len(), "slots are kept, not removed");
+        }
     }
 }

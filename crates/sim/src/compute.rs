@@ -783,9 +783,13 @@ mod tests {
                 });
             }
         });
-        // Compute-under-lock: each unique spec computed exactly once.
-        assert_eq!(shared.misses(), 4);
-        assert_eq!(shared.hits(), 12);
+        // Compute-under-lock: each unique spec computed exactly once. The
+        // prepended spec is the parent both poisons derive from, and a
+        // parent filled on a poison's behalf is no miss — so when a poison
+        // is asked for before its parent, the parent's own request hits.
+        let (misses, hits) = (shared.misses(), shared.hits());
+        assert_eq!(misses + hits, 16);
+        assert!(misses == 3 || misses == 4, "{misses} misses");
     }
 
     #[test]

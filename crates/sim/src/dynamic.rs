@@ -24,13 +24,22 @@
 //! process-wide into dense [`PrefixId`]s ([`lg_bgp::PrefixInterner`],
 //! mirroring the path interner), all engine-internal state — events,
 //! Adj-RIB-Ins, Loc-RIBs, per-(peer, prefix) out-queues, metrics — keys by
-//! id, and the Ring out-queue keeps per-peer state in an id-sorted vec
-//! (O(log p) probes, where the pre-full-table layout scanned O(p) pairs
-//! per event). All prefixes share the one path arena, so memory scales
-//! with *distinct paths*, not prefixes. Id values come from process-global
-//! interning order and never influence observable order: everything that
-//! feeds the update log or event order sorts by resolved [`Prefix`]
-//! (see `tests/multi_prefix.rs`).
+//! id, and every table an event probes is an id-sorted vec (O(log p)
+//! probes, where the pre-full-table layout scanned O(p) pairs per event).
+//! All prefixes share the one path arena, so memory scales with *distinct
+//! paths*, not prefixes. Id values come from process-global interning
+//! order and never influence observable order: everything that feeds the
+//! update log or event order sorts by resolved [`Prefix`] (see
+//! `tests/multi_prefix.rs`).
+//!
+//! The per-UPDATE path hashes nothing with SipHash and allocates nothing.
+//! The rule that keeps that safe: a container the event path *probes*
+//! (per-prefix slots, Loc-RIBs, Adj-RIB-Ins, link epochs, per-AS metrics)
+//! is an id-sorted vec or an [`IdHashMap`] and is never iterated for
+//! output; a container that *is* iterated for output (`specs`,
+//! `seed_ids`) keeps std's per-instance-random hasher — so a missing sort
+//! shows up as run-to-run divergence in `tests/multi_prefix.rs` — and is
+//! not probed per event. DESIGN.md, "Dynamic engine hot path".
 //!
 //! With [`DynamicSimConfig::pack_updates`] on (the default), the engine
 //! additionally accounts batched wire UPDATEs — same-tick, same-peer,
@@ -47,7 +56,7 @@ use crate::packing::UpdatePacker;
 use crate::time::{Time, TimerWheel};
 use lg_asmap::{AsId, Relationship};
 use lg_bgp::{
-    IdRibIn, IdRoute, OutRing, PathId, PathInterner, Prefix, PrefixId, PrefixTrie, Route,
+    IdHashMap, IdRibIn, IdRoute, OutRing, PathId, PathInterner, Prefix, PrefixId, PrefixTrie, Route,
 };
 use lg_telemetry::{Counter, Histogram, Registry};
 use std::cmp::Reverse;
@@ -92,6 +101,16 @@ pub(crate) struct DynamicTelemetry {
     /// Bytes the same emission stream would cost unpacked (one prefix per
     /// message) — the baseline packing savings are measured against.
     pub(crate) wire_bytes_unpacked: Counter,
+    /// The event loop's own tallies ([`LoopTally`]), added once per
+    /// `run_until*` call.
+    events_recv: Counter,
+    events_mrai_fire: Counter,
+    stale_drops: Counter,
+    decision_runs: Counter,
+    interner_hits: Counter,
+    interner_misses: Counter,
+    packing_groups: Counter,
+    packing_encodes: Counter,
 }
 
 impl DynamicTelemetry {
@@ -110,8 +129,40 @@ impl DynamicTelemetry {
             wire_updates: r.counter("dynamic.wire_updates"),
             wire_bytes: r.counter("dynamic.wire_bytes"),
             wire_bytes_unpacked: r.counter("dynamic.wire_bytes_unpacked"),
+            events_recv: r.counter("dynamic.events_recv"),
+            events_mrai_fire: r.counter("dynamic.events_mrai_fire"),
+            stale_drops: r.counter("dynamic.stale_drops"),
+            decision_runs: r.counter("dynamic.decision_runs"),
+            interner_hits: r.counter("dynamic.interner_hits"),
+            interner_misses: r.counter("dynamic.interner_misses"),
+            packing_groups: r.counter("packing.groups"),
+            packing_encodes: r.counter("packing.encodes"),
         }
     }
+}
+
+/// What the event loop did, kept as plain integers (an atomic add per
+/// event per tally would cost more than the tallies are worth) and added
+/// to the registry at the end of each `run_until*` call. Together they
+/// open the one span a run is from outside: how many events of each kind,
+/// how many of them died at delivery, how many decision-process runs they
+/// caused, and how often a prepend found its path already interned.
+#[derive(Default)]
+struct LoopTally {
+    /// `Recv` events popped, delivered or not.
+    events_recv: u64,
+    /// MRAI timers fired.
+    events_mrai_fire: u64,
+    /// `Recv` events dropped at delivery: removed adjacency, session
+    /// down, or sent by a dead session incarnation.
+    stale_drops: u64,
+    /// Best-path selections run (one per delivered UPDATE or session
+    /// reset at a non-origin AS).
+    decision_runs: u64,
+    /// How much of each running total — these four, then the interner's
+    /// hits and nodes and the packer's groups and encodes — the registry
+    /// has been given so far.
+    reported: [u64; 8],
 }
 
 /// Which out-queue/MRAI bookkeeping backs the engine.
@@ -221,6 +272,22 @@ struct PeerPrefixState {
     last_sent: Option<Option<PathId>>,
 }
 
+impl PeerPrefixState {
+    /// Would sending `desired` repeat what the peer already holds?
+    fn already_sent(&self, desired: Option<PathId>) -> bool {
+        self.last_sent == Some(desired) || (self.last_sent.is_none() && desired.is_none())
+    }
+
+    /// Record that `content` goes out at `now`. MRAI paces announcements
+    /// only; a withdrawal leaves the timer where it was.
+    fn mark_sent(&mut self, content: Option<PathId>, now: Time, mrai_interval: u64) {
+        self.last_sent = Some(content);
+        if content.is_some() {
+            self.mrai_ready_at = now + mrai_interval;
+        }
+    }
+}
+
 /// Ring-mode per-peer sending machinery: dense per-prefix state plus the
 /// ring of deferred updates. Peers get a slot on first contact.
 ///
@@ -243,6 +310,18 @@ struct RingPeer {
 struct RingNode {
     peer_idx: Vec<(AsId, u32)>,
     peers: Vec<RingPeer>,
+}
+
+/// A neighbor as the out-queue addresses it: the AS, and in Ring mode its
+/// dense slot at the sending node (ignored by Reference). Propagation
+/// reads the slot straight off the adjacency row it is walking — slots
+/// are prefilled in adjacency order — and a wheel fire carries it, so
+/// neither searches for the peer; everything else asks
+/// [`OutStore::peer_ref`].
+#[derive(Clone, Copy)]
+struct PeerRef {
+    peer: AsId,
+    slot: u32,
 }
 
 /// Wheel payload: enough to find the deferred update when its MRAI timer
@@ -308,7 +387,8 @@ impl OutStore {
     }
 
     /// Slot lookup with a lazy-insert fallback for peers that were not in
-    /// the adjacency at construction (links added mid-simulation).
+    /// the adjacency at construction (a session operation naming a
+    /// non-neighbor).
     fn ring_peer_slot(node: &mut RingNode, peer: AsId) -> u32 {
         match node.peer_idx.binary_search_by_key(&peer, |&(p, _)| p) {
             Ok(pos) => node.peer_idx[pos].1,
@@ -325,13 +405,22 @@ impl OutStore {
         }
     }
 
+    /// How this store addresses `peer` at `node`.
+    fn peer_ref(&mut self, node: AsId, peer: AsId) -> PeerRef {
+        let slot = match self {
+            OutStore::Reference(_) => 0,
+            OutStore::Ring { nodes, .. } => Self::ring_peer_slot(&mut nodes[node.index()], peer),
+        };
+        PeerRef { peer, slot }
+    }
+
     /// Get-or-create the sending state for `(node, peer, prefix)`.
-    fn state_entry(&mut self, node: AsId, peer: AsId, prefix: PrefixId) -> &mut PeerPrefixState {
+    fn state_entry(&mut self, node: AsId, pr: PeerRef, prefix: PrefixId) -> &mut PeerPrefixState {
         match self {
-            OutStore::Reference(v) => v[node.index()].entry((peer, prefix)).or_default(),
+            OutStore::Reference(v) => v[node.index()].entry((pr.peer, prefix)).or_default(),
             OutStore::Ring { nodes, .. } => {
-                let slot = Self::ring_peer_slot(&mut nodes[node.index()], peer);
-                let rp = &mut nodes[node.index()].peers[slot as usize];
+                let rp = &mut nodes[node.index()].peers[pr.slot as usize];
+                debug_assert_eq!(rp.peer, pr.peer, "stale peer slot at {node}");
                 let i = match rp.state.binary_search_by_key(&prefix, |&(p, _)| p) {
                     Ok(i) => i,
                     Err(i) => {
@@ -348,16 +437,13 @@ impl OutStore {
     fn state_get_mut(
         &mut self,
         node: AsId,
-        peer: AsId,
+        pr: PeerRef,
         prefix: PrefixId,
     ) -> Option<&mut PeerPrefixState> {
         match self {
-            OutStore::Reference(v) => v[node.index()].get_mut(&(peer, prefix)),
+            OutStore::Reference(v) => v[node.index()].get_mut(&(pr.peer, prefix)),
             OutStore::Ring { nodes, .. } => {
-                let n = &mut nodes[node.index()];
-                let pos = n.peer_idx.binary_search_by_key(&peer, |&(p, _)| p).ok()?;
-                let slot = n.peer_idx[pos].1;
-                let state = &mut n.peers[slot as usize].state;
+                let state = &mut nodes[node.index()].peers[pr.slot as usize].state;
                 let i = state.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
                 Some(&mut state[i].1)
             }
@@ -394,7 +480,7 @@ impl OutStore {
     fn defer(
         &mut self,
         node: AsId,
-        peer: AsId,
+        pr: PeerRef,
         prefix: PrefixId,
         path: Option<PathId>,
         ready: Time,
@@ -403,8 +489,7 @@ impl OutStore {
         match self {
             OutStore::Reference(_) => unreachable!("Reference defers via heap events"),
             OutStore::Ring { nodes, wheel } => {
-                let slot = Self::ring_peer_slot(&mut nodes[node.index()], peer);
-                let pos = nodes[node.index()].peers[slot as usize]
+                let pos = nodes[node.index()].peers[pr.slot as usize]
                     .ring
                     .push(prefix, path);
                 wheel.insert(
@@ -412,7 +497,7 @@ impl OutStore {
                     seq,
                     FireKey {
                         node: node.0,
-                        peer: slot,
+                        peer: pr.slot,
                         pos,
                     },
                 );
@@ -431,7 +516,7 @@ impl OutStore {
 
     /// Pop the earliest pending fire, resolving it to `(node, peer,
     /// prefix)` and retiring its ring slot.
-    fn pop_fire(&mut self) -> (AsId, AsId, PrefixId) {
+    fn pop_fire(&mut self) -> (AsId, PeerRef, PrefixId) {
         match self {
             OutStore::Reference(_) => unreachable!("Reference has no wheel fires"),
             OutStore::Ring { nodes, wheel } => {
@@ -439,7 +524,11 @@ impl OutStore {
                 let rp = &mut nodes[key.node as usize].peers[key.peer as usize];
                 let (prefix, _) = rp.ring.get(key.pos);
                 rp.ring.complete(key.pos);
-                (AsId(key.node), rp.peer, prefix)
+                let pr = PeerRef {
+                    peer: rp.peer,
+                    slot: key.peer,
+                };
+                (AsId(key.node), pr, prefix)
             }
         }
     }
@@ -453,16 +542,11 @@ impl OutStore {
     }
 }
 
-/// A selected route, fully interned: three words per Loc-RIB entry, so a
-/// full-table Loc-RIB costs O(prefixes) words and all path memory stays in
-/// the shared arena (bounded by distinct paths, not prefixes). The public
-/// [`DynamicSim::loc_route`] view materializes an owned [`Route`] per
-/// call.
-#[derive(Clone, Copy)]
-struct LocEntry {
-    path: PathId,
-    learned_from: AsId,
-    rel: Relationship,
+/// May the holder of `route` advertise it to `peer`, to whom it relates as
+/// `rel_to_peer`? Split horizon (never echo a route back to the neighbor
+/// it came from) and Gao-Rexford export.
+fn exports_to(route: &IdRoute, peer: AsId, rel_to_peer: Relationship) -> bool {
+    route.learned_from != peer && route.rel.exportable_to(rel_to_peer)
 }
 
 #[derive(Default)]
@@ -470,8 +554,38 @@ struct Node {
     /// Routes accepted from each neighbor, per prefix (interned paths,
     /// dense prefix ids).
     adj_in: IdRibIn,
-    /// Selected route per prefix.
-    loc: HashMap<PrefixId, LocEntry>,
+    /// Selected route per prefix, the Adj-RIB-In candidate as selected:
+    /// three words per entry, so a full-table Loc-RIB costs O(prefixes)
+    /// words and all path memory stays in the shared arena (the public
+    /// [`DynamicSim::loc_route`] view materializes an owned [`Route`] per
+    /// call). Sorted by id, probed only. A lost route resets its entry to
+    /// `None` in place (as `remove_prefix` does), so full-table
+    /// announce/withdraw cycles never memmove the table.
+    loc: Vec<(PrefixId, Option<IdRoute>)>,
+}
+
+impl Node {
+    fn loc_get(&self, prefix: PrefixId) -> Option<IdRoute> {
+        let i = self.loc.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
+        self.loc[i].1
+    }
+
+    /// Install `entry` as the selected route (`None`: no route). False
+    /// when that is what the Loc-RIB already held.
+    fn loc_replace(&mut self, prefix: PrefixId, entry: Option<IdRoute>) -> bool {
+        match self.loc.binary_search_by_key(&prefix, |&(p, _)| p) {
+            Ok(i) if self.loc[i].1 == entry => false,
+            Ok(i) => {
+                self.loc[i].1 = entry;
+                true
+            }
+            Err(_) if entry.is_none() => false,
+            Err(i) => {
+                self.loc.insert(i, (prefix, entry));
+                true
+            }
+        }
+    }
 }
 
 /// One UPDATE put on the wire, as recorded by the (test-only) update log
@@ -492,7 +606,7 @@ pub struct UpdateRecord {
     pub path: Option<Vec<AsId>>,
     /// True for origin-driven seed traffic (announce/withdraw/re-seed),
     /// which bypasses the MRAI machinery; false for updates emitted by
-    /// the out-queue (`send_now`). Seeded sends are exempt from the
+    /// the out-queue (`emit`). Seeded sends are exempt from the
     /// harness's MRAI lower-bound check.
     pub seeded: bool,
 }
@@ -555,6 +669,73 @@ impl PrefixMetrics {
     }
 }
 
+/// One AS's share of a prefix's measurement epoch: what
+/// [`PrefixMetrics`] spreads over six maps, in one entry, so a send or a
+/// Loc-RIB change is one probe. The timestamps mean something only beside
+/// a nonzero count.
+#[derive(Clone, Copy, Default)]
+struct AsMetrics {
+    updates_sent: u64,
+    first_sent: Time,
+    last_sent: Time,
+    loc_changes: u64,
+    first_loc_change: Time,
+    last_loc_change: Time,
+}
+
+/// A prefix's current measurement epoch as the engine keeps it;
+/// [`DynamicSim::metrics`] builds the public [`PrefixMetrics`] from it.
+struct EpochMetrics {
+    epoch_start: Time,
+    /// Probed per send and per Loc-RIB change. The one walk, in
+    /// [`Self::materialize`], fills maps that are themselves unordered.
+    per_as: IdHashMap<AsId, AsMetrics>,
+}
+
+impl EpochMetrics {
+    fn starting(at: Time) -> Self {
+        EpochMetrics {
+            epoch_start: at,
+            per_as: IdHashMap::default(),
+        }
+    }
+
+    fn materialize(&self) -> PrefixMetrics {
+        let mut m = PrefixMetrics {
+            epoch_start: self.epoch_start,
+            ..PrefixMetrics::default()
+        };
+        for (&a, am) in &self.per_as {
+            if am.updates_sent > 0 {
+                m.updates_sent.insert(a, am.updates_sent);
+                m.first_sent.insert(a, am.first_sent);
+                m.last_sent.insert(a, am.last_sent);
+            }
+            if am.loc_changes > 0 {
+                m.loc_changes.insert(a, am.loc_changes);
+                m.first_loc_change.insert(a, am.first_loc_change);
+                m.last_loc_change.insert(a, am.last_loc_change);
+            }
+        }
+        m
+    }
+}
+
+/// What the event path asks about a prefix, behind one probe of the
+/// id-sorted [`DynamicSim::prefixes`] table: who announces it (the
+/// pinned-self-route check every reselection makes), its wire form (for
+/// the packer and the update log, without a trip to the process-wide
+/// interner's lock), and its metrics epoch. A slot is made by the first
+/// `announce` or `begin_epoch` naming the prefix and never removed, so
+/// every prefix an event can carry has one.
+struct PrefixSlot {
+    prefix: Prefix,
+    /// The announcing AS while the prefix is announced — `specs[..].origin`
+    /// kept where a probe finds it; `specs` itself is only iterated.
+    origin: Option<AsId>,
+    metrics: EpochMetrics,
+}
+
 /// The event-driven simulator.
 pub struct DynamicSim<'n> {
     net: &'n Network,
@@ -567,24 +748,27 @@ pub struct DynamicSim<'n> {
     /// simulation and is bounded by distinct paths, not messages processed.
     paths: PathInterner,
     /// Current announcement per prefix (origin + seeds), to diff on change.
+    /// Iterated by `restore_link`, so it keeps std's hasher (module docs).
     specs: HashMap<PrefixId, AnnouncementSpec>,
     /// Interned seed paths per announced prefix, aligned with the spec's
     /// seed list; what the origin (re-)advertises to each seeded neighbor.
     seed_ids: HashMap<PrefixId, Vec<(AsId, PathId)>>,
-    metrics: HashMap<PrefixId, PrefixMetrics>,
+    /// Per-prefix state the event path probes ([`PrefixSlot`]), sorted by
+    /// id. Probed only — never iterated for output.
+    prefixes: Vec<(PrefixId, PrefixSlot)>,
     /// LPM trie over every prefix this simulation has ever announced,
     /// for [`Fib`] lookups: O(32) most-specific-first candidate walk
     /// instead of a scan over the whole Loc-RIB. Entries persist across
     /// withdraw (a stale id simply has no Loc-RIB entry), matching the
     /// old scan's behavior exactly.
     prefix_lpm: PrefixTrie<PrefixId>,
-    /// BGP sessions currently torn down (control-plane-visible link
-    /// failures), as unordered pairs.
-    down_links: Vec<(AsId, AsId)>,
-    /// Session incarnation per unordered link pair; bumped on both
-    /// [`Self::fail_link`] and [`Self::restore_link`] so updates in flight
-    /// across a fail/restore cycle cannot install stale pre-failure routes.
-    link_epochs: HashMap<(AsId, AsId), u64>,
+    /// Session incarnation per unordered link pair that ever failed,
+    /// sorted by pair; bumped on both [`Self::fail_link`] and
+    /// [`Self::restore_link`] so updates in flight across a fail/restore
+    /// cycle cannot install stale pre-failure routes. Its parity is also
+    /// the session's state ([`Self::session_down`]): the one record of
+    /// control-plane-visible link failures. Probed only.
+    link_epochs: Vec<((AsId, AsId), u64)>,
     /// Failures consulted by [`DynamicSim::walk`].
     pub failures: FailureSet,
     /// Per-(peer, prefix) sending state, in the configured shape.
@@ -595,6 +779,7 @@ pub struct DynamicSim<'n> {
     /// Wire-level UPDATE packing accountant (see `packing.rs`); `None`
     /// when [`DynamicSimConfig::pack_updates`] is off.
     packer: Option<UpdatePacker>,
+    tally: LoopTally,
     tele: DynamicTelemetry,
 }
 
@@ -620,14 +805,14 @@ impl<'n> DynamicSim<'n> {
             paths: PathInterner::new(),
             specs: HashMap::new(),
             seed_ids: HashMap::new(),
-            metrics: HashMap::new(),
+            prefixes: Vec::new(),
             prefix_lpm: PrefixTrie::new(),
-            down_links: Vec::new(),
-            link_epochs: HashMap::new(),
+            link_epochs: Vec::new(),
             failures: FailureSet::none(),
             out,
             log: None,
             packer,
+            tally: LoopTally::default(),
             tele: DynamicTelemetry::from_registry(registry),
         }
     }
@@ -646,22 +831,62 @@ impl<'n> DynamicSim<'n> {
         self.log.as_deref().unwrap_or(&[])
     }
 
-    fn link_up(&self, a: AsId, b: AsId) -> bool {
-        !self
-            .down_links
-            .iter()
-            .any(|(x, y)| (*x == a && *y == b) || (*x == b && *y == a))
+    /// Sessions start up at epoch 0 and every fail or restore bumps the
+    /// epoch, so a session is down exactly while its epoch is odd.
+    fn session_down(epoch: u64) -> bool {
+        epoch % 2 == 1
+    }
+
+    fn link_key(a: AsId, b: AsId) -> (AsId, AsId) {
+        if a.0 <= b.0 {
+            (a, b)
+        } else {
+            (b, a)
+        }
     }
 
     /// Current session epoch of link `a`-`b` (unordered).
     fn link_epoch(&self, a: AsId, b: AsId) -> u64 {
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        self.link_epochs.get(&key).copied().unwrap_or(0)
+        if self.link_epochs.is_empty() {
+            return 0; // no session has ever failed: the common case
+        }
+        let key = Self::link_key(a, b);
+        match self.link_epochs.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.link_epochs[i].1,
+            Err(_) => 0,
+        }
     }
 
     fn bump_link_epoch(&mut self, a: AsId, b: AsId) {
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        *self.link_epochs.entry(key).or_insert(0) += 1;
+        let key = Self::link_key(a, b);
+        match self.link_epochs.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.link_epochs[i].1 += 1,
+            Err(i) => self.link_epochs.insert(i, (key, 1)),
+        }
+    }
+
+    /// Index of `prefix`'s slot in [`Self::prefixes`].
+    fn slot_of(&self, prefix: PrefixId) -> usize {
+        self.prefixes
+            .binary_search_by_key(&prefix, |&(p, _)| p)
+            .expect("a prefix in flight was announced, which made its slot")
+    }
+
+    /// Index of `prefix`'s slot, made on first sight with its metrics
+    /// epoch starting now.
+    fn slot_or_insert(&mut self, id: PrefixId, prefix: Prefix) -> usize {
+        match self.prefixes.binary_search_by_key(&id, |&(p, _)| p) {
+            Ok(i) => i,
+            Err(i) => {
+                let slot = PrefixSlot {
+                    prefix,
+                    origin: None,
+                    metrics: EpochMetrics::starting(self.now),
+                };
+                self.prefixes.insert(i, (id, slot));
+                i
+            }
+        }
     }
 
     /// Tear down the BGP session over link `a`-`b` (a *control-plane
@@ -669,19 +894,15 @@ impl<'n> DynamicSim<'n> {
     /// both ends drop everything learned from the other and propagate
     /// withdrawals/alternatives.
     pub fn fail_link(&mut self, a: AsId, b: AsId) {
-        if !self.link_up(a, b) {
+        if Self::session_down(self.link_epoch(a, b)) {
             return;
         }
-        self.down_links.push((a, b));
         self.bump_link_epoch(a, b);
         for (node, peer) in [(a, b), (b, a)] {
-            let mut affected = self.nodes[node.index()].adj_in.withdraw_neighbor(peer);
-            // The RIB returns ids in map order and id values are
-            // process-global allocation order — neither may steer the
-            // reselection cascade (it feeds the update log). Sort by the
-            // prefixes themselves, as the pre-full-table engine did.
-            affected.sort_by_cached_key(|id| id.resolve());
-            for prefix in affected {
+            // The RIB hands the prefixes back sorted by value: id order is
+            // process-global allocation order and must not steer the
+            // reselection cascade (it feeds the update log).
+            for prefix in self.nodes[node.index()].adj_in.withdraw_neighbor(peer) {
                 self.reselect(node, prefix);
             }
         }
@@ -692,14 +913,13 @@ impl<'n> DynamicSim<'n> {
     /// link). A no-op on a session that is up, as [`Self::fail_link`] is
     /// on one that is down.
     pub fn restore_link(&mut self, a: AsId, b: AsId) {
-        if self.link_up(a, b) {
+        if !Self::session_down(self.link_epoch(a, b)) {
             return;
         }
-        self.down_links
-            .retain(|(x, y)| !((*x == a && *y == b) || (*x == b && *y == a)));
         // A fresh session incarnation: anything still in flight from before
         // the failure must not be delivered into the revived session.
         self.bump_link_epoch(a, b);
+        let epoch = self.link_epoch(a, b);
         // Clear duplicate-suppression state for the revived sessions so the
         // current routes get re-sent, then push them out. `specs` is a
         // HashMap, and with many prefixes in play its iteration order is
@@ -709,11 +929,14 @@ impl<'n> DynamicSim<'n> {
         let mut prefixes: Vec<PrefixId> = self.specs.keys().copied().collect();
         prefixes.sort_by_cached_key(|id| id.resolve());
         for (node, peer) in [(a, b), (b, a)] {
-            for prefix in &prefixes {
-                if let Some(st) = self.out.state_get_mut(node, peer, *prefix) {
+            let pr = self.out.peer_ref(node, peer);
+            for &prefix in &prefixes {
+                if let Some(st) = self.out.state_get_mut(node, pr, prefix) {
                     st.last_sent = None;
                 }
-                self.schedule_update(node, peer, *prefix);
+                let slot = self.slot_of(prefix);
+                let desired = self.desired_content(node, peer, prefix, slot);
+                self.schedule_update(node, pr, prefix, slot, desired, epoch);
             }
         }
         // Re-seed origin announcements that ride this link, again in
@@ -732,10 +955,9 @@ impl<'n> DynamicSim<'n> {
             })
             .collect();
         reseeds.sort_by_key(|&(p, _, _, nbr, _)| (p, nbr));
-        for (_, prefix, origin, nbr, id) in reseeds {
+        for (pfx, prefix, origin, nbr, id) in reseeds {
             let at = self.now + self.link_latency(origin, nbr);
-            let epoch = self.link_epoch(origin, nbr);
-            self.push_recv(at, origin, nbr, prefix, Some(id), epoch, true);
+            self.push_recv(at, origin, nbr, prefix, pfx, Some(id), epoch, true);
         }
     }
 
@@ -749,19 +971,15 @@ impl<'n> DynamicSim<'n> {
         // `lookup`, not `of`: a metrics query for a never-seen prefix must
         // not grow the process-wide prefix table.
         PrefixId::lookup(prefix)
-            .and_then(|id| self.metrics.get(&id).cloned())
+            .and_then(|id| self.prefixes.binary_search_by_key(&id, |&(p, _)| p).ok())
+            .map(|i| self.prefixes[i].1.metrics.materialize())
             .unwrap_or_default()
     }
 
     /// Start a fresh measurement epoch for `prefix` at the current time.
     pub fn begin_epoch(&mut self, prefix: Prefix) {
-        self.metrics.insert(
-            PrefixId::of(prefix),
-            PrefixMetrics {
-                epoch_start: self.now,
-                ..PrefixMetrics::default()
-            },
-        );
+        let slot = self.slot_or_insert(PrefixId::of(prefix), prefix);
+        self.prefixes[slot].1.metrics = EpochMetrics::starting(self.now);
     }
 
     /// The route `a` currently selects for `prefix`, materialized from the
@@ -769,7 +987,7 @@ impl<'n> DynamicSim<'n> {
     /// routes).
     pub fn loc_route(&self, a: AsId, prefix: Prefix) -> Option<Route> {
         let id = PrefixId::lookup(prefix)?;
-        let e = self.nodes[a.index()].loc.get(&id)?;
+        let e = self.nodes[a.index()].loc_get(id)?;
         Some(Route {
             prefix,
             path: self.paths.materialize(e.path),
@@ -790,7 +1008,10 @@ impl<'n> DynamicSim<'n> {
     /// Total Loc-RIB entries across all nodes (full-table memory
     /// diagnostic; each entry is three words).
     pub fn loc_entries(&self) -> usize {
-        self.nodes.iter().map(|n| n.loc.len()).sum()
+        self.nodes
+            .iter()
+            .map(|n| n.loc.iter().filter(|(_, e)| e.is_some()).count())
+            .sum()
     }
 
     /// Total Adj-RIB-In (prefix, neighbor) entries across all nodes.
@@ -836,7 +1057,8 @@ impl<'n> DynamicSim<'n> {
 
     /// Put an UPDATE on the wire: enqueue its delivery, record it when the
     /// update log is on, and feed the packing accountant when packing is
-    /// on. `seeded` marks origin-driven traffic that bypasses the MRAI
+    /// on. `pfx` is what `prefix` resolves to (the caller has it at hand).
+    /// `seeded` marks origin-driven traffic that bypasses the MRAI
     /// machinery.
     #[allow(clippy::too_many_arguments)]
     fn push_recv(
@@ -845,25 +1067,23 @@ impl<'n> DynamicSim<'n> {
         from: AsId,
         to: AsId,
         prefix: PrefixId,
+        pfx: Prefix,
         path: Option<PathId>,
         epoch: u64,
         seeded: bool,
     ) {
-        if self.log.is_some() || self.packer.is_some() {
-            let pfx = prefix.resolve();
-            if let Some(log) = &mut self.log {
-                log.push(UpdateRecord {
-                    at: self.now,
-                    from,
-                    to,
-                    prefix: pfx,
-                    path: path.map(|p| self.paths.hops(p).collect()),
-                    seeded,
-                });
-            }
-            if let Some(packer) = &mut self.packer {
-                packer.observe(self.now, from, to, pfx, path, &self.paths, &self.tele);
-            }
+        if let Some(log) = &mut self.log {
+            log.push(UpdateRecord {
+                at: self.now,
+                from,
+                to,
+                prefix: pfx,
+                path: path.map(|p| self.paths.hops(p).collect()),
+                seeded,
+            });
+        }
+        if let Some(packer) = &mut self.packer {
+            packer.observe(self.now, from, to, pfx, path, &self.paths, &self.tele);
         }
         self.push(
             at,
@@ -877,25 +1097,48 @@ impl<'n> DynamicSim<'n> {
         );
     }
 
-    /// Close any open packing groups so wire counters reflect everything
-    /// emitted so far (called at the end of every run).
-    fn flush_packer(&mut self) {
+    /// What every `run_until*` call does last: close the open packing
+    /// groups (a later send, even in this tick, starts a new message) and
+    /// add the loop's tallies to the registry.
+    fn finish_run(&mut self) {
+        let (mut groups, mut encodes) = (0, 0);
         if let Some(packer) = &mut self.packer {
-            packer.flush(&self.paths, &self.tele);
+            packer.flush();
+            (groups, encodes) = (packer.groups, packer.encodes);
         }
+        let (t, tele) = (&mut self.tally, &self.tele);
+        let totals = [
+            (t.events_recv, &tele.events_recv),
+            (t.events_mrai_fire, &tele.events_mrai_fire),
+            (t.stale_drops, &tele.stale_drops),
+            (t.decision_runs, &tele.decision_runs),
+            (self.paths.hits(), &tele.interner_hits),
+            // A miss is what allocates an arena node.
+            (self.paths.node_count() as u64, &tele.interner_misses),
+            (groups, &tele.packing_groups),
+            (encodes, &tele.packing_encodes),
+        ];
+        for ((total, counter), reported) in totals.into_iter().zip(&mut t.reported) {
+            counter.add(total - *reported);
+            *reported = total;
+        }
+    }
+
+    fn mrai_interval_under(cfg: &DynamicSimConfig, node: AsId, peer: AsId) -> u64 {
+        if !cfg.mrai_jitter {
+            return cfg.mrai_ms;
+        }
+        let mut x = ((node.0 as u64) << 32 | peer.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 29;
+        // 75%..100% of the base interval.
+        cfg.mrai_ms * (75 + x % 26) / 100
     }
 
     /// The (deterministically jittered) MRAI interval `node` applies to
     /// announcements toward `peer`. Public so the differential harness can
     /// assert the MRAI lower bound on observed update spacing.
     pub fn mrai_interval(&self, node: AsId, peer: AsId) -> u64 {
-        if !self.cfg.mrai_jitter {
-            return self.cfg.mrai_ms;
-        }
-        let mut x = ((node.0 as u64) << 32 | peer.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 29;
-        // 75%..100% of the base interval.
-        self.cfg.mrai_ms * (75 + x % 26) / 100
+        Self::mrai_interval_under(&self.cfg, node, peer)
     }
 
     fn link_latency(&self, a: AsId, b: AsId) -> u64 {
@@ -911,27 +1154,24 @@ impl<'n> DynamicSim<'n> {
         let pid = PrefixId::of(spec.prefix);
         self.prefix_lpm.insert(spec.prefix, pid);
         let old = self.specs.insert(pid, spec.clone());
-        // First announcement of this prefix starts its measurement epoch
-        // *now* — `or_default()` would leave `epoch_start` at `Time::ZERO`
-        // and silently inflate `global_convergence_ms` for t>0 announces.
-        let now = self.now;
-        self.metrics.entry(pid).or_insert_with(|| PrefixMetrics {
-            epoch_start: now,
-            ..PrefixMetrics::default()
-        });
+        // First sight of this prefix starts its measurement epoch *now* —
+        // an epoch left at `Time::ZERO` would silently inflate
+        // `global_convergence_ms` for t>0 announces.
+        let slot = self.slot_or_insert(pid, spec.prefix);
+        self.prefixes[slot].1.origin = Some(spec.origin);
 
         // Origin's own loc entry so the data plane delivers at the origin.
         // While the prefix is announced this entry is pinned: `reselect`
         // never replaces or removes it (a neighbor echoing the prefix back
         // gets rejected by loop detection, and that rejection must not
         // evict the self-route).
-        self.nodes[spec.origin.index()].loc.insert(
+        self.nodes[spec.origin.index()].loc_replace(
             pid,
-            LocEntry {
+            Some(IdRoute {
                 path: PathId::EMPTY,
                 learned_from: spec.origin,
                 rel: Relationship::Customer,
-            },
+            }),
         );
 
         let seeds: Vec<(AsId, PathId)> = spec
@@ -944,11 +1184,21 @@ impl<'n> DynamicSim<'n> {
         for (nbr, id) in &seeds {
             let at = self.now + self.link_latency(spec.origin, *nbr);
             let epoch = self.link_epoch(spec.origin, *nbr);
-            self.push_recv(at, spec.origin, *nbr, pid, Some(*id), epoch, true);
+            self.push_recv(
+                at,
+                spec.origin,
+                *nbr,
+                pid,
+                spec.prefix,
+                Some(*id),
+                epoch,
+                true,
+            );
             // Record the send in the origin's machinery state so duplicate
             // suppression and later MRAI flushes see what was actually
             // advertised.
-            let st = self.out.state_entry(spec.origin, *nbr, pid);
+            let pr = self.out.peer_ref(spec.origin, *nbr);
+            let st = self.out.state_entry(spec.origin, pr, pid);
             st.last_sent = Some(Some(*id));
             sent_to.push(*nbr);
         }
@@ -958,8 +1208,9 @@ impl<'n> DynamicSim<'n> {
                 if !sent_to.contains(nbr) {
                     let at = self.now + self.link_latency(spec.origin, *nbr);
                     let epoch = self.link_epoch(spec.origin, *nbr);
-                    self.push_recv(at, spec.origin, *nbr, pid, None, epoch, true);
-                    let st = self.out.state_entry(spec.origin, *nbr, pid);
+                    self.push_recv(at, spec.origin, *nbr, pid, spec.prefix, None, epoch, true);
+                    let pr = self.out.peer_ref(spec.origin, *nbr);
+                    let st = self.out.state_entry(spec.origin, pr, pid);
                     st.last_sent = Some(None);
                 }
             }
@@ -976,7 +1227,9 @@ impl<'n> DynamicSim<'n> {
             return;
         };
         self.seed_ids.remove(&pid);
-        self.nodes[spec.origin.index()].loc.remove(&pid);
+        let slot = self.slot_of(pid);
+        self.prefixes[slot].1.origin = None;
+        self.nodes[spec.origin.index()].loc_replace(pid, None);
         // Drop the origin's per-(peer, prefix) machinery state: stale
         // `last_sent` would suppress the first update of a later
         // re-announcement, and a stale `mrai_ready_at` / pending fire would
@@ -987,7 +1240,7 @@ impl<'n> DynamicSim<'n> {
         for (nbr, _) in &spec.seeds {
             let at = self.now + self.link_latency(spec.origin, *nbr);
             let epoch = self.link_epoch(spec.origin, *nbr);
-            self.push_recv(at, spec.origin, *nbr, pid, None, epoch, true);
+            self.push_recv(at, spec.origin, *nbr, pid, prefix, None, epoch, true);
         }
     }
 
@@ -1015,8 +1268,8 @@ impl<'n> DynamicSim<'n> {
     /// Process the next pending event (caller has set `self.now`).
     fn step(&mut self, is_fire: bool) {
         if is_fire {
-            let (node, peer, prefix) = self.out.pop_fire();
-            self.handle_mrai_fire(node, peer, prefix);
+            let (node, pr, prefix) = self.out.pop_fire();
+            self.handle_mrai_fire(node, pr, prefix);
         } else {
             let Reverse(q) = self.queue.pop().expect("peeked event vanished");
             self.handle(q.ev);
@@ -1039,7 +1292,7 @@ impl<'n> DynamicSim<'n> {
             processed = true;
             self.step(is_fire);
         }
-        self.flush_packer();
+        self.finish_run();
         if processed {
             // Simulated time from entering the call to its last event: the
             // time-to-quiescence of this convergence burst.
@@ -1061,7 +1314,7 @@ impl<'n> DynamicSim<'n> {
             self.now = at;
             self.step(is_fire);
         }
-        self.flush_packer();
+        self.finish_run();
         self.now = self.now.max(t);
     }
 
@@ -1079,19 +1332,31 @@ impl<'n> DynamicSim<'n> {
                 path,
                 epoch,
             } => self.handle_recv(from, to, prefix, path, epoch),
-            Event::MraiFire { node, peer, prefix } => self.handle_mrai_fire(node, peer, prefix),
+            Event::MraiFire { node, peer, prefix } => {
+                let pr = self.out.peer_ref(node, peer);
+                self.handle_mrai_fire(node, pr, prefix)
+            }
         }
     }
 
     /// An MRAI timer expired (heap event in Reference mode, wheel pop in
-    /// Ring mode): clear the pending flag and flush whatever the deferred
+    /// Ring mode): clear the pending flag and send whatever the deferred
     /// update's content is *now* — the route may have changed (or become a
     /// duplicate) since the deferral.
-    fn handle_mrai_fire(&mut self, node: AsId, peer: AsId, prefix: PrefixId) {
+    fn handle_mrai_fire(&mut self, node: AsId, pr: PeerRef, prefix: PrefixId) {
+        self.tally.events_mrai_fire += 1;
         lg_telemetry::trace::instant_value("dynamic.mrai_fire", self.now.millis());
-        let st = self.out.state_entry(node, peer, prefix);
+        let slot = self.slot_of(prefix);
+        let desired = self.desired_content(node, pr.peer, prefix, slot);
+        let st = self.out.state_entry(node, pr, prefix);
         st.fire_pending = false;
-        self.flush_to_peer(node, peer, prefix);
+        if st.already_sent(desired) {
+            return;
+        }
+        let interval = Self::mrai_interval_under(&self.cfg, node, pr.peer);
+        st.mark_sent(desired, self.now, interval);
+        let epoch = self.link_epoch(node, pr.peer);
+        self.emit(node, pr.peer, prefix, slot, desired, epoch);
     }
 
     fn handle_recv(
@@ -1102,24 +1367,28 @@ impl<'n> DynamicSim<'n> {
         path: Option<PathId>,
         epoch: u64,
     ) {
-        let Some(rel) = self.net.graph().relationship(to, from) else {
+        self.tally.events_recv += 1;
+        let net = self.net;
+        let Some(rel) = net.graph().relationship(to, from) else {
+            self.tally.stale_drops += 1;
             return; // stale event across a removed adjacency
         };
-        if !self.link_up(from, to) {
-            return; // message in flight when the session died
-        }
-        if epoch != self.link_epoch(from, to) {
-            // Sent by a dead session incarnation: the link failed (and
-            // possibly revived) while this update was in flight. A real
-            // TCP session would have lost it with the connection.
+        let live = self.link_epoch(from, to);
+        if Self::session_down(live) || epoch != live {
+            // The session is down, or this was sent by a dead session
+            // incarnation: the link failed (and possibly revived) while
+            // the update was in flight. A real TCP session would have
+            // lost it with the connection.
+            self.tally.stale_drops += 1;
             return;
         }
         self.tele.updates_received.inc();
+        let adj_in = &mut self.nodes[to.index()].adj_in;
         match path {
             Some(p) => {
-                let rejected = self.net.policy(to).evaluate_hops(
+                let rejected = net.policy(to).evaluate_hops(
                     to,
-                    self.net.peers_of(to),
+                    net.peers_of(to),
                     rel,
                     self.paths.hops(p),
                     self.paths.len(p),
@@ -1130,9 +1399,8 @@ impl<'n> DynamicSim<'n> {
                     Some(lg_bgp::RejectReason::ReservedAsn) => self.tele.filtered_reserved.inc(),
                     _ => {}
                 }
-                let node = &mut self.nodes[to.index()];
                 if rejected.is_none() {
-                    node.adj_in.insert(
+                    adj_in.insert(
                         prefix,
                         IdRoute {
                             path: p,
@@ -1143,66 +1411,63 @@ impl<'n> DynamicSim<'n> {
                 } else {
                     // Implicit withdrawal: the rejected update replaced
                     // whatever the neighbor previously advertised.
-                    node.adj_in.withdraw(from, prefix);
+                    adj_in.withdraw(from, prefix);
                 }
             }
             None => {
-                self.nodes[to.index()].adj_in.withdraw(from, prefix);
+                adj_in.withdraw(from, prefix);
             }
         }
         self.reselect(to, prefix);
     }
 
+    /// Re-run the decision process at `at` for `prefix` and, when the
+    /// selection changed, offer the new route (or its loss) to every
+    /// neighbor. The adjacency row is walked in place: it hands over each
+    /// neighbor's relationship and — rows and Ring slots share an order —
+    /// its out-queue slot, and `at` prepended to the new path is interned
+    /// once, at the first neighbor the route may be exported to, instead
+    /// of being looked up again for each.
     fn reselect(&mut self, at: AsId, prefix: PrefixId) {
+        let slot = self.slot_of(prefix);
         // The origin's self-route is pinned while the prefix is announced:
         // a neighbor's echoed-back announcement (rejected by loop
         // detection, becoming an implicit withdrawal) must not evict it.
-        if self.specs.get(&prefix).is_some_and(|s| s.origin == at) {
+        if self.prefixes[slot].1.origin == Some(at) {
             return;
         }
-        let best = self.nodes[at.index()].adj_in.best(prefix, &self.paths);
-        let cur = self.nodes[at.index()].loc.get(&prefix);
-        let same = match (&best, cur) {
-            (None, None) => true,
-            (Some(b), Some(c)) => {
-                b.path == c.path && b.learned_from == c.learned_from && b.rel == c.rel
-            }
-            _ => false,
-        };
-        if same {
+        self.tally.decision_runs += 1;
+        let node = &mut self.nodes[at.index()];
+        let best = node.adj_in.best(prefix, &self.paths);
+        if !node.loc_replace(prefix, best) {
             return;
-        }
-        match best {
-            Some(r) => {
-                self.nodes[at.index()].loc.insert(
-                    prefix,
-                    LocEntry {
-                        path: r.path,
-                        learned_from: r.learned_from,
-                        rel: r.rel,
-                    },
-                );
-            }
-            None => {
-                self.nodes[at.index()].loc.remove(&prefix);
-            }
         }
         self.tele.loc_rib_changes.inc();
-        if let Some(m) = self.metrics.get_mut(&prefix) {
-            *m.loc_changes.entry(at).or_insert(0) += 1;
-            m.first_loc_change.entry(at).or_insert(self.now);
-            m.last_loc_change.insert(at, self.now);
+        let m = self.prefixes[slot].1.metrics.per_as.entry(at).or_default();
+        if m.loc_changes == 0 {
+            m.first_loc_change = self.now;
         }
-        // Propagate to every neighbor.
-        let neighbors: Vec<AsId> = self
-            .net
-            .graph()
-            .neighbors(at)
-            .iter()
-            .map(|(n, _)| *n)
-            .collect();
-        for m in neighbors {
-            self.schedule_update(at, m, prefix);
+        m.loc_changes += 1;
+        m.last_loc_change = self.now;
+
+        let net = self.net;
+        let mut announced: Option<PathId> = None;
+        for (i, &(peer, rel_to_peer)) in net.graph().neighbors(at).iter().enumerate() {
+            let epoch = self.link_epoch(at, peer);
+            if Self::session_down(epoch) {
+                continue;
+            }
+            let desired = match best {
+                Some(e) if exports_to(&e, peer, rel_to_peer) => {
+                    Some(*announced.get_or_insert_with(|| self.paths.prepend(e.path, at)))
+                }
+                _ => None,
+            };
+            let pr = PeerRef {
+                peer,
+                slot: i as u32,
+            };
+            self.schedule_update(at, pr, prefix, slot, desired, epoch);
         }
     }
 
@@ -1210,107 +1475,100 @@ impl<'n> DynamicSim<'n> {
     /// announced origin this is the spec's seed path for that neighbor (or
     /// nothing for unseeded neighbors — selective advertising), not a
     /// derivation from the self-route.
-    fn desired_content(&mut self, node: AsId, peer: AsId, prefix: PrefixId) -> Option<PathId> {
-        if let Some(spec) = self.specs.get(&prefix) {
-            if spec.origin == node {
-                return self
-                    .seed_ids
-                    .get(&prefix)
-                    .and_then(|seeds| seeds.iter().find(|(n, _)| *n == peer))
-                    .map(|(_, id)| *id);
-            }
+    fn desired_content(
+        &mut self,
+        node: AsId,
+        peer: AsId,
+        prefix: PrefixId,
+        slot: usize,
+    ) -> Option<PathId> {
+        if self.prefixes[slot].1.origin == Some(node) {
+            return self
+                .seed_ids
+                .get(&prefix)
+                .and_then(|seeds| seeds.iter().find(|(n, _)| *n == peer))
+                .map(|(_, id)| *id);
         }
-        let (path, learned_from, rel) = {
-            let e = self.nodes[node.index()].loc.get(&prefix)?;
-            (e.path, e.learned_from, e.rel)
-        };
-        if learned_from == peer {
-            return None; // split horizon: don't echo back
-        }
+        let e = self.nodes[node.index()].loc_get(prefix)?;
         let rel_to_peer = self.net.graph().relationship(node, peer)?;
-        if !rel.exportable_to(rel_to_peer) {
-            return None;
-        }
-        Some(self.paths.prepend(path, node))
+        exports_to(&e, peer, rel_to_peer).then(|| self.paths.prepend(e.path, node))
     }
 
-    fn schedule_update(&mut self, node: AsId, peer: AsId, prefix: PrefixId) {
-        if !self.link_up(node, peer) {
-            return;
-        }
-        let desired = self.desired_content(node, peer, prefix);
-        let st = self.out.state_entry(node, peer, prefix);
-        if st.last_sent == Some(desired) || (st.last_sent.is_none() && desired.is_none()) {
+    /// Advertise `desired` to `pr`, over a live session whose epoch is
+    /// `epoch`, unless that is what the peer already holds: at once when
+    /// it is a withdrawal or the MRAI timer has run out, otherwise when
+    /// the timer fires.
+    fn schedule_update(
+        &mut self,
+        node: AsId,
+        pr: PeerRef,
+        prefix: PrefixId,
+        slot: usize,
+        desired: Option<PathId>,
+        epoch: u64,
+    ) {
+        let st = self.out.state_entry(node, pr, prefix);
+        if st.already_sent(desired) {
             return; // no change to advertise
         }
-        if desired.is_none() {
-            // Withdrawal: bypass MRAI.
-            self.send_now(node, peer, prefix, None);
-            return;
-        }
         let ready = st.mrai_ready_at;
-        if self.now >= ready {
-            self.send_now(node, peer, prefix, desired);
-        } else {
-            // MRAI still running: the change waits for the timer (whether
-            // this call queues the fire or an earlier one already did).
-            let need_fire = !st.fire_pending;
-            st.fire_pending = true;
-            self.tele.mrai_deferrals.inc();
-            if need_fire {
-                match self.cfg.out_queue {
-                    OutQueue::Reference => {
-                        self.push(ready, Event::MraiFire { node, peer, prefix });
-                    }
-                    OutQueue::Ring => {
-                        // Allocate the fire's seq from the same counter
-                        // (at the same point) Reference's `push` would, so
-                        // the global (time, seq) event order — and with it
-                        // every downstream send — is bit-identical.
-                        self.seq += 1;
-                        let seq = self.seq;
-                        self.out.defer(node, peer, prefix, desired, ready, seq);
-                    }
-                }
-            }
-        }
-        // If a fire is already pending it will pick up the latest content.
-    }
-
-    fn flush_to_peer(&mut self, node: AsId, peer: AsId, prefix: PrefixId) {
-        let desired = self.desired_content(node, peer, prefix);
-        let st = self.out.state_entry(node, peer, prefix);
-        if st.last_sent == Some(desired) || (st.last_sent.is_none() && desired.is_none()) {
+        // Withdrawals bypass MRAI.
+        if desired.is_none() || self.now >= ready {
+            let interval = Self::mrai_interval_under(&self.cfg, node, pr.peer);
+            st.mark_sent(desired, self.now, interval);
+            self.emit(node, pr.peer, prefix, slot, desired, epoch);
             return;
         }
-        self.send_now(node, peer, prefix, desired);
-    }
-
-    fn send_now(&mut self, node: AsId, peer: AsId, prefix: PrefixId, content: Option<PathId>) {
-        let interval = self.mrai_interval(node, peer);
-        let st = self.out.state_entry(node, peer, prefix);
-        st.last_sent = Some(content);
-        if content.is_some() {
-            st.mrai_ready_at = self.now + interval;
-        }
-        if let Some(m) = self.metrics.get_mut(&prefix) {
-            *m.updates_sent.entry(node).or_insert(0) += 1;
-            // Send timestamps are monotone per AS within an epoch: the
-            // clock never rewinds, so a recorded time can't exceed `now`.
-            if cfg!(debug_assertions) {
-                if let Some(first) = m.first_sent.get(&node) {
-                    debug_assert!(*first <= self.now, "first_sent after now at {node}");
+        // MRAI still running: the change waits for the timer (whether
+        // this call queues the fire or an earlier one already did), which
+        // will pick up the latest content.
+        let need_fire = !st.fire_pending;
+        st.fire_pending = true;
+        self.tele.mrai_deferrals.inc();
+        if need_fire {
+            match self.cfg.out_queue {
+                OutQueue::Reference => {
+                    let peer = pr.peer;
+                    self.push(ready, Event::MraiFire { node, peer, prefix });
                 }
-                if let Some(last) = m.last_sent.get(&node) {
-                    debug_assert!(*last <= self.now, "last_sent after now at {node}");
+                OutQueue::Ring => {
+                    // Allocate the fire's seq from the same counter
+                    // (at the same point) Reference's `push` would, so
+                    // the global (time, seq) event order — and with it
+                    // every downstream send — is bit-identical.
+                    self.seq += 1;
+                    let seq = self.seq;
+                    self.out.defer(node, pr, prefix, desired, ready, seq);
                 }
             }
-            m.first_sent.entry(node).or_insert(self.now);
-            m.last_sent.insert(node, self.now);
         }
+    }
+
+    /// Put `node`'s UPDATE for `prefix` on the wire toward `peer` (the
+    /// out-state already says so) and book it in the prefix's metrics.
+    fn emit(
+        &mut self,
+        node: AsId,
+        peer: AsId,
+        prefix: PrefixId,
+        slot: usize,
+        content: Option<PathId>,
+        epoch: u64,
+    ) {
+        let s = &mut self.prefixes[slot].1;
+        let pfx = s.prefix;
+        let m = s.metrics.per_as.entry(node).or_default();
+        if m.updates_sent == 0 {
+            m.first_sent = self.now;
+        }
+        // Send timestamps are monotone per AS within an epoch: the clock
+        // never rewinds, so a recorded time can't exceed `now`.
+        debug_assert!(m.first_sent <= self.now, "first_sent after now at {node}");
+        debug_assert!(m.last_sent <= self.now, "last_sent after now at {node}");
+        m.updates_sent += 1;
+        m.last_sent = self.now;
         let at = self.now + self.link_latency(node, peer);
-        let epoch = self.link_epoch(node, peer);
-        self.push_recv(at, node, peer, prefix, content, epoch, false);
+        self.push_recv(at, node, peer, prefix, pfx, content, epoch, false);
     }
 
     /// Data-plane walk over the *current* (possibly mid-convergence) tables.
@@ -1327,12 +1585,12 @@ impl Fib for DynamicSim<'_> {
         // first one with a Loc-RIB entry at this node wins. Equal-length
         // covers cannot collide — a trie node holds one value per exact
         // (addr, len) — so the winner (and thus the route) is unique.
-        let loc = &self.nodes[at.index()].loc;
+        let node = &self.nodes[at.index()];
         let e = self
             .prefix_lpm
             .matches(dst_addr)
             .into_iter()
-            .find_map(|(_, id)| loc.get(id))?;
+            .find_map(|(_, id)| node.loc_get(*id))?;
         // The origin's self-route has an empty path.
         if e.path.is_empty() {
             Some(FibEntry::Deliver)
@@ -1454,6 +1712,65 @@ mod tests {
         }
         // E had to move to its D route; F ends with nothing.
         assert!(m.loc_changes.get(&AsId(5)).copied().unwrap_or(0) >= 1);
+    }
+
+    #[test]
+    fn metrics_keep_first_and_last_apart_per_as() {
+        // The engine books an epoch as one entry per AS and `metrics()`
+        // spreads it over the public maps. Pinned on ASes whose first and
+        // last differ — a build that let a later send or change overwrite
+        // `first_*`, or dropped an AS that only changed routes, fails.
+        let net = fig2();
+        let mut sim = DynamicSim::new(&net, cfg());
+        sim.announce(&AnnouncementSpec::prepended(&net, pfx(), AsId(0), 3));
+        sim.run_until_quiescent(Time::from_mins(30));
+        let m = sim.metrics(pfx());
+        assert_eq!(m.epoch_start, Time::ZERO);
+        // E hears the route from A, then the customer route from D, and
+        // passes each on: three sends over two ticks, two route changes.
+        let e = AsId(5);
+        assert_eq!(m.updates_of(e), 3);
+        assert_eq!((m.first_sent[&e], m.last_sent[&e]), (Time(98), Time(115)));
+        assert_eq!(m.loc_changes[&e], 2);
+        assert_eq!(
+            (m.first_loc_change[&e], m.last_loc_change[&e]),
+            (Time(98), Time(115))
+        );
+        assert_eq!(m.convergence_ms(e), Some(17));
+        // F, a stub behind A, installs the route and has no one to tell.
+        let f = AsId(6);
+        assert_eq!(m.loc_changes[&f], 1);
+        assert_eq!(m.first_loc_change[&f], Time(128));
+        assert_eq!(m.updates_of(f), 0);
+        assert!(!m.first_sent.contains_key(&f) && !m.last_sent.contains_key(&f));
+        // The origin neither sends through the out-queue nor reselects.
+        assert!(!m.updates_sent.contains_key(&AsId(0)));
+        assert!(!m.loc_changes.contains_key(&AsId(0)));
+
+        // A fresh epoch forgets all of it. B's one route change (the
+        // poisoned path replaces the prepended one) comes long before its
+        // two MRAI-deferred sends, which go out 600 ms apart.
+        sim.begin_epoch(pfx());
+        sim.announce(&AnnouncementSpec::poisoned(
+            &net,
+            pfx(),
+            AsId(0),
+            &[AsId(1)],
+        ));
+        sim.run_until_quiescent(Time::from_mins(60));
+        let m = sim.metrics(pfx());
+        assert_eq!(m.epoch_start, Time(144));
+        let b = AsId(2);
+        assert_eq!(m.updates_of(b), 2);
+        assert_eq!(
+            (m.first_sent[&b], m.last_sent[&b]),
+            (Time(26_741), Time(27_341))
+        );
+        assert_eq!(m.loc_changes[&b], 1);
+        assert_eq!(m.first_loc_change[&b], Time(185));
+        assert_eq!(m.last_loc_change[&b], Time(185));
+        assert_eq!(m.updates_of(e), 2);
+        assert_eq!(m.global_convergence_ms(), Some(27_428 - 144));
     }
 
     #[test]
@@ -1746,9 +2063,9 @@ mod tests {
     #[test]
     fn fib_lookup_deterministic_across_rebuilds() {
         // Three nested prefixes covering one address live in each node's
-        // Loc-RIB HashMap; rebuilding the sim reshuffles hash iteration
-        // order, but every lookup must resolve identically (to the most
-        // specific prefix) on every run.
+        // Loc-RIB; every lookup must resolve identically (to the most
+        // specific prefix) on every rebuild — the trie orders the
+        // candidates, the Loc-RIB is only probed.
         let net = fig2();
         let sentinel = Prefix::from_octets(10, 0, 0, 0, 15);
         let production = pfx(); // /16
@@ -1945,6 +2262,21 @@ mod tests {
         let q = snap.histogram("dynamic.quiescence_ms").unwrap();
         assert_eq!(q.count, 2, "one quiescence burst per run_until_quiescent");
         assert!(q.sum > 0);
+
+        // The loop's own tallies, published when each run returned. No
+        // session failed, so every UPDATE sent was delivered and ran the
+        // decision process unless it reached the pinned origin.
+        let c = |name: &str| snap.counter(name).unwrap();
+        assert_eq!(c("dynamic.events_recv"), sent);
+        assert_eq!(c("dynamic.stale_drops"), 0);
+        assert!(c("dynamic.decision_runs") > 0 && c("dynamic.decision_runs") <= received);
+        assert!(c("dynamic.events_mrai_fire") > 0);
+        assert_eq!(c("dynamic.interner_misses"), sim.interned_paths() as u64);
+        assert!(c("dynamic.interner_hits") > 0);
+        // One message per emission here (a single prefix never packs), yet
+        // the codec ran once per attribute-block shape, not per message.
+        assert_eq!(c("packing.groups"), sent);
+        assert!((1..=8).contains(&c("packing.encodes")));
     }
 
     #[test]

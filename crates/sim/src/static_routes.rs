@@ -369,6 +369,7 @@ impl RouteTable {
 /// A selected path read off a [`RouteTable`]'s tree: the chain of
 /// `learned_from` links up to an origin neighbor, then the seed path that
 /// neighbor accepted.
+#[derive(Clone)]
 struct TreeHops<'a> {
     table: &'a RouteTable,
     /// The AS whose `learned_from` is the next hop; [`NO_ROUTE`] once the
