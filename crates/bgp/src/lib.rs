@@ -33,5 +33,5 @@ pub use prefix::Prefix;
 pub use prefix_id::{interned_prefix_count, PrefixId, PrefixInterner};
 pub use rib::{IdRibIn, IdRoute};
 pub use route::Route;
-pub use session::{OutRing, Session, SessionConfig, SessionEvent};
+pub use session::{Session, SessionConfig, SessionEvent};
 pub use trie::PrefixTrie;

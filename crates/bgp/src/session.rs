@@ -12,8 +12,6 @@
 //! (messages to send, route updates to apply, session resets). This keeps
 //! it deterministic and directly testable without sockets.
 
-use crate::path::PathId;
-use crate::prefix::Prefix;
 use crate::wire::{Message, NotificationMsg, OpenMsg, UpdateMsg};
 
 /// Session states (RFC 4271 §8.2.2; Connect/Active are collapsed into
@@ -296,144 +294,6 @@ impl Session {
     }
 }
 
-/// A per-peer ring buffer of pending (MRAI-deferred) outbound UPDATEs.
-///
-/// One `OutRing` backs one peer's out-queue in the dynamic engine: each
-/// deferred update is an index push of `(prefix key, interned path id)` —
-/// two words, no tuple hashing, no `AsPath` clone. The prefix key `K` is
-/// [`Prefix`] by default; the full-table dynamic engine stores dense
-/// [`crate::PrefixId`]s instead, keeping slots at two words while prefix
-/// counts scale to 100k+. Slots are addressed by *absolute* position (a
-/// `u64` that never wraps in practice), so a position handed to a timer
-/// stays valid across ring growth.
-///
-/// Timers complete out of push order (different prefixes of one peer carry
-/// independent MRAI deadlines), so completion marks the slot done and the
-/// head advances lazily over the done run — FIFO storage, out-of-order
-/// retirement.
-///
-/// The stored path id is the content desired *at defer time*; consumers
-/// that must match RFC 4271 semantics re-derive the advertisement when the
-/// timer fires (the route may have changed while deferred) and treat the
-/// stored id as diagnostic.
-pub struct OutRing<K = Prefix> {
-    /// Power-of-two storage; `None` marks a vacant or retired slot.
-    buf: Vec<Option<RingSlot<K>>>,
-    /// Absolute position of the oldest live slot.
-    head: u64,
-    /// Absolute position one past the newest slot.
-    tail: u64,
-}
-
-impl<K> Default for OutRing<K> {
-    fn default() -> Self {
-        OutRing {
-            buf: Vec::new(),
-            head: 0,
-            tail: 0,
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-struct RingSlot<K> {
-    key: K,
-    path: Option<PathId>,
-    done: bool,
-}
-
-impl<K: Copy> OutRing<K> {
-    /// An empty ring (no storage until the first push).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Live entries (including done slots the head has not passed yet).
-    pub fn len(&self) -> usize {
-        (self.tail - self.head) as usize
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.head == self.tail
-    }
-
-    /// Absolute position the next push will occupy.
-    pub fn next_pos(&self) -> u64 {
-        self.tail
-    }
-
-    fn mask(&self) -> u64 {
-        debug_assert!(self.buf.len().is_power_of_two());
-        self.buf.len() as u64 - 1
-    }
-
-    fn grow(&mut self) {
-        let new_cap = (self.buf.len() * 2).max(4);
-        let mut nb: Vec<Option<RingSlot<K>>> = vec![None; new_cap];
-        let new_mask = new_cap as u64 - 1;
-        if !self.buf.is_empty() {
-            let old_mask = self.mask();
-            for pos in self.head..self.tail {
-                nb[(pos & new_mask) as usize] = self.buf[(pos & old_mask) as usize].take();
-            }
-        }
-        self.buf = nb;
-    }
-
-    /// Enqueue a pending update; returns its absolute position.
-    pub fn push(&mut self, key: K, path: Option<PathId>) -> u64 {
-        if self.buf.is_empty() || self.tail - self.head == self.buf.len() as u64 {
-            self.grow();
-        }
-        let pos = self.tail;
-        let mask = self.mask();
-        self.buf[(pos & mask) as usize] = Some(RingSlot {
-            key,
-            path,
-            done: false,
-        });
-        self.tail += 1;
-        pos
-    }
-
-    /// The entry at absolute position `pos` (must be live and not done).
-    pub fn get(&self, pos: u64) -> (K, Option<PathId>) {
-        assert!(
-            pos >= self.head && pos < self.tail,
-            "ring position {pos} outside [{}, {})",
-            self.head,
-            self.tail
-        );
-        let slot = self.buf[(pos & self.mask()) as usize]
-            .as_ref()
-            .expect("live ring slot");
-        assert!(!slot.done, "ring position {pos} already completed");
-        (slot.key, slot.path)
-    }
-
-    /// Retire the entry at `pos`; the head advances over any contiguous
-    /// run of completed entries.
-    pub fn complete(&mut self, pos: u64) {
-        let mask = self.mask();
-        let slot = self.buf[(pos & mask) as usize]
-            .as_mut()
-            .expect("live ring slot");
-        debug_assert!(!slot.done, "double completion at {pos}");
-        slot.done = true;
-        while self.head < self.tail {
-            let i = (self.head & mask) as usize;
-            match &self.buf[i] {
-                Some(s) if s.done => {
-                    self.buf[i] = None;
-                    self.head += 1;
-                }
-                _ => break,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,60 +506,5 @@ mod tests {
         let a = s.handle(SessionEvent::Tick(10_000_000));
         assert!(a.is_empty());
         assert_eq!(s.state(), State::Established);
-    }
-
-    fn rp(n: u8) -> Prefix {
-        Prefix::from_octets(10, n, 0, 0, 16)
-    }
-
-    #[test]
-    fn out_ring_positions_stable_across_growth() {
-        let mut r = OutRing::new();
-        let positions: Vec<u64> = (0..37u8).map(|n| r.push(rp(n), None)).collect();
-        assert_eq!(r.len(), 37);
-        for (n, pos) in positions.iter().enumerate() {
-            // Growth from 4 -> 64 capacity must not move logical slots.
-            assert_eq!(r.get(*pos).0, rp(n as u8), "slot {n} moved");
-        }
-    }
-
-    #[test]
-    fn out_ring_out_of_order_completion_advances_head_lazily() {
-        let mut r = OutRing::new();
-        let a = r.push(rp(1), None);
-        let b = r.push(rp(2), None);
-        let c = r.push(rp(3), None);
-        // Retire the middle first: head must hold at `a`.
-        r.complete(b);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.get(a).0, rp(1));
-        assert_eq!(r.get(c).0, rp(3));
-        // Retiring the head skips over the done run.
-        r.complete(a);
-        assert_eq!(r.len(), 1);
-        r.complete(c);
-        assert!(r.is_empty());
-        // The ring is reusable after draining.
-        let d = r.push(rp(4), None);
-        assert_eq!(r.get(d).0, rp(4));
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn out_ring_wraps_storage() {
-        let mut r = OutRing::new();
-        // Interleave pushes and in-order completes so absolute positions
-        // run far past the capacity: storage must wrap without aliasing.
-        let mut pending = std::collections::VecDeque::new();
-        for n in 0..200u8 {
-            pending.push_back((r.push(rp(n), None), n));
-            if pending.len() == 3 {
-                let (pos, expect) = pending.pop_front().unwrap();
-                assert_eq!(r.get(pos).0, rp(expect));
-                r.complete(pos);
-            }
-        }
-        assert_eq!(r.len(), 2);
-        assert!(r.next_pos() == 200);
     }
 }

@@ -39,7 +39,7 @@ pub mod time;
 pub use announce::AnnouncementSpec;
 pub use compute::{RouteComputer, SharedRouteCache};
 pub use dataplane::{DataPlane, Fib, Walk, WalkOutcome};
-pub use dynamic::{DynamicSim, DynamicSimConfig, OutQueue, PrefixMetrics, UpdateRecord};
+pub use dynamic::{DynamicSim, DynamicSimConfig, PrefixMetrics, UpdateRecord};
 pub use failures::{Direction, Failure, FailureSet, NetElement};
 pub use network::{DirtyScope, MutationRecord, Network};
 pub use static_routes::{compute_routes, effective_path, RouteTable};

@@ -7,11 +7,10 @@
 //! per-prefix updates; [`UpdatePacker`] observes that emission stream and
 //! accounts for what the wire would actually carry.
 //!
-//! Packing is *observational*: it never reorders, delays, or merges the
-//! logical events the engine processes, so Loc-RIBs, update logs, and
-//! quiescence ticks are byte-identical whether packing is on or off — the
-//! differential harnesses sweep `pack_updates` on one side and off on the
-//! oracle side to pin exactly that. What packing adds is telemetry:
+//! Packing is *observational* and always on: [`UpdatePacker::observe`]
+//! sees the emission, the path arena and the telemetry handles, none of
+//! them mutably, so it cannot reorder, delay, or merge the logical events
+//! the engine processes. What packing adds is telemetry:
 //!
 //! * `dynamic.updates_packed` — emissions coalesced into an already-open
 //!   group (the savings: logical updates minus wire messages);

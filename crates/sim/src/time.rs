@@ -412,31 +412,89 @@ mod tests {
         }
     }
 
+    /// What the model test schedules, one class per insert draw.
+    #[derive(Clone, Copy)]
+    enum Draw {
+        /// Level 0-1 (up to 300 ms out).
+        Near,
+        /// Level 2 (up to 40 s out).
+        Mid,
+        /// Level 3 and the overflow heap (up to ~8 simulated hours out).
+        Far,
+        /// At the cursor itself: the last popped fire time.
+        Cursor,
+        /// On a slot or level boundary (a multiple of 64, 4,096, 262,144
+        /// or 64^4 ms) or one off it either way.
+        Boundary,
+        /// A burst of entries sharing one fire time.
+        Burst,
+        /// Earlier than the minimum a peek just reported, as the engine
+        /// does when a delivery processed before the next fire defers.
+        UnderPeek,
+    }
+
+    const DRAWS: [Draw; 7] = [
+        Draw::Near,
+        Draw::Mid,
+        Draw::Far,
+        Draw::Cursor,
+        Draw::Boundary,
+        Draw::Burst,
+        Draw::UnderPeek,
+    ];
+
     #[test]
     fn wheel_matches_binary_heap_model() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        for trial in 0..8u64 {
+        let mut drawn = [0u32; DRAWS.len()];
+        for trial in 0..16u64 {
             let mut rng = XorShift(0x9E37_79B9 + trial);
             let mut wheel = TimerWheel::new();
             let mut model: BinaryHeap<Reverse<(Time, u64, u64)>> = BinaryHeap::new();
             let mut now = 0u64;
             let mut seq = 0u64;
-            for step in 0..2_000 {
+            // Odd trials lean far out, so pops mid-run cascade from levels
+            // 2-3 and drain the overflow, not only the final drain.
+            let far_share = if trial % 2 == 1 { 40 } else { 5 };
+            for step in 0..3_000 {
                 let insert = wheel.is_empty() || rng.next() % 100 < 55;
                 if insert {
-                    // Mix of near (level 0-1), mid (level 2), and rare
-                    // far-future (overflow) fire times.
-                    let delta = match rng.next() % 10 {
-                        0..=5 => 1 + rng.next() % 300,
-                        6..=8 => 1 + rng.next() % 40_000,
-                        _ => 1 + rng.next() % 30_000_000,
+                    let r = rng.next() % 100;
+                    let draw = if r < far_share {
+                        Draw::Far
+                    } else {
+                        DRAWS[(r % DRAWS.len() as u64) as usize]
                     };
-                    seq += 1;
-                    let at = Time(now + delta);
-                    wheel.insert(at, seq, seq);
-                    model.push(Reverse((at, seq, seq)));
+                    let (at, count) = match draw {
+                        Draw::Near => (now + 1 + rng.next() % 300, 1),
+                        Draw::Mid => (now + 1 + rng.next() % 40_000, 1),
+                        Draw::Far => (now + 1 + rng.next() % 30_000_000, 1),
+                        Draw::Cursor => (now, 1),
+                        Draw::Boundary => {
+                            let w = [64, 4_096, 262_144, 16_777_216][(rng.next() % 4) as usize];
+                            let edge = (now / w + 1 + rng.next() % 3) * w;
+                            (edge + rng.next() % 3 - 1, 1)
+                        }
+                        Draw::Burst => (now + rng.next() % 5_000, 1 + rng.next() % 32),
+                        Draw::UnderPeek => {
+                            let min = wheel.peek();
+                            assert_eq!(
+                                min,
+                                model.peek().map(|Reverse((at, s, _))| (*at, *s)),
+                                "peek diverged at trial {trial} step {step}"
+                            );
+                            let min = min.map_or(now, |(t, _)| t.millis());
+                            (now + (min - now) / 2, 1)
+                        }
+                    };
+                    drawn[draw as usize] += 1;
+                    for _ in 0..count {
+                        seq += 1;
+                        wheel.insert(Time(at), seq, seq);
+                        model.push(Reverse((Time(at), seq, seq)));
+                    }
                 } else {
                     assert_eq!(
                         wheel.peek(),
@@ -461,5 +519,9 @@ mod tests {
             }
             assert!(wheel.is_empty());
         }
+        assert!(
+            drawn.iter().all(|&n| n > 0),
+            "a draw class never ran: {drawn:?}"
+        );
     }
 }

@@ -5,10 +5,10 @@
 //! (plain / prepended / poisoned), withdraw, session failure, session
 //! restoration — plus clock advances that land the operations inside or
 //! outside MRAI shadows. The same schedule applied to two simulators must
-//! drive them identically, which is what `tests/outqueue_differential.rs`
-//! exploits to pin the ring-buffer out-queue against the reference
-//! implementation, and what the `dynamic_churn` bench uses as a dense
-//! convergence workload.
+//! drive them identically, which is what `tests/dynamic_churn_invariants.rs`
+//! exploits to pin run-to-run identity, and
+//! [`assert_update_log_invariants`] is what every run of a schedule must
+//! satisfy.
 //!
 //! Schedules select from a *pool* of prefixes ([`churn_prefixes`], sized
 //! by `LG_PREFIX_COUNT`, default 2), so announce/withdraw cycles on
@@ -18,9 +18,10 @@
 
 use lg_asmap::{AsId, TopologyConfig};
 use lg_bgp::Prefix;
-use lg_sim::{AnnouncementSpec, DynamicSim, Network};
+use lg_sim::{AnnouncementSpec, DynamicSim, Network, Time, UpdateRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// The first (and historically only) prefix churn schedules operate on.
 pub fn churn_prefix() -> Prefix {
@@ -267,6 +268,59 @@ impl<'w> ChurnRunner<'w> {
                 let t = sim.now() + ms;
                 sim.run_until(t);
             }
+        }
+    }
+}
+
+/// Assert the single-run invariants of an update log `sim` recorded
+/// ([`DynamicSim::record_updates`]); `tag` leads every failure message.
+///
+/// The log as a whole never goes backwards in time — emissions are
+/// recorded in global `(time, seq)` processing order, so per-peer order
+/// holds too.
+///
+/// MRAI lower bound: between two consecutive *machinery* announcements on
+/// one (from, to, prefix) stream, at least `sim.mrai_interval(from, to)` ms
+/// must elapse. The tracker resets when the origin withdraws the prefix
+/// (its out-state is dropped wholesale, observable as a seeded
+/// withdrawal), matching the engine's documented semantics. Withdrawals
+/// themselves bypass MRAI by design and are exempt.
+pub fn assert_update_log_invariants(tag: &str, sim: &DynamicSim<'_>) {
+    let log = sim.update_log();
+    let mut ready: HashMap<(AsId, AsId, Prefix), Time> = HashMap::new();
+    for (i, rec) in log.iter().enumerate() {
+        if i > 0 {
+            assert!(
+                log[i - 1].at <= rec.at,
+                "{tag}: log times regress at send #{i}: {:?} then {rec:?}",
+                log[i - 1]
+            );
+        }
+        let UpdateRecord {
+            at,
+            from,
+            to,
+            prefix,
+            ..
+        } = *rec;
+        if rec.seeded {
+            if rec.path.is_none() {
+                // Origin withdrew: its whole out-state for the prefix is
+                // dropped, so MRAI phase restarts for these streams.
+                ready.retain(|(f, _, p), _| !(*f == from && *p == prefix));
+            }
+            continue;
+        }
+        if rec.path.is_some() {
+            let interval = sim.mrai_interval(from, to);
+            if let Some(r) = ready.get(&(from, to, prefix)) {
+                assert!(
+                    at >= *r,
+                    "{tag}: MRAI violated at send #{i}: ({from:?} -> {to:?}, {prefix:?}) \
+                     announced at {at:?}, not ready before {r:?} (interval {interval} ms)"
+                );
+            }
+            ready.insert((from, to, prefix), at + interval);
         }
     }
 }

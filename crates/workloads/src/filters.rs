@@ -1,8 +1,8 @@
-//! Filter-policy matrices for the differential harnesses.
+//! Filter-policy matrices for the churn and differential harnesses.
 //!
-//! The out-queue differential, the engine-equivalence check, and the
-//! dynamic fuzz sweep all pin the two engines against each other; this
-//! module gives them one shared vocabulary of adversarial filter
+//! The churn invariants, the engine-equivalence check, and the dynamic
+//! fuzz sweep all drive the engines under filtering; this module gives
+//! them one shared vocabulary of adversarial filter
 //! deployments to sweep, selectable from the environment so CI can run
 //! the same harness once per matrix point.
 

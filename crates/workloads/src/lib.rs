@@ -19,7 +19,7 @@
 //!   and direction drawn to match the paper's cited breakdowns).
 //! * [`churn`] — randomized, seeded control-plane churn schedules
 //!   (announce / withdraw / fail / restore / advance) used by the
-//!   out-queue differential harness and the dense-churn benchmarks.
+//!   dynamic-engine churn invariants and the dense-churn benchmarks.
 //! * [`filters`] — the named filter-deployment matrix (Smith et al.'s
 //!   path-length caps, core poison drops, stub defaults) the differential
 //!   harnesses sweep and the feasibility reruns calibrate against.

@@ -9,19 +9,20 @@
 //! Sequences operate over a *pool* of prefixes (fuzzed 1..=4 here; the
 //! calibrated matrix uses `LG_PREFIX_COUNT`, default 2, with a
 //! covering/covered pair), each with its own announce/withdraw lifecycle,
-//! and each checked against its own static fixed point at quiescence.
-//! The calibrated-size run additionally pins packed-vs-unpacked wire
-//! accounting: the subject packs multi-prefix UPDATEs, the oracle doesn't,
-//! and every observable must match anyway.
+//! and each checked against its own static fixed point at quiescence, and
+//! every run's update log keeps the MRAI lower bound. The calibrated-size
+//! run takes churn schedules to 2k/10k ASes, where it must reproduce
+//! exactly when run twice.
 
 use lifeguard_repro::asmap::{AsId, TopologyConfig};
 use lifeguard_repro::bgp::Prefix;
 use lifeguard_repro::sim::Time;
 use lifeguard_repro::sim::{
-    compute_routes, AnnouncementSpec, DynamicSim, DynamicSimConfig, Network, OutQueue,
+    compute_routes, AnnouncementSpec, DynamicSim, DynamicSimConfig, Network,
 };
 use lifeguard_repro::workloads::churn::{
-    churn_network_sized, churn_prefixes, generate_ops, ChurnConfig, ChurnRunner, ChurnWorld,
+    assert_update_log_invariants, churn_network_sized, churn_prefixes, generate_ops, ChurnConfig,
+    ChurnRunner, ChurnWorld,
 };
 use lifeguard_repro::workloads::FilterMatrix;
 use proptest::prelude::*;
@@ -162,13 +163,11 @@ proptest! {
     fn random_update_sequences_converge_to_static_fixed_point(
         seed in 1u64..10_000,
         raw_ops in proptest::collection::vec((0u8..11, 0usize..1024, 1u64..120_000), 1..24),
-        // Fuzz across the MRAI configuration space and both out-queue
-        // implementations: the fail/restore × MRAI interaction must reach
-        // the same fixed point regardless of shadow length, jitter, or
-        // which bookkeeping (ring/wheel vs flat map + heap) paces sends.
+        // Fuzz across the MRAI configuration space: the fail/restore × MRAI
+        // interaction must reach the same fixed point regardless of shadow
+        // length or jitter.
         mrai_sel in 0usize..3,
         mrai_jitter in any::<bool>(),
-        ring in any::<bool>(),
         // Sweep the adversarial filter deployments too: import-time
         // filtering must not break dynamic/static agreement.
         filter_sel in 0usize..4,
@@ -194,13 +193,14 @@ proptest! {
         let cfg = DynamicSimConfig {
             mrai_ms,
             mrai_jitter,
-            out_queue: if ring { OutQueue::Ring } else { OutQueue::Reference },
             ..DynamicSimConfig::default()
         };
         let (sim, down, announced, end) = drive(&net, &links, &pool, &ops, origin, target, cfg);
 
-        // Whatever the sequence did, the network must settle.
+        // Whatever the sequence did, the network must settle, and never by
+        // announcing inside an MRAI shadow.
         prop_assert!(sim.quiescent(), "not quiescent by {:?} after {:?}", end, ops);
+        assert_update_log_invariants(&format!("seed {seed} ops {ops:?}"), &sim);
 
         // Each pool slot converges to its own static fixed point over the
         // surviving topology, independent of the other prefixes' churn.
@@ -271,14 +271,12 @@ fn round_seed(base: u64, i: u64) -> u64 {
 
 /// The calibrated topology sizes flow through the dynamic fuzz matrix
 /// too: calibrated-2k in debug, calibrated-10k in release, driven by the
-/// shared churn schedule machinery. The subject is the default engine
-/// (ring out-queue, multi-prefix UPDATE packing on), the oracle the
-/// unpacked reference out-queue, and the whole observable run — update
-/// log, Loc-RIBs, quiescence tick — must be byte-identical: the only pin
-/// of packing as observational at these sizes. Replay a failure with
-/// `LG_CHURN_SEED=<base>`.
+/// shared churn schedule machinery. Each schedule runs twice on the
+/// default engine, and the whole observable run — update log, Loc-RIBs,
+/// quiescence tick — must be byte-identical, with the update log keeping
+/// the MRAI lower bound. Replay a failure with `LG_CHURN_SEED=<base>`.
 #[test]
-fn calibrated_topology_packed_ring_matches_unpacked_reference() {
+fn calibrated_topology_churn_reproduces_and_keeps_invariants() {
     let n = if cfg!(debug_assertions) {
         2_000
     } else {
@@ -301,16 +299,10 @@ fn calibrated_topology_packed_ring_matches_unpacked_reference() {
             ops: 24,
             advance_max_ms: 45_000,
         });
+        let tag = format!("calibrated-{n} seed {seed:#x} (replay LG_CHURN_SEED={base})");
 
-        let run = |out_queue: OutQueue, pack: bool| {
-            let mut sim = DynamicSim::new(
-                &net,
-                DynamicSimConfig {
-                    out_queue,
-                    pack_updates: pack,
-                    ..DynamicSimConfig::default()
-                },
-            );
+        let run = || {
+            let mut sim = DynamicSim::new(&net, DynamicSimConfig::default());
             sim.record_updates(true);
             for p in &world.prefixes {
                 sim.begin_epoch(*p);
@@ -320,6 +312,7 @@ fn calibrated_topology_packed_ring_matches_unpacked_reference() {
                 runner.apply(&mut sim, &net, op);
             }
             let tick = sim.run_until_quiescent(sim.now() + Time::from_mins(600).millis());
+            assert_update_log_invariants(&tag, &sim);
             let locs: Vec<_> = world
                 .prefixes
                 .iter()
@@ -343,31 +336,18 @@ fn calibrated_topology_packed_ring_matches_unpacked_reference() {
             )
         };
 
-        let packed = run(OutQueue::Ring, true);
-        let oracle = run(OutQueue::Reference, false);
-        assert!(
-            oracle.2,
-            "calibrated-{n} oracle not quiescent (seed {seed:#x})"
-        );
+        let first = run();
+        let again = run();
+        assert!(first.2, "{tag}: not quiescent");
         assert_eq!(
-            (oracle.0, oracle.1, oracle.2),
-            (packed.0, packed.1, packed.2),
-            "calibrated-{n} quiescence diverges (replay LG_CHURN_SEED={base})"
+            (first.0, first.1),
+            (again.0, again.1),
+            "{tag}: quiescence diverges"
         );
-        assert_eq!(
-            oracle.3.len(),
-            packed.3.len(),
-            "calibrated-{n} log length diverges (replay LG_CHURN_SEED={base})"
-        );
-        for (i, (o, p)) in oracle.3.iter().zip(packed.3.iter()).enumerate() {
-            assert_eq!(
-                o, p,
-                "calibrated-{n} log diverges at record {i} (replay LG_CHURN_SEED={base})"
-            );
+        assert_eq!(first.3.len(), again.3.len(), "{tag}: log length diverges");
+        for (i, (a, b)) in first.3.iter().zip(again.3.iter()).enumerate() {
+            assert_eq!(a, b, "{tag}: log diverges at record {i}");
         }
-        assert_eq!(
-            oracle.4, packed.4,
-            "calibrated-{n} Loc-RIBs diverge (replay LG_CHURN_SEED={base})"
-        );
+        assert_eq!(first.4, again.4, "{tag}: Loc-RIBs diverge");
     }
 }
