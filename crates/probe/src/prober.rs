@@ -60,6 +60,51 @@ impl Default for ProberConfig {
     }
 }
 
+/// The walks behind one [`Prober::ping_from_addr`] key, as far as a ping
+/// has taken them.
+#[derive(Clone, Copy, Debug)]
+struct PingWalks {
+    /// Forward walk: the destination AS and one-way delay when delivered,
+    /// else the last AS the packet was seen in.
+    fwd: Result<(AsId, u64), AsId>,
+    /// Reverse walk from the destination AS back to the source address:
+    /// its delay, or the last AS seen. `None` until some ping got past the
+    /// responsiveness and rate checks.
+    rev: Option<Result<u64, AsId>>,
+}
+
+/// Exact memo of ping walks. A walk reads the data plane's tables, its
+/// failure set, and `now` only through which failures are active, so its
+/// result holds for as long as [`DataPlane::generation`] is unchanged and
+/// `now` stays inside the failure set's [`stable_window`]. Anything else
+/// empties the memo. Only walks are kept: every per-ping side effect still
+/// runs per ping.
+///
+/// [`stable_window`]: lg_sim::failures::FailureSet::stable_window
+#[derive(Debug, Default)]
+struct PingMemo {
+    /// Generation the entries were walked at (0 = none: generations start
+    /// at 1).
+    generation: u64,
+    /// Stable window `[lo, hi)` the entries were walked in.
+    lo: Time,
+    hi: Option<Time>,
+    /// Keyed by `(src, src_addr, dst_addr)`.
+    walks: HashMap<(AsId, u32, u32), PingWalks>,
+}
+
+impl PingMemo {
+    /// Empty the memo unless its entries are valid for `dp` at `now`.
+    fn sync(&mut self, dp: &DataPlane<'_>, now: Time) {
+        let in_window = self.lo <= now && self.hi.is_none_or(|hi| now < hi);
+        if self.generation != dp.generation() || !in_window {
+            self.walks.clear();
+            self.generation = dp.generation();
+            (self.lo, self.hi) = dp.failures().stable_window(now);
+        }
+    }
+}
+
 /// Issues pings, traceroutes, spoofed probes, and reverse traceroutes, with
 /// per-router responsiveness, rate limiting, and probe accounting.
 #[derive(Debug, Default)]
@@ -71,6 +116,7 @@ pub struct Prober {
     /// Per-AS response budget for the current second.
     rate: HashMap<AsId, (u64, u32)>,
     tele: ProbeTelemetry,
+    memo: PingMemo,
 }
 
 impl Prober {
@@ -83,6 +129,7 @@ impl Prober {
             counters: ProbeCounters::new(),
             rate: HashMap::new(),
             tele: ProbeTelemetry::default(),
+            memo: PingMemo::default(),
         }
     }
 
@@ -179,6 +226,11 @@ impl Prober {
 
     /// Ping with an explicit source address (LIFEGUARD pings from the unused
     /// portion of its sentinel prefix to test for repair, §4.2).
+    ///
+    /// The walks come from the prober's ping memo whenever they are still
+    /// valid (see `PingMemo`), which makes re-pinging an unchanged network
+    /// cheap; the accounting, tracing, responsiveness and rate-limit steps
+    /// run on every call, in the same order as a fresh walk would.
     pub fn ping_from_addr(
         &mut self,
         dp: &DataPlane<'_>,
@@ -191,6 +243,65 @@ impl Prober {
         self.tele.pings.inc();
         // Only pings inside a repair incident (ambient trace set) are
         // recorded; healthy-path monitoring stays out of the ring.
+        if !lg_telemetry::trace::current().is_none() {
+            lg_telemetry::trace::instant_value("probe.ping", now.millis());
+        }
+        self.memo.sync(dp, now);
+        let key = (src, src_addr, dst_addr);
+        let PingWalks { fwd, rev } = *self.memo.walks.entry(key).or_insert_with(|| {
+            let fwd = dp.walk(now, src, dst_addr);
+            PingWalks {
+                fwd: if fwd.outcome.delivered() {
+                    Ok((
+                        fwd.last_as().expect("delivered walk has hops"),
+                        fwd.delay_ms,
+                    ))
+                } else {
+                    Err(fwd.last_as().unwrap_or(src))
+                },
+                rev: None,
+            }
+        });
+        let (dst_as, fwd_ms) = match fwd {
+            Ok(delivered) => delivered,
+            Err(last) => return PingResult::lost(PingDiagnosis::ForwardLoss(last)),
+        };
+        if self.unresponsive.contains(&dst_as) {
+            return PingResult::lost(PingDiagnosis::DestIgnoresPings);
+        }
+        if !self.allow_response(dst_as, now) {
+            return PingResult::lost(PingDiagnosis::RateLimited);
+        }
+        let rev = rev.unwrap_or_else(|| {
+            let rev = dp.walk(now, dst_as, src_addr);
+            let rev = if rev.outcome.delivered() {
+                Ok(rev.delay_ms)
+            } else {
+                Err(rev.last_as().unwrap_or(dst_as))
+            };
+            let walks = self.memo.walks.get_mut(&key).expect("entered above");
+            walks.rev = Some(rev);
+            rev
+        });
+        match rev {
+            Ok(rev_ms) => PingResult::reply(fwd_ms + rev_ms),
+            Err(last) => PingResult::lost(PingDiagnosis::ReverseLoss(last)),
+        }
+    }
+
+    /// [`Self::ping_from_addr`] without the memo: both walks taken fresh.
+    /// The oracle the memo is differentially tested against.
+    #[cfg(test)]
+    fn ping_from_addr_reference(
+        &mut self,
+        dp: &DataPlane<'_>,
+        now: Time,
+        src: AsId,
+        src_addr: u32,
+        dst_addr: u32,
+    ) -> PingResult {
+        self.counters.pings += 1;
+        self.tele.pings.inc();
         if !lg_telemetry::trace::current().is_none() {
             lg_telemetry::trace::instant_value("probe.ping", now.millis());
         }
@@ -577,5 +688,230 @@ mod tests {
         assert!(pr
             .reverse_traceroute(&dp, Time::ZERO, gmu, smart, false)
             .is_none());
+    }
+
+    /// Case count of the memo differential: `LG_FUZZ_SEEDS` when set (CI's
+    /// filter-matrix job runs 4000), else a quick default.
+    fn fuzz_cases() -> u32 {
+        std::env::var("LG_FUZZ_SEEDS")
+            .ok()
+            .map(|v| v.parse().expect("LG_FUZZ_SEEDS must be an integer"))
+            .unwrap_or(256)
+    }
+
+    /// A less-specific over every infra /24 (a sentinel's role), and an
+    /// address only it covers.
+    fn covering() -> lg_bgp::Prefix {
+        lg_bgp::Prefix::from_octets(10, 0, 0, 0, 8)
+    }
+    const COVERED_ONLY: u32 = u32::from_be_bytes([10, 200, 0, 1]);
+    const UNROUTED: u32 = u32::from_be_bytes([99, 0, 0, 1]);
+
+    /// One memoized and one reference prober, each reporting into its own
+    /// registry, driven through identical calls.
+    struct Twin {
+        memo: Prober,
+        reference: Prober,
+        memo_reg: Registry,
+        reference_reg: Registry,
+    }
+
+    impl Twin {
+        fn new(rate_limit_per_sec: u32) -> Self {
+            let cfg = ProberConfig {
+                rate_limit_per_sec,
+                ..ProberConfig::default()
+            };
+            let (memo_reg, reference_reg) = (Registry::new(), Registry::new());
+            Twin {
+                memo: Prober::with_registry(cfg, &memo_reg),
+                reference: Prober::with_registry(cfg, &reference_reg),
+                memo_reg,
+                reference_reg,
+            }
+        }
+
+        fn ping(
+            &mut self,
+            dp: &DataPlane<'_>,
+            now: Time,
+            src: AsId,
+            src_addr: u32,
+            dst_addr: u32,
+        ) -> Result<(), String> {
+            let got = self.memo.ping_from_addr(dp, now, src, src_addr, dst_addr);
+            let want = self
+                .reference
+                .ping_from_addr_reference(dp, now, src, src_addr, dst_addr);
+            if got == want {
+                return Ok(());
+            }
+            Err(format!(
+                "ping {src} {src_addr:#x} -> {dst_addr:#x} at {now:?}: memo {got:?}, reference {want:?}"
+            ))
+        }
+
+        fn agree(&self) -> Result<(), String> {
+            if self.memo.counters() != self.reference.counters() {
+                return Err(format!(
+                    "counters: memo {:?}, reference {:?}",
+                    self.memo.counters(),
+                    self.reference.counters()
+                ));
+            }
+            let (m, r) = (self.memo_reg.snapshot(), self.reference_reg.snapshot());
+            for name in [
+                "probe.pings",
+                "probe.spoofed_pings",
+                "probe.traceroute_probes",
+                "probe.option_probes",
+            ] {
+                if m.counter(name) != r.counter(name) {
+                    return Err(format!(
+                        "{name}: memo {:?}, reference {:?}",
+                        m.counter(name),
+                        r.counter(name)
+                    ));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Drive one memoized and one reference prober through `steps` on two
+    /// small-topology planes. Each step is `(op, x, y)`: `op` picks what
+    /// happens, `x` and `y` pick where. Pings run between the ASes of a
+    /// three-AS pool, so memo entries are read again, and failures land on
+    /// the path the step's ping would take, so they hit what the memo holds.
+    fn memo_case(topo: u64, rate: u32, steps: &[(u8, u32, u32)]) -> Result<(), String> {
+        use lg_asmap::TopologyConfig;
+        use lg_sim::dataplane::infra_prefix;
+        use lg_sim::AnnouncementSpec;
+
+        let nets = [
+            Network::new(TopologyConfig::small(topo).generate()),
+            Network::new(TopologyConfig::small(topo + 1).generate()),
+        ];
+        let mut planes = [setup(&nets[0]), setup(&nets[1])];
+        let n = nets[0].len().min(nets[1].len()) as u32;
+        let pool = [0, 1, 2].map(|i| AsId((topo as u32 * 7 + i * 17) % n));
+        let mut twin = Twin::new(rate);
+        let (mut now, mut cur) = (Time::from_secs(60), 0);
+        for (step, &(op, x, y)) in steps.iter().enumerate() {
+            let (net, dp) = (&nets[cur], &mut planes[cur]);
+            let src = pool[x as usize % 3];
+            let src_addr = if x / 3 % 2 == 0 {
+                infra_addr(src)
+            } else {
+                COVERED_ONLY
+            };
+            let dst_addr = match y % 5 {
+                k @ 0..=2 => infra_addr(pool[k as usize]),
+                3 => COVERED_ONLY,
+                _ => UNROUTED,
+            };
+            // An AS on the path this step's ping takes, and its next hop.
+            let hops = dp.walk(now, src, dst_addr).as_hops();
+            let i = (y / 5) as usize % hops.len();
+            let (on_path, next) = (hops[i], hops.get(i + 1).copied());
+            let at_step = |e: String| format!("topology {topo} step {step} op {op}: {e}");
+            match op {
+                0..=3 => twin
+                    .ping(dp, now, src, src_addr, dst_addr)
+                    .map_err(at_step)?,
+                // A burst within one second, past the rate limit.
+                4 => {
+                    for _ in 0..rate + 2 + y % 3 {
+                        twin.ping(dp, now, src, src_addr, dst_addr)
+                            .map_err(at_step)?;
+                    }
+                }
+                // Time moves a little, to the next second, a round ahead,
+                // or exactly onto a failure window's edge (maybe backwards).
+                5 => {
+                    let edges: Vec<Time> = dp
+                        .failures()
+                        .iter()
+                        .flat_map(|f| std::iter::once(f.from).chain(f.until))
+                        .collect();
+                    now = match x % 4 {
+                        0 => now + 1,
+                        1 => Time::from_secs(now.as_secs() + 1),
+                        2 => now + 30_000,
+                        _ if edges.is_empty() => now + 999,
+                        _ => edges[y as usize % edges.len()],
+                    };
+                }
+                // A failure on the path whose window starts or ends exactly
+                // at now, or opens a second later.
+                6 | 7 => {
+                    let failure = match x / 6 % 4 {
+                        0 => Failure::silent_as(on_path),
+                        1 => Failure::silent_as_toward(on_path, infra_prefix(src)),
+                        2 => Failure::silent_as_toward(on_path, covering()),
+                        _ => match next {
+                            Some(m) => Failure::silent_link(on_path, m),
+                            None => Failure::silent_as(on_path),
+                        },
+                    };
+                    let (from, until) = match x / 24 % 4 {
+                        0 => (now, None),
+                        1 => (Time::ZERO, Some(now)),
+                        2 => (now + 1_000, Some(now + 60_000)),
+                        _ => (now, Some(now + 1)),
+                    };
+                    dp.failures_mut().add(failure.window(from, until));
+                }
+                8 => dp.failures_mut().clear(),
+                // The covering prefix comes and goes.
+                9 => {
+                    dp.announce(&AnnouncementSpec::plain(net, covering(), src));
+                }
+                10 => dp.withdraw(covering()),
+                // A pool AS's infra prefix re-announced poisoned, or plain.
+                11 => {
+                    let (origin, p) = (pool[y as usize % 3], infra_prefix(pool[y as usize % 3]));
+                    let spec = if x % 2 == 0 {
+                        AnnouncementSpec::poisoned(net, p, origin, &[on_path])
+                    } else {
+                        AnnouncementSpec::plain(net, p, origin)
+                    };
+                    dp.announce(&spec);
+                }
+                12 => {
+                    if x % 2 == 0 {
+                        twin.memo.set_unresponsive(on_path);
+                        twin.reference.set_unresponsive(on_path);
+                    } else {
+                        twin.memo.set_responsive(on_path);
+                        twin.reference.set_responsive(on_path);
+                    }
+                }
+                // The other plane takes over.
+                _ => cur = 1 - cur,
+            }
+            twin.agree().map_err(at_step)?;
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(fuzz_cases()))]
+
+        /// The memo is exact. Over random pings, bursts past the rate limit,
+        /// failures whose windows open or close exactly at `now`, cleared
+        /// failure sets, a covering prefix announced and withdrawn, infra
+        /// prefixes re-announced poisoned, responsiveness flips and two data
+        /// planes alternating under one prober, every ping answers what
+        /// fresh walks answer and the accounting never drifts.
+        #[test]
+        fn ping_memo_matches_fresh_walks(
+            topo in 0u64..1_000,
+            rate in 0u32..4,
+            steps in proptest::collection::vec((0u8..14, proptest::any::<u32>(), proptest::any::<u32>()), 1..64),
+        ) {
+            let run = memo_case(topo, rate, &steps);
+            proptest::prop_assert!(run.is_ok(), "{}", run.unwrap_err());
+        }
     }
 }

@@ -178,6 +178,8 @@ pub struct DataPlane<'n> {
     /// Longest-prefix-match index: prefix → index into `tables`.
     lpm: PrefixTrie<usize>,
     failures: FailureSet,
+    /// See [`Self::generation`].
+    generation: u64,
 }
 
 impl<'n> DataPlane<'n> {
@@ -188,7 +190,18 @@ impl<'n> DataPlane<'n> {
             tables: Vec::new(),
             lpm: PrefixTrie::new(),
             failures: FailureSet::none(),
+            generation: lg_asmap::next_generation(),
         }
+    }
+
+    /// Version stamp of everything a walk reads besides `now`: the installed
+    /// tables and the failure set (the network is borrowed immutably).
+    /// Drawn from [`lg_asmap::next_generation`], so it is unique across
+    /// planes, and re-stamped by every install, withdrawal and
+    /// [`Self::failures_mut`] — equal stamps mean equal walks at any one
+    /// `now`.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The network this plane forwards over.
@@ -214,6 +227,7 @@ impl<'n> DataPlane<'n> {
     }
 
     fn install(&mut self, table: RouteTable) -> usize {
+        self.generation = lg_asmap::next_generation();
         match self.lpm.get(table.prefix) {
             Some(&i) => {
                 self.tables[i] = table;
@@ -274,6 +288,7 @@ impl<'n> DataPlane<'n> {
         let Some(idx) = self.lpm.remove(prefix) else {
             return;
         };
+        self.generation = lg_asmap::next_generation();
         self.tables.swap_remove(idx);
         // The swapped-in table (if any) moved to `idx`; re-point its index.
         if idx < self.tables.len() {
@@ -292,8 +307,9 @@ impl<'n> DataPlane<'n> {
         &self.tables
     }
 
-    /// Mutable failure set.
+    /// Mutable failure set (re-stamps [`Self::generation`]).
     pub fn failures_mut(&mut self) -> &mut FailureSet {
+        self.generation = lg_asmap::next_generation();
         &mut self.failures
     }
 
@@ -599,6 +615,40 @@ mod tests {
         assert!(lpm_preference(b) > lpm_preference(shorter));
         // Total: equal keys only for equal prefixes.
         assert_eq!(lpm_preference(a), lpm_preference(a));
+    }
+
+    #[test]
+    fn every_mutation_restamps_the_generation() {
+        let net = chain_net();
+        let other = DataPlane::new(&net);
+        let mut dp = DataPlane::new(&net);
+        assert_ne!(dp.generation(), other.generation());
+        let mut last = dp.generation();
+        let mut bumped = |dp: &DataPlane<'_>| {
+            let fresh = dp.generation() > last;
+            last = dp.generation();
+            fresh
+        };
+        dp.announce(&AnnouncementSpec::plain(&net, pfx(), AsId(0)));
+        assert!(bumped(&dp), "announce");
+        dp.ensure_infra(AsId(1));
+        assert!(bumped(&dp), "ensure_infra");
+        dp.ensure_infra(AsId(1));
+        assert!(
+            !bumped(&dp),
+            "an infra prefix already announced installs nothing"
+        );
+        let table = dp.table(pfx()).unwrap().clone();
+        dp.install_table(table);
+        assert!(bumped(&dp), "install_table");
+        dp.withdraw(pfx());
+        assert!(bumped(&dp), "withdraw");
+        dp.withdraw(pfx());
+        assert!(!bumped(&dp), "withdrawing nothing changes nothing");
+        dp.failures_mut().add(Failure::silent_as(AsId(1)));
+        assert!(bumped(&dp), "failures_mut");
+        dp.walk(Time::ZERO, AsId(3), infra_addr(AsId(1)));
+        assert!(!bumped(&dp), "walks read only");
     }
 
     #[test]

@@ -215,6 +215,29 @@ impl FailureSet {
         self.failures.is_empty()
     }
 
+    /// The interval `[lo, hi)` around `now` over which the set of active
+    /// failures stays what it is at `now` (`hi = None`: forever). Every
+    /// window edge at or before `now` bounds it below, every edge after
+    /// `now` above, so no failure starts or ends strictly inside it — and a
+    /// walk, which reads `now` only through [`Failure::active_at`], gives
+    /// the same answer anywhere in it.
+    pub fn stable_window(&self, now: Time) -> (Time, Option<Time>) {
+        let mut lo = Time::ZERO;
+        let mut hi: Option<Time> = None;
+        let edges = self
+            .failures
+            .iter()
+            .flat_map(|f| std::iter::once(f.from).chain(f.until));
+        for edge in edges {
+            if edge <= now {
+                lo = lo.max(edge);
+            } else {
+                hi = Some(hi.map_or(edge, |h| h.min(edge)));
+            }
+        }
+        (lo, hi)
+    }
+
     /// Should a packet inside `at` (entered from `entered_from`, toward
     /// `dst_addr`) be dropped at `now`?
     pub fn drops_in_as(
@@ -303,5 +326,51 @@ mod tests {
         assert!(set.drops_on_link(Time::ZERO, B, A, 1));
         set.clear();
         assert!(!set.drops_in_as(Time::ZERO, A, None, 1));
+    }
+
+    #[test]
+    fn stable_window_of_the_empty_set_is_forever() {
+        let set = FailureSet::none();
+        assert_eq!(set.stable_window(Time::ZERO), (Time::ZERO, None));
+        assert_eq!(set.stable_window(Time::from_secs(9)), (Time::ZERO, None));
+    }
+
+    #[test]
+    fn stable_window_opens_at_a_start_and_closes_at_an_end() {
+        let (t100, t200) = (Time::from_secs(100), Time::from_secs(200));
+        let mut set = FailureSet::none();
+        set.add(Failure::silent_as(A).window(t100, Some(t200)));
+        // `from == now`: the failure is active, and the window starts there.
+        assert!(set.drops_in_as(t100, A, None, 1));
+        assert_eq!(set.stable_window(t100), (t100, Some(t200)));
+        // `until == now`: inactive, and the window starts at the end.
+        assert!(!set.drops_in_as(t200, A, None, 1));
+        assert_eq!(set.stable_window(t200), (t200, None));
+        // Before the start: bounded above by it.
+        assert_eq!(
+            set.stable_window(Time::from_secs(99)),
+            (Time::ZERO, Some(t100))
+        );
+    }
+
+    #[test]
+    fn stable_window_spans_open_ended_failures() {
+        let (t50, t100, t300) = (
+            Time::from_secs(50),
+            Time::from_secs(100),
+            Time::from_secs(300),
+        );
+        let mut set = FailureSet::none();
+        set.add(Failure::silent_as(A).window(t100, None));
+        set.add(Failure::silent_link(A, B).window(t50, Some(t300)));
+        assert_eq!(set.stable_window(Time::from_secs(60)), (t50, Some(t100)));
+        assert_eq!(set.stable_window(Time::from_secs(150)), (t100, Some(t300)));
+        assert_eq!(set.stable_window(Time::from_secs(400)), (t300, None));
+        // Every instant of a window sees the same active set.
+        let (lo, hi) = set.stable_window(Time::from_secs(150));
+        let active = |t: Time| set.iter().map(|f| f.active_at(t)).collect::<Vec<_>>();
+        for t in [lo, Time::from_secs(299), Time(hi.unwrap().0 - 1)] {
+            assert_eq!(active(t), active(Time::from_secs(150)));
+        }
     }
 }

@@ -84,35 +84,79 @@ fn compute_metrics() -> &'static ComputeMetrics {
     })
 }
 
-/// [`Hop::learned_from`] of an AS without a route.
-const NO_ROUTE: u32 = u32::MAX;
+/// Bits of a [`Hop`] holding `learned_from`.
+const LEARNED_FROM_BITS: u32 = 18;
+/// Bits of a [`Hop`] holding the path length.
+const LEN_BITS: u32 = 11;
+/// [`Hop::learned_from`] of an AS without a route: the field's all-ones
+/// value, so a table holds at most `NO_ROUTE - 1` ASes.
+const NO_ROUTE: u32 = (1 << LEARNED_FROM_BITS) - 1;
+/// The longest path a [`Hop`] stores. A BGP UPDATE's 4096 bytes hold
+/// about a thousand 4-byte ASNs.
+const MAX_PATH_LEN: usize = (1 << LEN_BITS) - 1;
 
 /// One AS's node in the next-hop tree: what it selected, minus the path,
-/// which is the walk to the root. Eight bytes.
+/// which is the walk to the root. Four bytes, low bits first:
+///
+/// * bits 0–17, `learned_from`: the neighbor the selected route was
+///   learned from ([`NO_ROUTE`] when the AS has none; the origin points at
+///   itself);
+/// * bits 18–28, `len`: hops on the selected path, prepends included;
+/// * bits 29–30, `rel`: the AS's relationship toward `learned_from`;
+/// * bit 31, `communities`: whether the announcement's communities were
+///   still attached.
 #[derive(Clone, Copy, Debug)]
-struct Hop {
-    /// The neighbor the selected route was learned from ([`NO_ROUTE`] when
-    /// the AS has none; the origin points at itself).
-    learned_from: u32,
-    /// Hops on the selected path, prepends included. Sixteen bits: a BGP
-    /// UPDATE's 4096 bytes hold about a thousand 4-byte ASNs.
-    len: u16,
-    /// The AS's relationship toward `learned_from`.
-    rel: Relationship,
-    /// Whether the announcement's communities were still attached.
-    communities: bool,
-}
+struct Hop(u32);
+
+const _: () = assert!(std::mem::size_of::<Hop>() == 4);
 
 impl Hop {
-    const NONE: Hop = Hop {
-        learned_from: NO_ROUTE,
-        len: 0,
-        rel: Relationship::Provider,
-        communities: false,
-    };
+    const NONE: Hop = Hop(NO_ROUTE);
 
-    fn routed(&self) -> bool {
-        self.learned_from != NO_ROUTE
+    fn new(learned_from: u32, len: usize, rel: Relationship, communities: bool) -> Hop {
+        debug_assert!(
+            learned_from < NO_ROUTE,
+            "AS index {learned_from} overflows a Hop"
+        );
+        let rel = match rel {
+            Relationship::Customer => 0,
+            Relationship::Peer => 1,
+            Relationship::Provider => 2,
+        };
+        Hop(learned_from
+            | path_len(len) << LEARNED_FROM_BITS
+            | rel << (LEARNED_FROM_BITS + LEN_BITS)
+            | (communities as u32) << 31)
+    }
+
+    fn learned_from(self) -> u32 {
+        self.0 & NO_ROUTE
+    }
+
+    fn len(self) -> u32 {
+        (self.0 >> LEARNED_FROM_BITS) & MAX_PATH_LEN as u32
+    }
+
+    fn rel(self) -> Relationship {
+        match (self.0 >> (LEARNED_FROM_BITS + LEN_BITS)) & 0b11 {
+            0 => Relationship::Customer,
+            1 => Relationship::Peer,
+            _ => Relationship::Provider,
+        }
+    }
+
+    fn communities(self) -> bool {
+        self.0 >> 31 == 1
+    }
+
+    fn routed(self) -> bool {
+        self.learned_from() != NO_ROUTE
+    }
+
+    /// Was the selected route learned from `a`? (Never for an AS without
+    /// a route, whatever `a` is: poison hops may name any ASN.)
+    fn learned_from_as(self, a: AsId) -> bool {
+        self.routed() && self.learned_from() == a.0
     }
 }
 
@@ -126,8 +170,12 @@ struct Seed {
 }
 
 /// A path length as a [`Hop`] stores it.
-fn path_len(len: usize) -> u16 {
-    u16::try_from(len).expect("an AS path longer than 65535 hops is no BGP path")
+fn path_len(len: usize) -> u32 {
+    assert!(
+        len <= MAX_PATH_LEN,
+        "an AS path of {len} hops is no BGP path (a RouteTable stores at most {MAX_PATH_LEN})"
+    );
+    len as u32
 }
 
 /// A spec's seeds in canonical `(neighbor, path)` order: the order the cache
@@ -147,7 +195,7 @@ fn canonical_seeds(spec: &AnnouncementSpec) -> Vec<Seed> {
 }
 
 /// The converged routing table for one prefix: each AS's selected route,
-/// stored as the next-hop tree those routes form (eight bytes per AS plus
+/// stored as the next-hop tree those routes form (four bytes per AS plus
 /// the announcement's seed paths and communities, once).
 #[derive(Clone, Debug)]
 pub struct RouteTable {
@@ -166,13 +214,13 @@ pub struct RouteTable {
 impl RouteTable {
     /// The table before anything propagated: only the origin's self-route.
     fn unrouted(spec: &AnnouncementSpec, n: usize) -> Self {
+        assert!(
+            n < NO_ROUTE as usize,
+            "a RouteTable holds at most {} ASes (18-bit next hops), not {n}",
+            NO_ROUTE - 1
+        );
         let mut hops = vec![Hop::NONE; n];
-        hops[spec.origin.index()] = Hop {
-            learned_from: spec.origin.0,
-            len: 0,
-            rel: Relationship::Customer,
-            communities: true,
-        };
+        hops[spec.origin.index()] = Hop::new(spec.origin.0, 0, Relationship::Customer, true);
         RouteTable {
             prefix: spec.prefix,
             origin: spec.origin,
@@ -214,12 +262,12 @@ impl RouteTable {
                     "path({a}) != [learned_from] ++ path(learned_from)"
                 );
             }
-            table.hops[i] = Hop {
-                learned_from: route.learned_from.0,
-                len: path_len(route.path.len()),
-                rel: route.rel,
-                communities: !route.communities.is_empty(),
-            };
+            table.hops[i] = Hop::new(
+                route.learned_from.0,
+                route.path.len(),
+                route.rel,
+                !route.communities.is_empty(),
+            );
             table.routed += 1;
         }
         table
@@ -233,14 +281,14 @@ impl RouteTable {
     pub fn route(&self, a: AsId) -> Option<Route> {
         let hop = self.hops[a.index()];
         hop.routed().then(|| {
-            let mut path = Vec::with_capacity(hop.len as usize);
+            let mut path = Vec::with_capacity(hop.len() as usize);
             path.extend(self.path_hops(a));
             Route {
                 prefix: self.prefix,
                 path: AsPath::from_hops(path),
-                learned_from: AsId(hop.learned_from),
-                rel: hop.rel,
-                communities: if hop.communities {
+                learned_from: AsId(hop.learned_from()),
+                rel: hop.rel(),
+                communities: if hop.communities() {
                     self.communities.clone()
                 } else {
                     Vec::new()
@@ -257,7 +305,7 @@ impl RouteTable {
     /// Next hop of `a` toward the origin, or `None` (origin or no route).
     pub fn next_hop(&self, a: AsId) -> Option<AsId> {
         let hop = self.hops[a.index()];
-        (hop.routed() && a != self.origin).then_some(AsId(hop.learned_from))
+        (hop.routed() && a != self.origin).then_some(AsId(hop.learned_from()))
     }
 
     /// AS-level path `a` uses (selected AS path), prepends collapsed.
@@ -323,7 +371,7 @@ impl RouteTable {
             && self
                 .hops
                 .get(child.index())
-                .is_some_and(|h| h.learned_from == parent.0)
+                .is_some_and(|h| h.learned_from_as(parent))
     }
 
     /// Does any selected route traverse the link `a`-`b` (either
@@ -353,7 +401,7 @@ impl RouteTable {
     /// peer-link eviction predicate runs per entry — [`Self::ases_via`]
     /// allocates, this doesn't.
     pub fn routes_via(&self, x: AsId) -> bool {
-        (x != self.origin && self.hops.iter().any(|h| h.learned_from == x.0))
+        (x != self.origin && self.hops.iter().any(|h| h.learned_from_as(x)))
             || self.accepted_seeds().any(|seed| seed.path.contains(x))
     }
 
@@ -386,14 +434,14 @@ impl Iterator for TreeHops<'_> {
             return self.tail.next().copied();
         }
         let hop = self.table.hops[self.at as usize];
-        if hop.learned_from == self.table.origin.0 {
+        if hop.learned_from_as(self.table.origin) {
             let seed = self.table.accepted_seed(AsId(self.at));
             self.at = NO_ROUTE;
             self.tail = self.table.seeds[seed].path.hops().iter();
             return self.tail.next().copied();
         }
-        self.at = hop.learned_from;
-        hop.routed().then_some(AsId(hop.learned_from))
+        self.at = hop.learned_from();
+        hop.routed().then_some(AsId(self.at))
     }
 }
 
@@ -696,13 +744,13 @@ impl<'a> Frontier<'a> {
     /// accepted it with.)
     fn rejects_selected(&self, a: AsId) -> bool {
         let hop = self.table.hops[a.index()];
-        let upstream = AsId(hop.learned_from);
+        let upstream = AsId(hop.learned_from());
         let seed = if upstream == self.table.origin {
             self.table.accepted_seed(a)
         } else {
             0
         };
-        self.rejects(a, hop.rel, upstream, seed as u32, hop.len as u32)
+        self.rejects(a, hop.rel(), upstream, seed as u32, hop.len())
             .is_some()
     }
 
@@ -738,12 +786,12 @@ impl<'a> Frontier<'a> {
                     continue;
                 }
             }
-            self.table.hops[to.index()] = Hop {
-                learned_from: cand.learned_from.0,
-                len: path_len(len as usize),
-                rel: cand.rel,
-                communities: cand.with_communities,
-            };
+            self.table.hops[to.index()] = Hop::new(
+                cand.learned_from.0,
+                len as usize,
+                cand.rel,
+                cand.with_communities,
+            );
             if cand.learned_from == self.table.origin {
                 self.table.seeds[cand.seed as usize].accepted = true;
             }
@@ -765,7 +813,7 @@ impl<'a> Frontier<'a> {
                     // is a kept AS that never saw an offer this good.
                     if self.derived
                         && (m_rel.pref_class(), exported_len, to.0)
-                            < (held.rel.pref_class(), held.len as u32, held.learned_from)
+                            < (held.rel().pref_class(), held.len(), held.learned_from())
                         && !(self.can_reject[m.index()]
                             && self.rejects(*m, m_rel, to, 0, exported_len).is_some())
                     {
@@ -934,7 +982,7 @@ pub(crate) fn derive_routes(
                 mark[at] = REGION;
             } else {
                 chain.push(at);
-                at = hop.learned_from as usize;
+                at = hop.learned_from() as usize;
             }
         }
         let verdict = mark[at];
@@ -951,7 +999,7 @@ pub(crate) fn derive_routes(
         if hop.routed() {
             table.routed -= 1;
         }
-        if hop.learned_from == origin.0 {
+        if hop.learned_from_as(origin) {
             // Still marked accepted, so still findable.
             let seed = table.accepted_seed(AsId(i));
             table.seeds[seed].accepted = false;
@@ -963,18 +1011,18 @@ pub(crate) fn derive_routes(
         let a = AsId(i);
         for (m, rel_to_m) in net.graph().neighbors(a) {
             let held = frontier.table.hops[m.index()];
-            if *m == origin || !held.routed() || !held.rel.exportable_to(rel_to_m.reverse()) {
+            if *m == origin || !held.routed() || !held.rel().exportable_to(rel_to_m.reverse()) {
                 continue;
             }
             frontier.offer(
                 rel_to_m.pref_class(),
-                held.len as u32 + 1,
+                held.len() + 1,
                 Pending {
                     to: a,
                     learned_from: *m,
                     seed: 0,
                     rel: *rel_to_m,
-                    with_communities: held.communities && !net.strips_communities(*m),
+                    with_communities: held.communities() && !net.strips_communities(*m),
                 },
             );
         }
@@ -1687,5 +1735,42 @@ mod tests {
         let t = compute_routes(&net, &spec);
         assert!(!t.has_route(AsId(2)));
         assert!(t.next_hop(AsId(2)).is_none());
+    }
+
+    #[test]
+    fn hop_round_trips_at_its_field_limits() {
+        let widest = (1 << 18) - 2;
+        for rel in [
+            Relationship::Customer,
+            Relationship::Peer,
+            Relationship::Provider,
+        ] {
+            for communities in [false, true] {
+                for (learned_from, len) in [(widest, 2047), (0, 0), (widest, 0), (0, 2047)] {
+                    let hop = Hop::new(learned_from, len, rel, communities);
+                    assert!(hop.routed());
+                    assert_eq!(hop.learned_from(), learned_from);
+                    assert_eq!(hop.len(), len as u32);
+                    assert_eq!(hop.rel(), rel);
+                    assert_eq!(hop.communities(), communities);
+                }
+            }
+        }
+        assert!(!Hop::NONE.routed());
+        assert!(!Hop::NONE.learned_from_as(AsId(NO_ROUTE)));
+    }
+
+    #[test]
+    #[should_panic(expected = "an AS path of 2048 hops is no BGP path")]
+    fn hop_rejects_a_path_longer_than_2047() {
+        Hop::new(0, 2048, Relationship::Customer, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "a RouteTable holds at most 262142 ASes")]
+    fn table_rejects_more_ases_than_a_hop_can_name() {
+        let net = Network::new(GraphBuilder::with_ases(1).build());
+        let spec = AnnouncementSpec::plain(&net, pfx(), AsId(0));
+        RouteTable::unrouted(&spec, (1 << 18) - 1);
     }
 }

@@ -114,12 +114,12 @@ fn calibrated_10k_frontier_matches_reference_within_budget() {
             assert_eq!(got.route(a), route, "route at {a} diverged");
             assert_eq!(cached.route(a), route, "cached route at {a} diverged");
         }
-        // Table budget: the next-hop tree is eight bytes per AS, and the
+        // Table budget: the next-hop tree is four bytes per AS, and the
         // seed paths are stored once, not once per AS that routes via them.
         let seed_bytes: usize = spec.seeds.iter().map(|(_, p)| 64 + 4 * p.len()).sum();
         for table in [&got, &*cached] {
             assert!(
-                table.heap_bytes() <= 8 * n + seed_bytes,
+                table.heap_bytes() <= 4 * n + seed_bytes,
                 "table holds {} bytes for {} ASes",
                 table.heap_bytes(),
                 n
