@@ -53,7 +53,8 @@ fn concurrent_lookups_survive_mutation_generations() {
         ]
     };
 
-    let cache = Arc::new(SharedRouteCache::new());
+    let registry = lg_telemetry::Registry::new();
+    let cache = Arc::new(SharedRouteCache::with_registry(&registry));
     let lookups = AtomicU64::new(0);
 
     // Alternate phases: 8 threads race lookups against a warm/cold cache,
@@ -104,9 +105,12 @@ fn concurrent_lookups_survive_mutation_generations() {
     // Counter coherence: every lookup is accounted as exactly one hit or
     // one miss.
     assert_eq!(cache.hits() + cache.misses(), total);
-    // Each phase's mutation forces at least the poisoned/footprint specs to
-    // recompute, so misses grow with phases while hits dominate.
-    assert!(cache.misses() >= specs.len() as u64);
+    // Every spec's table was filled at least once: as a miss, or — for the
+    // prepended spec, which is the poisoned spec's parent — as the parent
+    // fill of a poisoned miss that won the first phase's race, after which
+    // the prepended lookups hit.
+    let parent_fills = registry.snapshot().counter("cache.parent_fills");
+    assert!(cache.misses() + parent_fills.unwrap_or(0) >= specs.len() as u64);
     assert!(cache.hits() > 0);
 }
 
