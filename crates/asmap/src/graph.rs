@@ -16,8 +16,9 @@ static GENERATION: AtomicU64 = AtomicU64::new(1);
 /// Allocate a fresh, process-unique generation number.
 ///
 /// Generations order "versions" of network state: every [`GraphBuilder::build`],
-/// [`AsGraph::without_link`], and [`AsGraph::without_as`] stamps its result
-/// with a fresh generation, and higher layers (e.g. `lg-sim`'s `Network`)
+/// link surgery ([`AsGraph::remove_link`], [`AsGraph::add_link`] and their
+/// copying forms) and [`AsGraph::without_as`] stamps its result with a fresh
+/// generation, and higher layers (e.g. `lg-sim`'s `Network`)
 /// re-stamp on their own mutations. Caches key on the generation to know
 /// when memoized results are stale.
 pub fn next_generation() -> u64 {
@@ -173,59 +174,76 @@ impl AsGraph {
         }
     }
 
+    /// Remove the link `a`-`b` in place (no-op when absent), stamping a
+    /// fresh generation either way. Returns whether the link was there.
+    ///
+    /// The two entries leave the flat array and every later row offset
+    /// drops: an `O(V + E)` shift in place, no second copy of the graph.
+    pub fn remove_link(&mut self, a: AsId, b: AsId) -> bool {
+        self.generation = next_generation();
+        let (Some(i), Some(j)) = (self.position(a, b), self.position(b, a)) else {
+            return false;
+        };
+        // The later entry first, so the earlier one's index still holds.
+        self.flat.remove(i.max(j));
+        self.flat.remove(i.min(j));
+        for x in [a, b] {
+            for off in &mut self.offsets[x.index() + 1..] {
+                *off -= 1;
+            }
+        }
+        self.edge_count -= 1;
+        true
+    }
+
+    /// Add the link `a`-`b` in place, `rel` being `a`'s view of `b` (no-op
+    /// when already adjacent, whatever the existing relationship), stamping
+    /// a fresh generation either way. Returns whether the link is new.
+    /// Rows stay sorted by neighbor id.
+    pub fn add_link(&mut self, a: AsId, b: AsId, rel: Relationship) -> bool {
+        self.generation = next_generation();
+        if self.are_adjacent(a, b) {
+            return false;
+        }
+        assert_ne!(a, b, "self-link on {a}");
+        // Exactly two more: a doubled allocation would outweigh the copy
+        // this saves.
+        self.flat.reserve_exact(2);
+        for (x, y, r) in [(a, b, rel), (b, a, rel.reverse())] {
+            let at = self.offsets[x.index()] as usize
+                + self.neighbors(x).partition_point(|(n, _)| *n < y);
+            self.flat.insert(at, (y, r));
+            for off in &mut self.offsets[x.index() + 1..] {
+                *off += 1;
+            }
+        }
+        self.edge_count += 1;
+        true
+    }
+
+    /// Index into the flat array of `b`'s entry in `a`'s row.
+    fn position(&self, a: AsId, b: AsId) -> Option<usize> {
+        let row = self.neighbors(a);
+        let i = row.binary_search_by_key(&b, |(n, _)| *n).ok()?;
+        Some(self.offsets[a.index()] as usize + i)
+    }
+
     /// A copy of the graph without the link `a`-`b` (no-op when absent).
     /// Used by the paper's §5.1 simulation methodology of removing links
     /// and re-checking reachability.
     pub fn without_link(&self, a: AsId, b: AsId) -> AsGraph {
-        if !self.are_adjacent(a, b) {
-            let mut g = self.clone();
-            g.generation = next_generation();
-            return g;
-        }
-        self.filtered(|x, n| !((x == a && n == b) || (x == b && n == a)))
+        let mut g = self.clone();
+        g.remove_link(a, b);
+        g
     }
 
     /// A copy of the graph with the link `a`-`b` added, `rel` being `a`'s
     /// view of `b` (no-op when already adjacent). The repair studies re-add
     /// links that earlier surgery removed.
     pub fn with_link(&self, a: AsId, b: AsId, rel: Relationship) -> AsGraph {
-        if self.are_adjacent(a, b) {
-            let mut g = self.clone();
-            g.generation = next_generation();
-            return g;
-        }
-        assert_ne!(a, b, "self-link on {a}");
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        let mut flat = Vec::with_capacity(self.flat.len() + 2);
-        offsets.push(0u32);
-        for x in self.ases() {
-            let row = self.neighbors(x);
-            let insert = if x == a {
-                Some((b, rel))
-            } else if x == b {
-                Some((a, rel.reverse()))
-            } else {
-                None
-            };
-            match insert {
-                Some(entry) => {
-                    // Keep the row sorted by splicing at the right spot.
-                    let pos = row.partition_point(|(n, _)| *n < entry.0);
-                    flat.extend_from_slice(&row[..pos]);
-                    flat.push(entry);
-                    flat.extend_from_slice(&row[pos..]);
-                }
-                None => flat.extend_from_slice(row),
-            }
-            offsets.push(flat.len() as u32);
-        }
-        AsGraph {
-            offsets,
-            flat,
-            tiers: self.tiers.clone(),
-            edge_count: self.edge_count + 1,
-            generation: next_generation(),
-        }
+        let mut g = self.clone();
+        g.add_link(a, b, rel);
+        g
     }
 
     /// A copy of the graph with every link of `a` removed ("remove all of
@@ -500,6 +518,58 @@ mod tests {
             }
             assert_eq!(seen, derived.edge_count() * 2);
         }
+    }
+
+    #[test]
+    fn in_place_surgery_matches_a_rebuild() {
+        // Alternating removals and additions (of every relationship) on a
+        // 12-AS graph: after each, the CSR arrays are exactly what the
+        // builder makes of the surviving link set, and the stamp is fresh.
+        let n = 12u32;
+        let mut links: Vec<(AsId, AsId, Relationship)> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let rebuild = |links: &[(AsId, AsId, Relationship)]| {
+            let mut b = GraphBuilder::with_ases(n as usize);
+            for &(a, c, rel) in links {
+                b.link(a, c, rel);
+            }
+            b.build()
+        };
+        let mut g = rebuild(&links);
+        for step in 0..400 {
+            let stamp = g.generation();
+            if step % 3 == 0 && !links.is_empty() {
+                let (a, c, _) = links.remove((next() % links.len() as u64) as usize);
+                assert!(g.remove_link(c, a), "link {a}-{c} was there");
+            } else {
+                let (a, c) = (
+                    AsId((next() % n as u64) as u32),
+                    AsId((next() % n as u64) as u32),
+                );
+                if a == c || g.are_adjacent(a, c) {
+                    assert!(a == c || !g.add_link(a, c, Peer));
+                    continue;
+                }
+                let rel = [Customer, Peer, Provider][(next() % 3) as usize];
+                assert!(g.add_link(a, c, rel));
+                links.push((a, c, rel));
+            }
+            assert_ne!(g.generation(), stamp, "surgery stamps a fresh generation");
+            let want = rebuild(&links);
+            assert_eq!(g.offsets, want.offsets, "offsets after step {step}");
+            assert_eq!(g.flat, want.flat, "rows after step {step}");
+            assert_eq!(g.edge_count(), want.edge_count());
+        }
+        // A no-op still stamps, and says it did nothing.
+        let stamp = g.generation();
+        assert!(!g.remove_link(AsId(0), AsId(0)));
+        assert_ne!(g.generation(), stamp);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The network model shared by both engines: topology plus per-AS
 //! configuration and link characteristics.
 
-use lg_asmap::{AsGraph, AsId};
+use lg_asmap::{AsGraph, AsId, Relationship};
 use lg_bgp::ImportPolicy;
 use std::collections::VecDeque;
 
@@ -106,8 +106,14 @@ pub struct Network {
     /// static engine seeds its may-reject set with one copy instead of
     /// walking every policy per fixed point.
     path_filtered: Vec<bool>,
-    /// Cached peer lists (import filters need them on the hot path).
-    peer_lists: Vec<Vec<AsId>>,
+    /// The ASes `path_filtered` marks, ascending: what a derivation checks
+    /// without scanning every AS.
+    path_filtered_ases: Vec<AsId>,
+    /// Cached peer lists (import filters need them on the hot path), one
+    /// CSR: the peers of `a` are `peers[peer_offsets[a]..peer_offsets[a +
+    /// 1]]`, ascending.
+    peer_offsets: Vec<u32>,
+    peers: Vec<AsId>,
     /// ASes that strip community attributes on export (§2.3: "many ASes do
     /// not propagate community values they receive" — notably Tier-1s).
     strips_communities: Vec<bool>,
@@ -125,13 +131,22 @@ impl Network {
     /// Wrap a graph with standard import policies everywhere.
     pub fn new(graph: AsGraph) -> Self {
         let n = graph.len();
-        let peer_lists = (0..n as u32).map(|a| graph.peers(AsId(a))).collect();
+        let mut peer_offsets = Vec::with_capacity(n + 1);
+        let mut peers = Vec::new();
+        peer_offsets.push(0);
+        for a in graph.ases() {
+            peers.extend(graph.neighbors_with(a, Relationship::Peer));
+            peer_offsets.push(peers.len() as u32);
+        }
+        peers.shrink_to_fit();
         let generation = graph.generation();
         Network {
             graph,
             policies: vec![ImportPolicy::standard(); n],
             path_filtered: vec![false; n],
-            peer_lists,
+            path_filtered_ases: Vec::new(),
+            peer_offsets,
+            peers,
             strips_communities: vec![false; n],
             generation,
             history: VecDeque::new(),
@@ -262,6 +277,24 @@ impl Network {
         &self.path_filtered
     }
 
+    /// The ASes [`Self::path_filtered`] marks, ascending.
+    pub fn path_filtered_ases(&self) -> &[AsId] {
+        &self.path_filtered_ases
+    }
+
+    /// Record whether `a`'s policy filters paths, in both views.
+    fn set_path_filtered(&mut self, a: AsId, filters: bool) {
+        if std::mem::replace(&mut self.path_filtered[a.index()], filters) == filters {
+            return;
+        }
+        match self.path_filtered_ases.binary_search(&a) {
+            Ok(i) => {
+                self.path_filtered_ases.remove(i);
+            }
+            Err(i) => self.path_filtered_ases.insert(i, a),
+        }
+    }
+
     /// Replace the import policy of `a` (loop-detection quirks, Cogent-style
     /// filters — §7.1).
     ///
@@ -275,7 +308,7 @@ impl Network {
     /// global.
     pub fn set_policy(&mut self, a: AsId, policy: ImportPolicy) {
         let scope = Self::policy_scope(a, &self.policies[a.index()], &policy);
-        self.path_filtered[a.index()] = policy.filters_paths();
+        self.set_path_filtered(a, policy.filters_paths());
         self.policies[a.index()] = policy;
         self.record_mutation(scope);
     }
@@ -326,7 +359,7 @@ impl Network {
                 if Self::policy_scope(AsId(i as u32), old, &new) != DirtyScope::Unchanged {
                     scope = DirtyScope::Global;
                 }
-                self.path_filtered[i] = new.filters_paths();
+                self.set_path_filtered(AsId(i as u32), new.filters_paths());
                 self.policies[i] = new;
             }
         }
@@ -335,7 +368,8 @@ impl Network {
 
     /// Cached peer list of `a`.
     pub fn peers_of(&self, a: AsId) -> &[AsId] {
-        &self.peer_lists[a.index()]
+        let i = a.index();
+        &self.peers[self.peer_offsets[i] as usize..self.peer_offsets[i + 1] as usize]
     }
 
     /// Remove the link `a`-`b` from the topology (no-op when absent).
@@ -354,11 +388,13 @@ impl Network {
             self.record_mutation(DirtyScope::Unchanged);
             return;
         };
-        let peer_sensitive = rel == lg_asmap::Relationship::Peer
+        let peer_sensitive = rel == Relationship::Peer
             && (self.policies[a.index()].reject_peers_in_customer_path
                 || self.policies[b.index()].reject_peers_in_customer_path);
-        self.graph = self.graph.without_link(a, b);
-        self.refresh_peer_lists(a, b);
+        self.graph.remove_link(a, b);
+        if rel == Relationship::Peer {
+            self.edit_peers(a, b, false);
+        }
         let scope = if peer_sensitive {
             DirtyScope::PeerLinkDown(a, b)
         } else {
@@ -377,20 +413,38 @@ impl Network {
     /// peer filters at the endpoints — see the [`DirtyScope::LinkUp`]
     /// soundness note — so peer-link additions no longer degrade to a
     /// global flush.
-    pub fn add_link(&mut self, a: AsId, b: AsId, rel: lg_asmap::Relationship) {
+    pub fn add_link(&mut self, a: AsId, b: AsId, rel: Relationship) {
         if self.graph.relationship(a, b).is_some() {
             self.record_mutation(DirtyScope::Unchanged);
             return;
         }
-        self.graph = self.graph.with_link(a, b, rel);
-        self.refresh_peer_lists(a, b);
+        self.graph.add_link(a, b, rel);
+        if rel == Relationship::Peer {
+            self.peers.reserve_exact(2);
+            self.edit_peers(a, b, true);
+        }
         self.record_mutation(DirtyScope::LinkUp(a, b));
     }
 
-    /// Re-derive the cached peer lists of a link mutation's endpoints.
-    fn refresh_peer_lists(&mut self, a: AsId, b: AsId) {
-        self.peer_lists[a.index()] = self.graph.peers(a);
-        self.peer_lists[b.index()] = self.graph.peers(b);
+    /// Insert (`add`) or remove the peer entries of link `a`-`b` in both
+    /// rows of the peer CSR, keeping each row sorted.
+    fn edit_peers(&mut self, a: AsId, b: AsId, add: bool) {
+        for (x, y) in [(a, b), (b, a)] {
+            let at = self.peer_offsets[x.index()] as usize
+                + self.peers_of(x).partition_point(|p| *p < y);
+            if add {
+                self.peers.insert(at, y);
+            } else {
+                self.peers.remove(at);
+            }
+            for off in &mut self.peer_offsets[x.index() + 1..] {
+                if add {
+                    *off += 1;
+                } else {
+                    *off -= 1;
+                }
+            }
+        }
     }
 
     /// Deterministic one-way propagation delay for link `a`-`b`, in
@@ -419,12 +473,7 @@ impl Network {
     ///
     /// Self-originated routes pass `None` as `learned_rel` and export
     /// everywhere.
-    pub fn exports(
-        &self,
-        holder: AsId,
-        learned_rel: Option<lg_asmap::Relationship>,
-        to: AsId,
-    ) -> bool {
+    pub fn exports(&self, holder: AsId, learned_rel: Option<Relationship>, to: AsId) -> bool {
         let Some(rel_to) = self.graph.relationship(holder, to) else {
             return false;
         };
@@ -438,7 +487,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lg_asmap::{GraphBuilder, Relationship};
+    use lg_asmap::GraphBuilder;
     use lg_bgp::LoopDetection;
 
     fn net() -> Network {
