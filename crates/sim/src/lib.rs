@@ -31,6 +31,7 @@ pub mod compute;
 pub mod dataplane;
 pub mod dynamic;
 pub mod failures;
+pub mod filters;
 pub mod network;
 pub(crate) mod packing;
 pub mod static_routes;
@@ -41,6 +42,7 @@ pub use compute::{RouteComputer, SharedRouteCache};
 pub use dataplane::{DataPlane, Fib, Walk, WalkOutcome};
 pub use dynamic::{DynamicSim, DynamicSimConfig, PrefixMetrics, UpdateRecord};
 pub use failures::{Direction, Failure, FailureSet, NetElement};
+pub use filters::FilterMatrix;
 pub use network::{DirtyScope, MutationRecord, Network};
 pub use static_routes::{compute_routes, effective_path, RouteTable};
 pub use time::{Time, TimerWheel};

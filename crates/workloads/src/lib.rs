@@ -22,11 +22,12 @@
 //!   dynamic-engine churn invariants and the dense-churn benchmarks.
 //! * [`filters`] — the named filter-deployment matrix (Smith et al.'s
 //!   path-length caps, core poison drops, stub defaults) the differential
-//!   harnesses sweep and the feasibility reruns calibrate against.
+//!   harnesses sweep and the feasibility reruns calibrate against; it lives
+//!   in `lg-sim`, whose own differential tests sweep it too, and is
+//!   re-exported here.
 
 pub mod arrivals;
 pub mod churn;
-pub mod filters;
 pub mod harvest;
 pub mod outages;
 pub mod scenarios;
@@ -35,7 +36,7 @@ pub use arrivals::{ArrivalsConfig, OutageArrival};
 pub use churn::{
     churn_prefixes, prefix_count_from_env, ChurnConfig, ChurnOp, ChurnRunner, ChurnWorld,
 };
-pub use filters::FilterMatrix;
 pub use harvest::harvest_poison_targets;
+pub use lg_sim::filters::{self, FilterMatrix};
 pub use outages::{OutageStats, OutageTrace, OutageTraceConfig};
 pub use scenarios::{FailureScenario, ScenarioGen, ScenarioKind};

@@ -16,8 +16,10 @@
 //! prepended parent, so the churn also has to reach the three states a
 //! derivation can start from: the parent cached, the parent evicted (or
 //! never filled), and the parent retained while the child was evicted.
-//! Poison targets come from a small per-seed pool so specs recur, and the
-//! sweep asserts at the end that every state occurred.
+//! A parent (any spec without one of its own) that a single link surgery
+//! reaches is repaired in place rather than evicted, which is a fourth
+//! state. Poison targets come from a small per-seed pool so specs recur,
+//! and the sweep asserts at the end that every state occurred.
 
 use lifeguard_repro::asmap::{AsId, Relationship, TopologyConfig};
 use lifeguard_repro::bgp::{LoopDetection, Prefix};
@@ -125,6 +127,8 @@ struct DerivationStates {
     parent_absent: u64,
     /// A poisoned spec that had been cached before missed, parent cached.
     child_evicted_parent_retained: u64,
+    /// A cached root table was repaired across link surgery.
+    root_repaired: u64,
 }
 
 /// One seed's cache, and what it has been asked.
@@ -146,7 +150,9 @@ impl Harness<'_> {
     /// One cache lookup, classified by what a derivation found.
     fn lookup(&mut self, net: &Network, spec: &AnnouncementSpec) -> std::sync::Arc<RouteTable> {
         let (misses, fills) = (self.cache.misses(), self.parent_fills());
+        let repairs = self.cache.stats().repairs;
         let table = self.cache.compute(net, spec);
+        self.states.root_repaired += self.cache.stats().repairs - repairs;
         let poisoned = spec
             .seeds
             .iter()
@@ -253,18 +259,23 @@ fn cache_survives_randomized_filter_and_link_churn() {
     // ... and every state a derivation can start from.
     eprintln!(
         "derivations over {seeds} seeds: parent present {}, parent absent {}, \
-         child evicted with parent retained {}",
-        states.parent_present, states.parent_absent, states.child_evicted_parent_retained
+         child evicted with parent retained {}, root repaired across link surgery {}",
+        states.parent_present,
+        states.parent_absent,
+        states.child_evicted_parent_retained,
+        states.root_repaired
     );
     let floor = seeds / 20;
     assert!(
         states.parent_present > floor
             && states.parent_absent > floor
-            && states.child_evicted_parent_retained > floor,
+            && states.child_evicted_parent_retained > floor
+            && states.root_repaired > floor,
         "derivation states under-exercised over {seeds} seeds: parent present {}, \
-         parent absent {}, child evicted with parent retained {}",
+         parent absent {}, child evicted with parent retained {}, root repaired {}",
         states.parent_present,
         states.parent_absent,
-        states.child_evicted_parent_retained
+        states.child_evicted_parent_retained,
+        states.root_repaired
     );
 }
