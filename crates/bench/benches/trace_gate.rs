@@ -2,7 +2,7 @@
 //!
 //! Tracing must be effectively free when nobody asked for it: with the
 //! recorder disabled every `span`/`instant` helper is a single atomic
-//! load and a branch on null. This harness times the `scratch_medium`
+//! load and a branch on an empty cell. This harness times the `scratch_medium`
 //! route-computation workload with
 //! the recorder disabled, then enables it mid-process and times the same
 //! workload with every event landing in the ring. The build *fails* if
@@ -41,7 +41,7 @@ fn main() {
     let spec = AnnouncementSpec::prepended(&net, prefix, origin, 3);
 
     // Phase 1: recorder disabled — every trace helper must be a branch
-    // on null. Guard the precondition: an already-live recorder would
+    // on an empty cell. Guard the precondition: an already-live recorder would
     // invalidate the baseline.
     assert!(
         !trace::enabled(),

@@ -9,9 +9,9 @@
 //! max-occurrence threshold (§7.1: some ASes accept one occurrence of their
 //! own ASN and only reject at two), import policies including the
 //! Cogent-style "reject customer updates naming my peers" filter, Adj-RIB-In
-//! storage, an RFC 4271 wire codec for OPEN / UPDATE / NOTIFICATION /
-//! KEEPALIVE messages, and a sans-IO session FSM with hold/keepalive timers
-//! (the layer a deployment uses to speak to its BGP-Mux upstream).
+//! storage, and an RFC 4271 wire codec for OPEN / UPDATE / NOTIFICATION /
+//! KEEPALIVE messages (the dynamic engine's UPDATE packer sizes its
+//! messages with it).
 
 pub mod decision;
 pub mod hash;
@@ -21,7 +21,6 @@ pub mod prefix;
 pub mod prefix_id;
 pub mod rib;
 pub mod route;
-pub mod session;
 pub mod trie;
 pub mod wire;
 
@@ -33,5 +32,4 @@ pub use prefix::Prefix;
 pub use prefix_id::{interned_prefix_count, PrefixId, PrefixInterner};
 pub use rib::{IdRibIn, IdRoute};
 pub use route::Route;
-pub use session::{Session, SessionConfig, SessionEvent};
 pub use trie::PrefixTrie;

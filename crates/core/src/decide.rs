@@ -18,6 +18,7 @@
 
 use crate::config::LifeguardConfig;
 use lg_asmap::AsId;
+use lg_bgp::{AsPath, Prefix};
 use lg_locate::Blame;
 use lg_sim::{effective_path, AnnouncementSpec, Network, SharedRouteCache};
 use lg_telemetry::trace;
@@ -35,6 +36,19 @@ pub struct RepairPlan {
     pub selective: bool,
 }
 
+/// `path` for `prefix` announced to every provider ([`providers_of`]): the
+/// one shape of every production and sentinel announcement.
+pub(crate) fn announcement(
+    net: &Network,
+    cfg: &LifeguardConfig,
+    prefix: Prefix,
+    path: AsPath,
+) -> AnnouncementSpec {
+    AnnouncementSpec::via(prefix, cfg.origin, path, &providers_of(net, cfg))
+}
+
+/// The origin's announcing neighbors: `cfg.providers`, or every neighbor
+/// when that list is empty.
 fn providers_of(net: &Network, cfg: &LifeguardConfig) -> Vec<AsId> {
     if cfg.providers.is_empty() {
         net.graph()
@@ -150,11 +164,11 @@ pub fn plan_repair_cached(
     // loop detection) from the predicted fixed point.
     for copies in 1..=2usize {
         let poisons = vec![culprit; copies];
-        let spec = AnnouncementSpec::via(
+        let spec = announcement(
+            net,
+            cfg,
             cfg.production,
-            cfg.origin,
-            lg_bgp::AsPath::poisoned(cfg.origin, &poisons),
-            &providers,
+            AsPath::poisoned(cfg.origin, &poisons),
         );
         let table = cache.compute(net, &spec);
         if table.has_route(culprit) {

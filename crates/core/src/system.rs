@@ -1,7 +1,7 @@
 //! The LIFEGUARD control loop.
 
 use crate::config::LifeguardConfig;
-use crate::decide::plan_repair_cached;
+use crate::decide::{announcement, plan_repair_cached};
 use crate::events::{Event, EventKind};
 use crate::world::World;
 use lg_asmap::AsId;
@@ -228,21 +228,7 @@ impl Lifeguard {
     /// The steady-state baseline announcement for the production prefix.
     pub fn baseline_spec(&self, world: &World<'_>) -> AnnouncementSpec {
         let path = AsPath::prepended_baseline(self.cfg.origin, self.cfg.prepend_copies);
-        if self.cfg.providers.is_empty() {
-            AnnouncementSpec::uniform(
-                world.dp.network(),
-                self.cfg.production,
-                self.cfg.origin,
-                path,
-            )
-        } else {
-            AnnouncementSpec::via(
-                self.cfg.production,
-                self.cfg.origin,
-                path,
-                &self.cfg.providers,
-            )
-        }
+        announcement(world.dp.network(), &self.cfg, self.cfg.production, path)
     }
 
     /// Re-announce the production prefix so it reflects every currently
@@ -281,30 +267,8 @@ impl Lifeguard {
                     let e = by_culprit.entry(*a).or_insert(0);
                     *e = (*e).max(*copies);
                 }
-                let mut culprits: Vec<(AsId, u8)> = by_culprit.into_iter().collect();
-                culprits.sort_unstable();
-                let mut poisons = Vec::new();
-                for (a, copies) in culprits {
-                    for _ in 0..copies {
-                        poisons.push(a);
-                    }
-                }
-                let path = AsPath::poisoned(self.cfg.origin, &poisons);
-                let spec = if self.cfg.providers.is_empty() {
-                    AnnouncementSpec::uniform(
-                        world.dp.network(),
-                        self.cfg.production,
-                        self.cfg.origin,
-                        path,
-                    )
-                } else {
-                    AnnouncementSpec::via(
-                        self.cfg.production,
-                        self.cfg.origin,
-                        path,
-                        &self.cfg.providers,
-                    )
-                };
+                let path = union_poison(self.cfg.origin, by_culprit);
+                let spec = announcement(world.dp.network(), &self.cfg, self.cfg.production, path);
                 world.dp.announce(&spec);
             }
         }
@@ -316,12 +280,9 @@ impl Lifeguard {
         world.dp.announce(&self.baseline_spec(world));
         if let Some(sentinel) = self.cfg.sentinel_prefix() {
             let path = AsPath::prepended_baseline(self.cfg.origin, self.cfg.prepend_copies);
-            let spec = if self.cfg.providers.is_empty() {
-                AnnouncementSpec::uniform(world.dp.network(), sentinel, self.cfg.origin, path)
-            } else {
-                AnnouncementSpec::via(sentinel, self.cfg.origin, path, &self.cfg.providers)
-            };
-            world.dp.announce(&spec);
+            world
+                .dp
+                .announce(&announcement(world.dp.network(), &self.cfg, sentinel, path));
         }
         let targets = self.cfg.targets.clone();
         world.warm_atlas(self.cfg.origin, &targets, now);
@@ -604,30 +565,8 @@ impl Lifeguard {
         }
         let e = by_culprit.entry(plan.poisoned).or_insert(0);
         *e = (*e).max(plan.poison_copies as u8);
-        let mut culprits: Vec<(AsId, u8)> = by_culprit.into_iter().collect();
-        culprits.sort_unstable();
-        let mut poisons = Vec::new();
-        for (a, copies) in culprits {
-            for _ in 0..copies {
-                poisons.push(a);
-            }
-        }
-        let path = AsPath::poisoned(self.cfg.origin, &poisons);
-        let spec = if self.cfg.providers.is_empty() {
-            AnnouncementSpec::uniform(
-                world.dp.network(),
-                self.cfg.production,
-                self.cfg.origin,
-                path,
-            )
-        } else {
-            AnnouncementSpec::via(
-                self.cfg.production,
-                self.cfg.origin,
-                path,
-                &self.cfg.providers,
-            )
-        };
+        let path = union_poison(self.cfg.origin, by_culprit);
+        let spec = announcement(world.dp.network(), &self.cfg, self.cfg.production, path);
         let table = self.route_cache.compute(world.dp.network(), &spec);
         for t in watched {
             if !table.has_route(t) {
@@ -673,6 +612,18 @@ impl Lifeguard {
             }
         }
     }
+}
+
+/// The global union poison `O-A1-..-Ak-O`: every culprit in `by_culprit`,
+/// in AS order, repeated its required number of times.
+fn union_poison(origin: AsId, by_culprit: HashMap<AsId, u8>) -> AsPath {
+    let mut culprits: Vec<(AsId, u8)> = by_culprit.into_iter().collect();
+    culprits.sort_unstable();
+    let poisons: Vec<AsId> = culprits
+        .into_iter()
+        .flat_map(|(a, copies)| std::iter::repeat_n(a, copies.into()))
+        .collect();
+    AsPath::poisoned(origin, &poisons)
 }
 
 /// Mirror a ledger event into the flight recorder: an instant named after

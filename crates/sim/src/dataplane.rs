@@ -217,15 +217,6 @@ impl<'n> DataPlane<'n> {
         &self.tables[idx]
     }
 
-    /// Install an already-computed table (from a [`crate::RouteComputer`]
-    /// batch or a [`crate::SharedRouteCache`] lookup), replacing any previous
-    /// table for the same prefix. The table must have been computed over
-    /// this plane's network.
-    pub fn install_table(&mut self, table: RouteTable) -> &RouteTable {
-        let idx = self.install(table);
-        &self.tables[idx]
-    }
-
     fn install(&mut self, table: RouteTable) -> usize {
         self.generation = lg_asmap::next_generation();
         match self.lpm.get(table.prefix) {
@@ -631,6 +622,8 @@ mod tests {
         };
         dp.announce(&AnnouncementSpec::plain(&net, pfx(), AsId(0)));
         assert!(bumped(&dp), "announce");
+        dp.announce(&AnnouncementSpec::plain(&net, pfx(), AsId(0)));
+        assert!(bumped(&dp), "re-announce replacing the table");
         dp.ensure_infra(AsId(1));
         assert!(bumped(&dp), "ensure_infra");
         dp.ensure_infra(AsId(1));
@@ -638,9 +631,6 @@ mod tests {
             !bumped(&dp),
             "an infra prefix already announced installs nothing"
         );
-        let table = dp.table(pfx()).unwrap().clone();
-        dp.install_table(table);
-        assert!(bumped(&dp), "install_table");
         dp.withdraw(pfx());
         assert!(bumped(&dp), "withdraw");
         dp.withdraw(pfx());

@@ -24,8 +24,6 @@
 //! only one direction, toward only some destinations, or only for traffic
 //! entering over a particular adjacency.
 
-#![forbid(unsafe_code)]
-
 pub mod announce;
 pub mod compute;
 pub mod dataplane;

@@ -29,7 +29,7 @@
 //! suffix (`_us` wall micros, `_ms` simulated millis).
 //!
 //! Beyond aggregates, the [`trace`] module is a causal flight recorder —
-//! lock-free per-thread ring buffers of span/instant/annotation events
+//! per-thread ring buffers of span/instant/annotation events
 //! keyed by a per-incident [`trace::TraceId`], exportable as a
 //! Chrome/Perfetto `trace.json` — and [`timeseries`] periodically diffs
 //! snapshots into per-metric sample rings rendered as Prometheus text

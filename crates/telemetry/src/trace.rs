@@ -1,25 +1,26 @@
-//! Flight-recorder causal tracing: lock-free per-thread ring buffers of
-//! structured events, stitched into per-incident causal chains by a
-//! [`TraceId`] minted when an outage opens and threaded through the whole
-//! repair lifecycle (monitor open → isolation → planner decision → poison
+//! Flight-recorder causal tracing: per-thread ring buffers of structured
+//! events, stitched into per-incident causal chains by a [`TraceId`]
+//! minted when an outage opens and threaded through the whole repair
+//! lifecycle (monitor open → isolation → planner decision → poison
 //! propagation → quiescence → sentinel heal → unpoison).
 //!
 //! # Design
 //!
-//! * **Recording is a seqlock write into a thread-owned slot.** Each thread
-//!   lazily registers a fixed-capacity [`ThreadRing`] with the process
+//! * **Recording is a copy into a thread-owned ring.** Each thread lazily
+//!   registers a fixed-capacity [`ThreadRing`] with the process
 //!   [`Recorder`]; events are POD ([`TraceEvent`] is `Copy`, names are
 //!   `&'static str`, dynamic strings truncate into an inline buffer) so a
-//!   write is: bump a sequence to odd, copy the payload, bump to even.
-//!   No allocation, no locks, no CAS on the hot path. Overwrite-oldest:
-//!   a full ring silently reclaims its oldest slot.
-//! * **Snapshots tolerate tearing.** A reader validates each slot's
-//!   sequence before and after a volatile copy (the crossbeam seqlock
-//!   recipe) and simply skips slots the writer is mid-overwrite on.
-//! * **Disabled is a branch on null.** The recorder lives behind a global
-//!   `AtomicPtr` that starts null; every recording helper begins with one
-//!   relaxed-ish load and an early return, so uninstrumented runs pay a
-//!   single predictable branch per site.
+//!   write is: take the ring's lock, copy the payload, bump the count.
+//!   The lock is uncontended except while a snapshot copies that ring,
+//!   and the ring's storage is reserved up front, so the hot path never
+//!   allocates. Overwrite-oldest: a full ring reclaims its oldest slot.
+//! * **Snapshots are whole.** A reader copies a ring under its lock, so
+//!   every snapshot is a contiguous run of the newest events, none torn
+//!   or skipped.
+//! * **Disabled is a branch on an empty cell.** The recorder lives in a
+//!   global `OnceLock` that starts empty; every recording helper begins
+//!   with one acquire load and an early return, so uninstrumented runs
+//!   pay a single predictable branch per site.
 //! * **Trace context is ambient.** [`scope`] installs a [`TraceId`] in a
 //!   thread-local; spans and instants recorded underneath inherit it, so
 //!   deep callees (the planner, the compute layer, the prober) need no
@@ -29,12 +30,11 @@
 //! complete duration events, one track per thread, trace id in `args`) or
 //! programmatically via [`Recorder::snapshot`] / [`Recorder::events_for`].
 
-use std::cell::{Cell, OnceCell, UnsafeCell};
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::fmt::Write as _;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Default per-thread ring capacity (events): what `--trace` enables the
@@ -145,8 +145,8 @@ pub enum TraceValue {
     Str(InlineStr),
 }
 
-/// One recorded event. `Copy` + fixed-size by construction so the seqlock
-/// write is a plain memcpy with no destructor or allocation.
+/// One recorded event. `Copy` + fixed-size by construction so recording
+/// is a plain memcpy with no destructor or allocation.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceEvent {
     /// Monotonic wall-clock tick, nanoseconds since the recorder was
@@ -163,69 +163,55 @@ pub struct TraceEvent {
 }
 
 // ---------------------------------------------------------------------------
-// The per-thread seqlock ring
+// The per-thread ring
 // ---------------------------------------------------------------------------
 
-struct Slot {
-    /// Seqlock word: `2*gen + 1` while generation `gen` is being written,
-    /// `2*gen + 2` once it is published. Starts at 1 (matches no
-    /// generation).
-    seq: AtomicU64,
-    ev: UnsafeCell<MaybeUninit<TraceEvent>>,
+/// Lock a mutex, recovering the data if a holder panicked: every write
+/// under these locks leaves the state consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-// SAFETY: `ev` is only written by the ring's single owning thread; readers
-// validate `seq` before and after a volatile copy and discard torn reads
-// (the crossbeam seqlock recipe), so cross-thread access never observes a
-// half-written payload as valid.
-unsafe impl Sync for Slot {}
+struct RingState {
+    /// Events pushed so far (monotone; may exceed capacity).
+    pushed: u64,
+    /// Grows to the ring's capacity, then event `n` lives at
+    /// `n % capacity`.
+    slots: Vec<TraceEvent>,
+}
 
-/// A single-writer, many-reader ring of [`TraceEvent`]s.
+/// A fixed-capacity ring of [`TraceEvent`]s behind one lock.
 ///
 /// The owning thread appends with [`ThreadRing::push`]; any thread may
-/// [`ThreadRing::collect`] a consistent-per-slot snapshot concurrently.
-/// Capacity is fixed at construction (rounded up to a power of two);
+/// [`ThreadRing::collect`] a snapshot concurrently. Capacity is fixed at
+/// construction (rounded up to a power of two) and reserved up front;
 /// once full, each push overwrites the oldest event.
-///
-/// **Single-writer discipline:** `push` must only ever be called from one
-/// thread at a time (the recorder enforces this by handing each thread its
-/// own ring through a thread-local). Concurrent pushers are a data race.
 pub struct ThreadRing {
     tid: u64,
     label: String,
-    mask: u64,
-    cursor: AtomicU64,
-    slots: Box<[Slot]>,
+    capacity: usize,
+    state: Mutex<RingState>,
 }
-
-// SAFETY: see `Slot` — the seqlock protocol makes shared reads sound.
-unsafe impl Send for ThreadRing {}
-unsafe impl Sync for ThreadRing {}
 
 impl ThreadRing {
     /// Ring with room for `capacity` events (rounded up to a power of
     /// two, minimum 8), tagged with a display `tid`/`label`.
     pub fn new(capacity: usize, tid: u64, label: String) -> ThreadRing {
-        let cap = capacity.next_power_of_two().max(8);
-        let slots = (0..cap)
-            .map(|_| Slot {
-                seq: AtomicU64::new(1),
-                ev: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let capacity = capacity.next_power_of_two().max(8);
         ThreadRing {
             tid,
             label,
-            mask: (cap - 1) as u64,
-            cursor: AtomicU64::new(0),
-            slots,
+            capacity,
+            state: Mutex::new(RingState {
+                pushed: 0,
+                slots: Vec::with_capacity(capacity),
+            }),
         }
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Display id for this ring's track.
@@ -238,55 +224,33 @@ impl ThreadRing {
         &self.label
     }
 
-    /// Append an event, overwriting the oldest if full. Owning thread
-    /// only — see the type-level single-writer discipline.
+    /// Append an event, overwriting the oldest if full.
     #[inline]
     pub fn push(&self, ev: TraceEvent) {
-        let gen = self.cursor.load(Ordering::Relaxed);
-        let slot = &self.slots[(gen & self.mask) as usize];
-        // Seqlock write: odd marks in-progress, fence orders the payload
-        // store after it, even publishes (crossbeam-utils seq_lock.rs).
-        slot.seq
-            .store(gen.wrapping_mul(2).wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        // SAFETY: single writer (this thread); readers discard torn data.
-        unsafe { (*slot.ev.get()).write(ev) };
-        slot.seq
-            .store(gen.wrapping_mul(2).wrapping_add(2), Ordering::Release);
-        self.cursor.store(gen + 1, Ordering::Release);
+        let mut state = lock(&self.state);
+        let i = (state.pushed % self.capacity as u64) as usize;
+        if i == state.slots.len() {
+            state.slots.push(ev);
+        } else {
+            state.slots[i] = ev;
+        }
+        state.pushed += 1;
     }
 
     /// Events pushed so far (monotone; may exceed capacity).
     pub fn pushed(&self) -> u64 {
-        self.cursor.load(Ordering::Acquire)
+        lock(&self.state).pushed
     }
 
-    fn read_gen(&self, gen: u64) -> Option<TraceEvent> {
-        let slot = &self.slots[(gen & self.mask) as usize];
-        let want = gen.wrapping_mul(2).wrapping_add(2);
-        if slot.seq.load(Ordering::Acquire) != want {
-            return None;
-        }
-        // SAFETY: the slot may be concurrently overwritten; we copy it
-        // volatile and only trust the bytes if `seq` still names the same
-        // generation afterwards (so the copy happened entirely inside one
-        // published generation).
-        let ev = unsafe { std::ptr::read_volatile(slot.ev.get()) };
-        fence(Ordering::Acquire);
-        if slot.seq.load(Ordering::Relaxed) != want {
-            return None;
-        }
-        // SAFETY: validated above — generation `gen` was fully published
-        // before the copy began and had not been reclaimed when it ended.
-        Some(unsafe { ev.assume_init() })
-    }
-
-    /// Snapshot the surviving events, oldest first. Slots mid-overwrite
-    /// by the racing writer are skipped, never torn.
+    /// Snapshot the surviving events, oldest first: the newest
+    /// `min(pushed, capacity)` events, contiguous and whole.
     pub fn collect(&self) -> Vec<TraceEvent> {
-        let hi = self.cursor.load(Ordering::Acquire);
-        let lo = hi.saturating_sub(self.slots.len() as u64);
-        (lo..hi).filter_map(|gen| self.read_gen(gen)).collect()
+        let (pushed, mut events) = {
+            let state = lock(&self.state);
+            (state.pushed, state.slots.clone())
+        };
+        events.rotate_left((pushed % self.capacity as u64) as usize);
+        events
     }
 }
 
@@ -309,7 +273,7 @@ pub struct ThreadEvents {
 /// the monotonic epoch all ticks are measured from.
 ///
 /// Install with [`enable`]; until then every recording helper is a branch
-/// on a null pointer. Once installed it lives for the process.
+/// on an empty cell. Once installed it lives for the process.
 pub struct Recorder {
     epoch: Instant,
     capacity: usize,
@@ -341,7 +305,7 @@ impl Recorder {
             .name()
             .unwrap_or("unnamed")
             .to_string();
-        let mut threads = self.threads.lock().unwrap();
+        let mut threads = lock(&self.threads);
         let ring = Arc::new(ThreadRing::new(self.capacity, threads.len() as u64, label));
         threads.push(Arc::clone(&ring));
         ring
@@ -366,7 +330,7 @@ impl Recorder {
     /// Freeze every thread's ring, one [`ThreadEvents`] per registered
     /// thread in registration order.
     pub fn snapshot(&self) -> Vec<ThreadEvents> {
-        let threads = self.threads.lock().unwrap();
+        let threads = lock(&self.threads);
         threads
             .iter()
             .map(|r| ThreadEvents {
@@ -391,7 +355,7 @@ impl Recorder {
     }
 }
 
-static RECORDER: AtomicPtr<Recorder> = AtomicPtr::new(std::ptr::null_mut());
+static RECORDER: OnceLock<Recorder> = OnceLock::new();
 
 thread_local! {
     static THREAD_RING: OnceCell<Arc<ThreadRing>> = const { OnceCell::new() };
@@ -399,44 +363,23 @@ thread_local! {
 }
 
 /// The installed recorder, or `None` when tracing is disabled. This is
-/// the whole cost of a disabled site: one atomic load and a null check.
+/// the whole cost of a disabled site: one acquire load and a branch.
 #[inline]
 pub fn recorder() -> Option<&'static Recorder> {
-    let p = RECORDER.load(Ordering::Acquire);
-    // SAFETY: a non-null pointer was leaked by `enable` and is never freed.
-    if p.is_null() {
-        None
-    } else {
-        Some(unsafe { &*p })
-    }
+    RECORDER.get()
 }
 
 /// Whether tracing is enabled.
 #[inline]
 pub fn enabled() -> bool {
-    !RECORDER.load(Ordering::Acquire).is_null()
+    RECORDER.get().is_some()
 }
 
 /// Install the process recorder with `capacity` events per thread ring
 /// (rounded up to a power of two). Idempotent: the first caller wins and
 /// later calls return the existing recorder unchanged.
 pub fn enable(capacity: usize) -> &'static Recorder {
-    let fresh = Box::into_raw(Box::new(Recorder::new(capacity)));
-    match RECORDER.compare_exchange(
-        std::ptr::null_mut(),
-        fresh,
-        Ordering::AcqRel,
-        Ordering::Acquire,
-    ) {
-        // SAFETY: we just leaked `fresh`; it is never freed.
-        Ok(_) => unsafe { &*fresh },
-        Err(existing) => {
-            // SAFETY: `fresh` lost the race and was never shared.
-            drop(unsafe { Box::from_raw(fresh) });
-            // SAFETY: `existing` is a leaked recorder, never freed.
-            unsafe { &*existing }
-        }
-    }
+    RECORDER.get_or_init(|| Recorder::new(capacity))
 }
 
 // ---------------------------------------------------------------------------

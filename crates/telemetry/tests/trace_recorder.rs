@@ -1,9 +1,10 @@
-//! Flight-recorder behaviour tests: ring wraparound, multi-threaded
-//! per-thread ordering, and span pairing when a panic unwinds through a
-//! `SpanGuard`. One process-global recorder is shared by all tests (enable
+//! Flight-recorder behaviour tests: ring wraparound, snapshots taken while
+//! writers push, multi-threaded per-thread ordering, and span pairing when
+//! a panic unwinds through a `SpanGuard`. One process-global recorder is shared by all tests (enable
 //! is once-per-process), so assertions filter by thread label or trace id.
 
 use lg_telemetry::trace::{self, ThreadRing, TraceEvent, TraceId, TraceKind, TraceValue};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 fn recorder() -> &'static trace::Recorder {
@@ -46,6 +47,58 @@ fn ring_capacity_rounds_up_to_power_of_two() {
     assert_eq!(ring.capacity(), 8);
     let tiny = ThreadRing::new(0, 2, "tiny".to_string());
     assert!(tiny.capacity() >= 8);
+}
+
+#[test]
+fn snapshots_while_writers_wrap_are_contiguous_and_whole() {
+    const WRITERS: usize = 3;
+    const EVENTS: u64 = 50_000;
+    let rings: Vec<ThreadRing> = (0..WRITERS)
+        .map(|t| ThreadRing::new(16, t as u64, format!("writer{t}")))
+        .collect();
+    let finished = AtomicUsize::new(0);
+    let mut snapshots = 0u64;
+    std::thread::scope(|s| {
+        for ring in &rings {
+            let finished = &finished;
+            s.spawn(move || {
+                for i in 0..EVENTS {
+                    ring.push(instant_event(i, i));
+                }
+                finished.fetch_add(1, Ordering::Release);
+            });
+        }
+        while finished.load(Ordering::Acquire) < WRITERS || snapshots < 100 {
+            for ring in &rings {
+                let before = ring.pushed();
+                let got = ring.collect();
+                let after = ring.pushed();
+                snapshots += 1;
+                let values: Vec<u64> = got
+                    .iter()
+                    .map(|e| match e.value {
+                        // A torn copy would pair one push's tick with
+                        // another's value.
+                        TraceValue::U64(v) if e.tick_ns == v && e.name == "test.seq" => v,
+                        _ => panic!("torn event {e:?}"),
+                    })
+                    .collect();
+                let Some(&last) = values.last() else {
+                    assert_eq!(before, 0, "empty snapshot of a ring already pushed to");
+                    continue;
+                };
+                // The newest events up to some push between the two
+                // `pushed()` reads, every one of them, in push order.
+                assert!(
+                    before <= last + 1 && last < after,
+                    "{before} {last} {after}"
+                );
+                let first = (last + 1).saturating_sub(ring.capacity() as u64);
+                assert_eq!(values, (first..=last).collect::<Vec<u64>>());
+            }
+        }
+    });
+    assert!(snapshots >= 100);
 }
 
 #[test]

@@ -258,6 +258,31 @@ pub fn run(scenario: &Scenario) -> Result<RunOutcome, ScenarioError> {
             return Err(ScenarioError(format!("{a} is outside the topology")));
         }
     }
+    for (i, f) in scenario.failures.iter().enumerate() {
+        let outside = |a: u32| (a as usize >= net.len()).then_some(AsId(a));
+        match f.element {
+            ElementSpec::As(a) => {
+                if let Some(a) = outside(a) {
+                    return Err(err(format!("failures[{i}].as {a} is outside the topology")));
+                }
+            }
+            ElementSpec::Link(a, b) => {
+                if let Some(x) = outside(a).or_else(|| outside(b)) {
+                    return Err(err(format!(
+                        "failures[{i}].link endpoint {x} is outside the topology"
+                    )));
+                }
+                if net.graph().relationship(AsId(a), AsId(b)).is_none() {
+                    return Err(err(format!(
+                        "failures[{i}].link {}-{} is not an adjacency",
+                        AsId(a),
+                        AsId(b)
+                    )));
+                }
+            }
+            ElementSpec::Auto(_) => {}
+        }
+    }
 
     let production = Prefix::from_octets(184, 164, 224, 0, 20);
     let sentinel = Prefix::from_octets(184, 164, 224, 0, 19);
@@ -451,10 +476,36 @@ fn parse_failure(v: &Value) -> Result<FailureSpec, ScenarioError> {
 /// tick loop finite.
 const MAX_DURATION_MIN: u64 = 366 * 24 * 60;
 
-/// Reject timelines that cannot mean what they say: a run longer than
-/// [`MAX_DURATION_MIN`], a failure that starts at or after the run's end, or
-/// one whose window ends before it starts (it would silently never fire).
+/// The most ASes [`infra_prefix`] can address.
+const MAX_ASES: usize = 65_536;
+
+/// Reject scenarios that cannot mean what they say: a custom topology with
+/// no tier-1 AS or more than [`MAX_ASES`] ASes (both would panic in the
+/// generator or the data plane), a run longer than [`MAX_DURATION_MIN`], a
+/// failure that starts at or after the run's end, or one whose window ends
+/// before it starts (it would silently never fire).
 fn validate(sc: &Scenario) -> Result<(), ScenarioError> {
+    if let TopologySpec::Custom {
+        tier1,
+        tier2,
+        tier3,
+        stubs,
+        ..
+    } = sc.topology
+    {
+        if tier1 == 0 {
+            return Err(err("custom topology needs at least one tier1 AS"));
+        }
+        // Saturating: the counts are arbitrary `usize`s read from JSON.
+        let total = [tier2, tier3, stubs]
+            .into_iter()
+            .fold(tier1, usize::saturating_add);
+        if total > MAX_ASES {
+            return Err(err(format!(
+                "custom topology has {total} ASes, more than the {MAX_ASES} infra addressing supports"
+            )));
+        }
+    }
     if sc.duration_min > MAX_DURATION_MIN {
         return Err(err(format!(
             "duration_min {} exceeds one year ({MAX_DURATION_MIN} minutes)",
@@ -724,19 +775,76 @@ mod tests {
         assert!(parse_error(&forever).contains("failures[1].end_min"));
     }
 
+    /// `EXAMPLE` (topology `small` seed 7) with its failure on `element`
+    /// (a JSON key/value pair), run to its typed error.
+    fn run_error(element: &str) -> String {
+        let json = with_timeline(
+            &format!(r#"{element}, "toward": "all", "start_min": 10"#),
+            90,
+        );
+        run(&parse(&json).unwrap())
+            .expect_err("must be rejected")
+            .to_string()
+    }
+
     #[test]
-    fn custom_topology_spec() {
-        let sc = parse(
-            r#"{
-            "topology": {"custom": {"tier1": 2, "tier2": 3, "tier3": 5, "stubs": 12, "seed": 3}},
+    fn a_failed_as_outside_the_topology_is_rejected() {
+        let msg = run_error(r#""as": 99999"#);
+        assert!(
+            msg.contains("failures[1].as") && msg.contains("outside"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_failed_link_outside_the_topology_is_rejected() {
+        let msg = run_error(r#""link": [99998, 99999]"#);
+        assert!(
+            msg.contains("failures[1].link") && msg.contains("outside"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_failed_link_between_non_neighbors_is_rejected() {
+        let msg = run_error(r#""link": [0, 0]"#);
+        assert!(
+            msg.contains("failures[1].link") && msg.contains("adjacency"),
+            "{msg}"
+        );
+    }
+
+    fn custom(tier1: usize, stubs: usize) -> String {
+        format!(
+            r#"{{
+            "topology": {{"custom": {{"tier1": {tier1}, "tier2": 3, "tier3": 5, "stubs": {stubs}, "seed": 3}}}},
             "origin": "auto",
             "targets": ["auto"],
             "vantage_points": ["auto"],
             "failures": [],
             "duration_min": 5
-        }"#,
+        }}"#
         )
-        .unwrap();
+    }
+
+    #[test]
+    fn a_custom_topology_without_tier1_is_rejected() {
+        let msg = parse_error(&custom(0, 12));
+        assert!(msg.contains("tier1"), "{msg}");
+    }
+
+    #[test]
+    fn a_custom_topology_past_infra_addressing_is_rejected() {
+        for stubs in [70_000, usize::MAX] {
+            let msg = parse_error(&custom(2, stubs));
+            assert!(msg.contains("65536"), "{msg}");
+        }
+        assert!(parse(&custom(2, MAX_ASES - 10)).is_ok());
+    }
+
+    #[test]
+    fn custom_topology_spec() {
+        let sc = parse(&custom(2, 12)).unwrap();
         let cfg = sc.topology.to_config();
         assert_eq!(cfg.total(), 22);
         let out = run(&sc).unwrap();
