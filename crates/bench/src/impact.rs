@@ -17,6 +17,7 @@ use lg_sim::dataplane::infra_prefix;
 use lg_sim::failures::Failure;
 use lg_sim::Time;
 use lg_workloads::ArrivalsConfig;
+use lifeguard_core::config::PING_INTERVAL_MS;
 use lifeguard_core::{EventKind, Lifeguard, LifeguardConfig, World};
 
 /// Experiment configuration.
@@ -117,7 +118,6 @@ pub fn run_impact(cfg: &ImpactConfig) -> ImpactResult {
         let mut lg_cfg = LifeguardConfig::paper_defaults(origin, production, sentinel);
         lg_cfg.targets = targets.clone();
         lg_cfg.vantage_points = vps.clone();
-        let interval = lg_cfg.ping_interval_ms;
         let mut lifeguard = Lifeguard::new(lg_cfg);
         lifeguard.install(&mut world, Time::ZERO);
 
@@ -157,10 +157,10 @@ pub fn run_impact(cfg: &ImpactConfig) -> ImpactResult {
                 );
                 let up = fwd.outcome.delivered() && rev.is_some_and(|r| r.outcome.delivered());
                 if !up {
-                    downtime += interval;
+                    downtime += PING_INTERVAL_MS;
                 }
             }
-            now += interval;
+            now += PING_INTERVAL_MS;
         }
 
         if with_lifeguard {

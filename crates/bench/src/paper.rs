@@ -329,6 +329,8 @@ fn table1(_: Scale, r: &mut Report) {
         pct(AccuracyResult::frac(covered_less_specific, captives_total)),
         "yes (ping from unused space)".into(),
     ]);
+    // Stated from the design, not simulated: the deployed less-specific
+    // sentinel is the only one the system implements.
     s.srow(&[
         "disjoint unused prefix",
         "0% (no covering route)",

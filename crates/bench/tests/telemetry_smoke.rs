@@ -14,6 +14,7 @@ use lg_probe::{Prober, ProberConfig};
 use lg_sim::dataplane::{infra_addr, infra_prefix, DataPlane};
 use lg_sim::failures::Failure;
 use lg_sim::{AnnouncementSpec, DynamicSim, DynamicSimConfig, Network, SharedRouteCache, Time};
+use lifeguard_core::config::PING_INTERVAL_MS;
 use lifeguard_core::{Lifeguard, LifeguardConfig, World};
 
 /// The recurring Fig-2 evaluation world: O(0) under B(2); B under C(3) and
@@ -123,7 +124,7 @@ fn exercise_core() {
         let end = from + minutes * 60_000;
         while t <= end {
             lg.tick(world, t);
-            t += lg.config().ping_interval_ms;
+            t += PING_INTERVAL_MS;
         }
         t
     };

@@ -9,9 +9,8 @@
 //! max-occurrence threshold (§7.1: some ASes accept one occurrence of their
 //! own ASN and only reject at two), import policies including the
 //! Cogent-style "reject customer updates naming my peers" filter, Adj-RIB-In
-//! storage, and an RFC 4271 wire codec for OPEN / UPDATE / NOTIFICATION /
-//! KEEPALIVE messages (the dynamic engine's UPDATE packer sizes its
-//! messages with it).
+//! storage, and an RFC 4271 wire codec for UPDATE messages with 4-octet
+//! ASNs (the dynamic engine's UPDATE packer sizes its messages with it).
 
 pub mod decision;
 pub mod hash;

@@ -1,12 +1,13 @@
-//! RFC 4271 wire codec for BGP messages.
+//! RFC 4271 wire codec for BGP UPDATE messages.
 //!
 //! LIFEGUARD's deployment speaks real BGP to the BGP-Mux testbed; this module
-//! provides the message encoding that a production deployment of the system
-//! would use to inject its crafted announcements. It implements the
-//! byte-level format of the four RFC 4271 message types with the path
-//! attributes the system manipulates (ORIGIN, AS_PATH, NEXT_HOP, MED,
-//! LOCAL_PREF, COMMUNITIES) and supports both 2-octet and 4-octet AS numbers
-//! (RFC 6793) selected by [`Codec::as4`].
+//! provides the encoding a production deployment of the system would use to
+//! inject its crafted announcements, and the dynamic engine's packer uses it
+//! to measure what each UPDATE costs on the wire. It implements the
+//! byte-level UPDATE format with the path attributes the system manipulates
+//! (ORIGIN, AS_PATH, NEXT_HOP, MED, LOCAL_PREF, COMMUNITIES) and 4-octet AS
+//! numbers (RFC 6793). Session messages (OPEN, NOTIFICATION, KEEPALIVE) are
+//! out of scope: nothing in the workspace runs a BGP session.
 //!
 //! The offline package mirror lacks the `bytes` crate, so buffers are plain
 //! `Vec<u8>` / `&[u8]` — the codec is allocation-light regardless.
@@ -17,25 +18,13 @@ use lg_asmap::AsId;
 use std::fmt;
 
 /// BGP message header marker: 16 bytes of all ones (RFC 4271 §4.1).
-pub const MARKER: [u8; 16] = [0xFF; 16];
+const MARKER: [u8; 16] = [0xFF; 16];
 /// Fixed header length.
-pub const HEADER_LEN: usize = 19;
+const HEADER_LEN: usize = 19;
 /// Maximum BGP message length.
 pub const MAX_MESSAGE_LEN: usize = 4096;
-
-/// Message type codes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum MessageType {
-    /// Session establishment.
-    Open = 1,
-    /// Route announcement/withdrawal.
-    Update = 2,
-    /// Error notification (closes the session).
-    Notification = 3,
-    /// Hold-timer refresh.
-    Keepalive = 4,
-}
+/// The UPDATE message type code.
+const TYPE_UPDATE: u8 = 2;
 
 /// ORIGIN attribute values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,19 +49,6 @@ impl Origin {
     }
 }
 
-/// A decoded BGP OPEN message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OpenMsg {
-    /// Advertised ASN (AS_TRANS = 23456 when the real ASN needs 4 octets).
-    pub my_as: u32,
-    /// Hold time in seconds.
-    pub hold_time: u16,
-    /// BGP identifier (router id).
-    pub bgp_id: u32,
-    /// Whether the speaker advertised the 4-octet-AS capability.
-    pub four_octet_as: bool,
-}
-
 /// A decoded BGP UPDATE message.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct UpdateMsg {
@@ -94,30 +70,6 @@ pub struct UpdateMsg {
     pub nlri: Vec<Prefix>,
 }
 
-/// A decoded BGP NOTIFICATION message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NotificationMsg {
-    /// Major error code (RFC 4271 §4.5).
-    pub code: u8,
-    /// Error subcode.
-    pub subcode: u8,
-    /// Diagnostic data.
-    pub data: Vec<u8>,
-}
-
-/// Any BGP message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Message {
-    /// OPEN.
-    Open(OpenMsg),
-    /// UPDATE.
-    Update(UpdateMsg),
-    /// NOTIFICATION.
-    Notification(NotificationMsg),
-    /// KEEPALIVE.
-    Keepalive,
-}
-
 /// Decode/encode errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
@@ -131,8 +83,6 @@ pub enum WireError {
     Malformed(&'static str),
     /// Message exceeds the 4096-byte limit.
     TooLong(usize),
-    /// 2-octet codec asked to encode an ASN above 65535.
-    AsnOverflow(u32),
 }
 
 impl fmt::Display for WireError {
@@ -143,7 +93,6 @@ impl fmt::Display for WireError {
             WireError::UnknownType(t) => write!(f, "unknown message type {t}"),
             WireError::Malformed(why) => write!(f, "malformed message: {why}"),
             WireError::TooLong(n) => write!(f, "message of {n} bytes exceeds 4096"),
-            WireError::AsnOverflow(a) => write!(f, "ASN {a} does not fit in 2 octets"),
         }
     }
 }
@@ -164,20 +113,6 @@ const FLAG_TRANSITIVE: u8 = 0x40;
 const FLAG_EXT_LEN: u8 = 0x10;
 
 const AS_PATH_SEGMENT_SEQUENCE: u8 = 2;
-
-/// Encoder/decoder with ASN-width configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct Codec {
-    /// Encode/decode AS_PATH with 4-octet ASNs (RFC 6793). When false, ASNs
-    /// must fit in 2 octets.
-    pub as4: bool,
-}
-
-impl Default for Codec {
-    fn default() -> Self {
-        Codec { as4: true }
-    }
-}
 
 struct Reader<'a> {
     buf: &'a [u8],
@@ -244,364 +179,212 @@ fn decode_nlri_prefix(r: &mut Reader<'_>) -> Result<Prefix, WireError> {
     Ok(Prefix::new(u32::from_be_bytes(octets), len))
 }
 
-impl Codec {
-    /// Encode any message, header included.
-    pub fn encode(&self, msg: &Message) -> Result<Vec<u8>, WireError> {
-        let (ty, body) = match msg {
-            Message::Open(m) => (MessageType::Open, self.encode_open(m)?),
-            Message::Update(m) => (MessageType::Update, self.encode_update_body(m)?),
-            Message::Notification(m) => {
-                let mut b = vec![m.code, m.subcode];
-                b.extend_from_slice(&m.data);
-                (MessageType::Notification, b)
-            }
-            Message::Keepalive => (MessageType::Keepalive, Vec::new()),
-        };
-        let total = HEADER_LEN + body.len();
-        if total > MAX_MESSAGE_LEN {
-            return Err(WireError::TooLong(total));
+/// Encode an UPDATE message, header included.
+pub fn encode_update(m: &UpdateMsg) -> Result<Vec<u8>, WireError> {
+    let body = encode_update_body(m);
+    let total = HEADER_LEN + body.len();
+    if total > MAX_MESSAGE_LEN {
+        return Err(WireError::TooLong(total));
+    }
+    let mut out = Vec::with_capacity(total);
+    out.extend_from_slice(&MARKER);
+    put_u16(&mut out, total as u16);
+    out.push(TYPE_UPDATE);
+    out.extend_from_slice(&body);
+    Ok(out)
+}
+
+/// Decode one UPDATE message from `buf`; returns the message and bytes
+/// consumed. Any other message type is [`WireError::UnknownType`].
+pub fn decode_update(buf: &[u8]) -> Result<(UpdateMsg, usize), WireError> {
+    if buf.len() < HEADER_LEN {
+        return Err(WireError::Truncated);
+    }
+    if buf[..16] != MARKER {
+        return Err(WireError::BadMarker);
+    }
+    let total = u16::from_be_bytes([buf[16], buf[17]]) as usize;
+    if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
+        return Err(WireError::Malformed("bad length field"));
+    }
+    if buf.len() < total {
+        return Err(WireError::Truncated);
+    }
+    match buf[18] {
+        TYPE_UPDATE => Ok((decode_update_body(&buf[HEADER_LEN..total])?, total)),
+        other => Err(WireError::UnknownType(other)),
+    }
+}
+
+/// AS_PATH as one or more AS_SEQUENCE segments of at most 255 ASNs.
+fn encode_as_path_attr(path: &AsPath) -> Vec<u8> {
+    let mut val = Vec::new();
+    for chunk in path.hops().chunks(255) {
+        val.push(AS_PATH_SEGMENT_SEQUENCE);
+        val.push(chunk.len() as u8);
+        for a in chunk {
+            put_u32(&mut val, a.0);
         }
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&MARKER);
-        put_u16(&mut out, total as u16);
-        out.push(ty as u8);
-        out.extend_from_slice(&body);
-        Ok(out)
+    }
+    val
+}
+
+fn decode_as_path_attr(data: &[u8]) -> Result<AsPath, WireError> {
+    let mut r = Reader::new(data);
+    let mut hops = Vec::new();
+    while r.remaining() > 0 {
+        let seg_type = r.u8()?;
+        if seg_type != AS_PATH_SEGMENT_SEQUENCE && seg_type != 1 {
+            return Err(WireError::Malformed("unknown AS_PATH segment type"));
+        }
+        let count = r.u8()? as usize;
+        for _ in 0..count {
+            hops.push(AsId(r.u32()?));
+        }
+    }
+    Ok(AsPath::from_hops(hops))
+}
+
+fn push_attr(out: &mut Vec<u8>, flags: u8, ty: u8, val: &[u8]) {
+    if val.len() > 255 {
+        out.push(flags | FLAG_EXT_LEN);
+        out.push(ty);
+        put_u16(out, val.len() as u16);
+    } else {
+        out.push(flags);
+        out.push(ty);
+        out.push(val.len() as u8);
+    }
+    out.extend_from_slice(val);
+}
+
+fn encode_update_body(m: &UpdateMsg) -> Vec<u8> {
+    let mut withdrawn = Vec::new();
+    for p in &m.withdrawn {
+        encode_nlri_prefix(&mut withdrawn, *p);
     }
 
-    /// Decode one message from `buf`; returns the message and bytes consumed.
-    pub fn decode(&self, buf: &[u8]) -> Result<(Message, usize), WireError> {
-        if buf.len() < HEADER_LEN {
-            return Err(WireError::Truncated);
+    let mut attrs = Vec::new();
+    if let Some(origin) = m.origin {
+        push_attr(&mut attrs, FLAG_TRANSITIVE, ATTR_ORIGIN, &[origin as u8]);
+    }
+    if let Some(path) = &m.as_path {
+        let val = encode_as_path_attr(path);
+        push_attr(&mut attrs, FLAG_TRANSITIVE, ATTR_AS_PATH, &val);
+    }
+    if let Some(nh) = m.next_hop {
+        push_attr(
+            &mut attrs,
+            FLAG_TRANSITIVE,
+            ATTR_NEXT_HOP,
+            &nh.to_be_bytes(),
+        );
+    }
+    if let Some(med) = m.med {
+        push_attr(&mut attrs, FLAG_OPTIONAL, ATTR_MED, &med.to_be_bytes());
+    }
+    if let Some(lp) = m.local_pref {
+        push_attr(
+            &mut attrs,
+            FLAG_TRANSITIVE,
+            ATTR_LOCAL_PREF,
+            &lp.to_be_bytes(),
+        );
+    }
+    if !m.communities.is_empty() {
+        let mut val = Vec::with_capacity(m.communities.len() * 4);
+        for c in &m.communities {
+            put_u32(&mut val, *c);
         }
-        if buf[..16] != MARKER {
-            return Err(WireError::BadMarker);
-        }
-        let total = u16::from_be_bytes([buf[16], buf[17]]) as usize;
-        if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
-            return Err(WireError::Malformed("bad length field"));
-        }
-        if buf.len() < total {
-            return Err(WireError::Truncated);
-        }
-        let ty = buf[18];
-        let body = &buf[HEADER_LEN..total];
-        let msg = match ty {
-            1 => Message::Open(self.decode_open(body)?),
-            2 => Message::Update(self.decode_update_body(body)?),
-            3 => {
-                if body.len() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                Message::Notification(NotificationMsg {
-                    code: body[0],
-                    subcode: body[1],
-                    data: body[2..].to_vec(),
-                })
-            }
-            4 => {
-                if !body.is_empty() {
-                    return Err(WireError::Malformed("keepalive with body"));
-                }
-                Message::Keepalive
-            }
-            other => return Err(WireError::UnknownType(other)),
-        };
-        Ok((msg, total))
+        push_attr(
+            &mut attrs,
+            FLAG_OPTIONAL | FLAG_TRANSITIVE,
+            ATTR_COMMUNITIES,
+            &val,
+        );
     }
 
-    fn encode_open(&self, m: &OpenMsg) -> Result<Vec<u8>, WireError> {
-        let mut b = Vec::with_capacity(10 + 8);
-        b.push(4); // version
-        let wire_as = if m.my_as > 0xFFFF {
-            23456
+    let mut body = Vec::new();
+    put_u16(&mut body, withdrawn.len() as u16);
+    body.extend_from_slice(&withdrawn);
+    put_u16(&mut body, attrs.len() as u16);
+    body.extend_from_slice(&attrs);
+    for p in &m.nlri {
+        encode_nlri_prefix(&mut body, *p);
+    }
+    body
+}
+
+fn decode_update_body(body: &[u8]) -> Result<UpdateMsg, WireError> {
+    let mut r = Reader::new(body);
+    let mut m = UpdateMsg::default();
+
+    let wlen = r.u16()? as usize;
+    let mut wr = Reader::new(r.take(wlen)?);
+    while wr.remaining() > 0 {
+        m.withdrawn.push(decode_nlri_prefix(&mut wr)?);
+    }
+
+    let alen = r.u16()? as usize;
+    let mut ar = Reader::new(r.take(alen)?);
+    while ar.remaining() > 0 {
+        let flags = ar.u8()?;
+        let ty = ar.u8()?;
+        let len = if flags & FLAG_EXT_LEN != 0 {
+            ar.u16()? as usize
         } else {
-            m.my_as as u16
+            ar.u8()? as usize
         };
-        put_u16(&mut b, wire_as);
-        put_u16(&mut b, m.hold_time);
-        put_u32(&mut b, m.bgp_id);
-        if m.four_octet_as {
-            // Optional parameter 2 (Capabilities), capability 65
-            // (4-octet AS) carrying the real ASN.
-            let cap = {
-                let mut c = vec![65u8, 4];
-                put_u32(&mut c, m.my_as);
-                c
-            };
-            let mut param = vec![2u8, cap.len() as u8];
-            param.extend_from_slice(&cap);
-            b.push(param.len() as u8);
-            b.extend_from_slice(&param);
-        } else {
-            if m.my_as > 0xFFFF {
-                return Err(WireError::AsnOverflow(m.my_as));
+        let data = ar.take(len)?;
+        match ty {
+            ATTR_ORIGIN => {
+                if data.len() != 1 {
+                    return Err(WireError::Malformed("bad ORIGIN length"));
+                }
+                m.origin = Some(Origin::from_u8(data[0])?);
             }
-            b.push(0);
-        }
-        Ok(b)
-    }
-
-    fn decode_open(&self, body: &[u8]) -> Result<OpenMsg, WireError> {
-        let mut r = Reader::new(body);
-        let version = r.u8()?;
-        if version != 4 {
-            return Err(WireError::Malformed("unsupported BGP version"));
-        }
-        let wire_as = r.u16()? as u32;
-        let hold_time = r.u16()?;
-        let bgp_id = r.u32()?;
-        let opt_len = r.u8()? as usize;
-        let mut opts = Reader::new(r.take(opt_len)?);
-        let mut my_as = wire_as;
-        let mut four_octet_as = false;
-        while opts.remaining() > 0 {
-            let ptype = opts.u8()?;
-            let plen = opts.u8()? as usize;
-            let pdata = opts.take(plen)?;
-            if ptype != 2 {
-                continue; // ignore non-capability parameters
+            ATTR_AS_PATH => m.as_path = Some(decode_as_path_attr(data)?),
+            ATTR_NEXT_HOP => {
+                if data.len() != 4 {
+                    return Err(WireError::Malformed("bad NEXT_HOP length"));
+                }
+                m.next_hop = Some(u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
             }
-            let mut caps = Reader::new(pdata);
-            while caps.remaining() > 0 {
-                let code = caps.u8()?;
-                let clen = caps.u8()? as usize;
-                let cdata = caps.take(clen)?;
-                if code == 65 {
-                    if clen != 4 {
-                        return Err(WireError::Malformed("bad 4-octet-AS capability"));
-                    }
-                    my_as = u32::from_be_bytes([cdata[0], cdata[1], cdata[2], cdata[3]]);
-                    four_octet_as = true;
+            ATTR_MED => {
+                if data.len() != 4 {
+                    return Err(WireError::Malformed("bad MED length"));
+                }
+                m.med = Some(u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
+            }
+            ATTR_LOCAL_PREF => {
+                if data.len() != 4 {
+                    return Err(WireError::Malformed("bad LOCAL_PREF length"));
+                }
+                m.local_pref = Some(u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
+            }
+            ATTR_COMMUNITIES => {
+                if data.len() % 4 != 0 {
+                    return Err(WireError::Malformed("bad COMMUNITIES length"));
+                }
+                for c in data.chunks(4) {
+                    m.communities
+                        .push(u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
                 }
             }
+            _ => {} // unknown attributes are skipped
         }
-        Ok(OpenMsg {
-            my_as,
-            hold_time,
-            bgp_id,
-            four_octet_as,
-        })
     }
 
-    fn encode_as_path_attr(&self, path: &AsPath) -> Result<Vec<u8>, WireError> {
-        // AS_PATH as one or more AS_SEQUENCE segments of at most 255 ASNs.
-        let mut val = Vec::new();
-        for chunk in path.hops().chunks(255) {
-            val.push(AS_PATH_SEGMENT_SEQUENCE);
-            val.push(chunk.len() as u8);
-            for a in chunk {
-                if self.as4 {
-                    put_u32(&mut val, a.0);
-                } else {
-                    if a.0 > 0xFFFF {
-                        return Err(WireError::AsnOverflow(a.0));
-                    }
-                    put_u16(&mut val, a.0 as u16);
-                }
-            }
-        }
-        Ok(val)
+    while r.remaining() > 0 {
+        m.nlri.push(decode_nlri_prefix(&mut r)?);
     }
-
-    fn decode_as_path_attr(&self, data: &[u8]) -> Result<AsPath, WireError> {
-        let mut r = Reader::new(data);
-        let mut hops = Vec::new();
-        while r.remaining() > 0 {
-            let seg_type = r.u8()?;
-            if seg_type != AS_PATH_SEGMENT_SEQUENCE && seg_type != 1 {
-                return Err(WireError::Malformed("unknown AS_PATH segment type"));
-            }
-            let count = r.u8()? as usize;
-            for _ in 0..count {
-                let asn = if self.as4 { r.u32()? } else { r.u16()? as u32 };
-                hops.push(AsId(asn));
-            }
-        }
-        Ok(AsPath::from_hops(hops))
-    }
-
-    fn push_attr(out: &mut Vec<u8>, flags: u8, ty: u8, val: &[u8]) {
-        if val.len() > 255 {
-            out.push(flags | FLAG_EXT_LEN);
-            out.push(ty);
-            put_u16(out, val.len() as u16);
-        } else {
-            out.push(flags);
-            out.push(ty);
-            out.push(val.len() as u8);
-        }
-        out.extend_from_slice(val);
-    }
-
-    fn encode_update_body(&self, m: &UpdateMsg) -> Result<Vec<u8>, WireError> {
-        let mut withdrawn = Vec::new();
-        for p in &m.withdrawn {
-            encode_nlri_prefix(&mut withdrawn, *p);
-        }
-
-        let mut attrs = Vec::new();
-        if let Some(origin) = m.origin {
-            Self::push_attr(&mut attrs, FLAG_TRANSITIVE, ATTR_ORIGIN, &[origin as u8]);
-        }
-        if let Some(path) = &m.as_path {
-            let val = self.encode_as_path_attr(path)?;
-            Self::push_attr(&mut attrs, FLAG_TRANSITIVE, ATTR_AS_PATH, &val);
-        }
-        if let Some(nh) = m.next_hop {
-            Self::push_attr(
-                &mut attrs,
-                FLAG_TRANSITIVE,
-                ATTR_NEXT_HOP,
-                &nh.to_be_bytes(),
-            );
-        }
-        if let Some(med) = m.med {
-            Self::push_attr(&mut attrs, FLAG_OPTIONAL, ATTR_MED, &med.to_be_bytes());
-        }
-        if let Some(lp) = m.local_pref {
-            Self::push_attr(
-                &mut attrs,
-                FLAG_TRANSITIVE,
-                ATTR_LOCAL_PREF,
-                &lp.to_be_bytes(),
-            );
-        }
-        if !m.communities.is_empty() {
-            let mut val = Vec::with_capacity(m.communities.len() * 4);
-            for c in &m.communities {
-                put_u32(&mut val, *c);
-            }
-            Self::push_attr(
-                &mut attrs,
-                FLAG_OPTIONAL | FLAG_TRANSITIVE,
-                ATTR_COMMUNITIES,
-                &val,
-            );
-        }
-
-        let mut body = Vec::new();
-        put_u16(&mut body, withdrawn.len() as u16);
-        body.extend_from_slice(&withdrawn);
-        put_u16(&mut body, attrs.len() as u16);
-        body.extend_from_slice(&attrs);
-        for p in &m.nlri {
-            encode_nlri_prefix(&mut body, *p);
-        }
-        Ok(body)
-    }
-
-    fn decode_update_body(&self, body: &[u8]) -> Result<UpdateMsg, WireError> {
-        let mut r = Reader::new(body);
-        let mut m = UpdateMsg::default();
-
-        let wlen = r.u16()? as usize;
-        let mut wr = Reader::new(r.take(wlen)?);
-        while wr.remaining() > 0 {
-            m.withdrawn.push(decode_nlri_prefix(&mut wr)?);
-        }
-
-        let alen = r.u16()? as usize;
-        let mut ar = Reader::new(r.take(alen)?);
-        while ar.remaining() > 0 {
-            let flags = ar.u8()?;
-            let ty = ar.u8()?;
-            let len = if flags & FLAG_EXT_LEN != 0 {
-                ar.u16()? as usize
-            } else {
-                ar.u8()? as usize
-            };
-            let data = ar.take(len)?;
-            match ty {
-                ATTR_ORIGIN => {
-                    if data.len() != 1 {
-                        return Err(WireError::Malformed("bad ORIGIN length"));
-                    }
-                    m.origin = Some(Origin::from_u8(data[0])?);
-                }
-                ATTR_AS_PATH => m.as_path = Some(self.decode_as_path_attr(data)?),
-                ATTR_NEXT_HOP => {
-                    if data.len() != 4 {
-                        return Err(WireError::Malformed("bad NEXT_HOP length"));
-                    }
-                    m.next_hop = Some(u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
-                }
-                ATTR_MED => {
-                    if data.len() != 4 {
-                        return Err(WireError::Malformed("bad MED length"));
-                    }
-                    m.med = Some(u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
-                }
-                ATTR_LOCAL_PREF => {
-                    if data.len() != 4 {
-                        return Err(WireError::Malformed("bad LOCAL_PREF length"));
-                    }
-                    m.local_pref = Some(u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
-                }
-                ATTR_COMMUNITIES => {
-                    if data.len() % 4 != 0 {
-                        return Err(WireError::Malformed("bad COMMUNITIES length"));
-                    }
-                    for c in data.chunks(4) {
-                        m.communities
-                            .push(u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
-                    }
-                }
-                _ => {} // unknown attributes are skipped
-            }
-        }
-
-        while r.remaining() > 0 {
-            m.nlri.push(decode_nlri_prefix(&mut r)?);
-        }
-        Ok(m)
-    }
+    Ok(m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn codec() -> Codec {
-        Codec::default()
-    }
-
-    #[test]
-    fn keepalive_roundtrip() {
-        let bytes = codec().encode(&Message::Keepalive).unwrap();
-        assert_eq!(bytes.len(), HEADER_LEN);
-        let (msg, used) = codec().decode(&bytes).unwrap();
-        assert_eq!(msg, Message::Keepalive);
-        assert_eq!(used, HEADER_LEN);
-    }
-
-    #[test]
-    fn open_roundtrip_with_as4() {
-        let open = OpenMsg {
-            my_as: 396_998, // needs 4 octets
-            hold_time: 90,
-            bgp_id: 0x0A000001,
-            four_octet_as: true,
-        };
-        let bytes = codec().encode(&Message::Open(open.clone())).unwrap();
-        let (msg, _) = codec().decode(&bytes).unwrap();
-        assert_eq!(msg, Message::Open(open));
-    }
-
-    #[test]
-    fn open_2byte_asn_overflow_rejected() {
-        let open = OpenMsg {
-            my_as: 396_998,
-            hold_time: 90,
-            bgp_id: 1,
-            four_octet_as: false,
-        };
-        assert_eq!(
-            codec().encode(&Message::Open(open)),
-            Err(WireError::AsnOverflow(396_998))
-        );
-    }
 
     fn poisoned_update() -> UpdateMsg {
         UpdateMsg {
@@ -619,9 +402,9 @@ mod tests {
     #[test]
     fn update_roundtrip_poisoned_announcement() {
         let upd = poisoned_update();
-        let bytes = codec().encode(&Message::Update(upd.clone())).unwrap();
-        let (msg, _) = codec().decode(&bytes).unwrap();
-        assert_eq!(msg, Message::Update(upd));
+        let bytes = encode_update(&upd).unwrap();
+        let (msg, _) = decode_update(&bytes).unwrap();
+        assert_eq!(msg, upd);
     }
 
     #[test]
@@ -634,36 +417,24 @@ mod tests {
             ],
             ..UpdateMsg::default()
         };
-        let bytes = codec().encode(&Message::Update(upd.clone())).unwrap();
-        let (msg, _) = codec().decode(&bytes).unwrap();
-        assert_eq!(msg, Message::Update(upd));
-    }
-
-    #[test]
-    fn notification_roundtrip() {
-        let n = NotificationMsg {
-            code: 6,
-            subcode: 2,
-            data: vec![1, 2, 3],
-        };
-        let bytes = codec().encode(&Message::Notification(n.clone())).unwrap();
-        let (msg, _) = codec().decode(&bytes).unwrap();
-        assert_eq!(msg, Message::Notification(n));
+        let bytes = encode_update(&upd).unwrap();
+        let (msg, _) = decode_update(&bytes).unwrap();
+        assert_eq!(msg, upd);
     }
 
     #[test]
     fn bad_marker_rejected() {
-        let mut bytes = codec().encode(&Message::Keepalive).unwrap();
+        let mut bytes = encode_update(&poisoned_update()).unwrap();
         bytes[0] = 0;
-        assert_eq!(codec().decode(&bytes), Err(WireError::BadMarker));
+        assert_eq!(decode_update(&bytes), Err(WireError::BadMarker));
     }
 
     #[test]
     fn truncated_rejected() {
-        let bytes = codec().encode(&Message::Update(poisoned_update())).unwrap();
+        let bytes = encode_update(&poisoned_update()).unwrap();
         for cut in [0, 5, HEADER_LEN - 1, HEADER_LEN + 3, bytes.len() - 1] {
             assert_eq!(
-                codec().decode(&bytes[..cut]),
+                decode_update(&bytes[..cut]),
                 Err(WireError::Truncated),
                 "cut at {cut}"
             );
@@ -672,35 +443,13 @@ mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        let mut bytes = codec().encode(&Message::Keepalive).unwrap();
-        bytes[18] = 9;
-        assert_eq!(codec().decode(&bytes), Err(WireError::UnknownType(9)));
-    }
-
-    #[test]
-    fn two_byte_codec_roundtrip() {
-        let c = Codec { as4: false };
-        let upd = UpdateMsg {
-            origin: Some(Origin::Igp),
-            as_path: Some(AsPath::from_hops(vec![AsId(701), AsId(1299)])),
-            next_hop: Some(1),
-            nlri: vec![Prefix::from_octets(192, 0, 2, 0, 24)],
-            ..UpdateMsg::default()
-        };
-        let bytes = c.encode(&Message::Update(upd.clone())).unwrap();
-        let (msg, _) = c.decode(&bytes).unwrap();
-        assert_eq!(msg, Message::Update(upd));
-        // Same update is smaller than with 4-octet ASNs.
-        let bytes4 = codec()
-            .encode(&Message::Update(UpdateMsg {
-                origin: Some(Origin::Igp),
-                as_path: Some(AsPath::from_hops(vec![AsId(701), AsId(1299)])),
-                next_hop: Some(1),
-                nlri: vec![Prefix::from_octets(192, 0, 2, 0, 24)],
-                ..UpdateMsg::default()
-            }))
-            .unwrap();
-        assert!(bytes.len() < bytes4.len());
+        // OPEN (1), NOTIFICATION (3) and KEEPALIVE (4) are valid BGP but not
+        // UPDATEs; 9 is no BGP type at all.
+        let mut bytes = encode_update(&UpdateMsg::default()).unwrap();
+        for ty in [1, 3, 4, 9] {
+            bytes[18] = ty;
+            assert_eq!(decode_update(&bytes), Err(WireError::UnknownType(ty)));
+        }
     }
 
     #[test]
@@ -714,9 +463,9 @@ mod tests {
             nlri: vec![Prefix::from_octets(192, 0, 2, 0, 24)],
             ..UpdateMsg::default()
         };
-        let bytes = codec().encode(&Message::Update(upd.clone())).unwrap();
-        let (msg, _) = codec().decode(&bytes).unwrap();
-        assert_eq!(msg, Message::Update(upd));
+        let bytes = encode_update(&upd).unwrap();
+        let (msg, _) = decode_update(&bytes).unwrap();
+        assert_eq!(msg, upd);
     }
 
     proptest! {
@@ -738,15 +487,15 @@ mod tests {
                 communities,
                 nlri: nlri.into_iter().map(|(a, l)| Prefix::new(a, l)).collect(),
             };
-            let bytes = codec().encode(&Message::Update(upd.clone())).unwrap();
-            let (msg, used) = codec().decode(&bytes).unwrap();
-            prop_assert_eq!(msg, Message::Update(upd));
+            let bytes = encode_update(&upd).unwrap();
+            let (msg, used) = decode_update(&bytes).unwrap();
+            prop_assert_eq!(msg, upd);
             prop_assert_eq!(used, bytes.len());
         }
 
         #[test]
         fn prop_decode_arbitrary_bytes_never_panics(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let _ = codec().decode(&data);
+            let _ = decode_update(&data);
         }
 
         #[test]
@@ -762,10 +511,10 @@ mod tests {
                 nlri: vec![Prefix::from_octets(192, 0, 2, 0, 24)],
                 ..UpdateMsg::default()
             };
-            let mut bytes = codec().encode(&Message::Update(upd)).unwrap();
+            let mut bytes = encode_update(&upd).unwrap();
             let idx = flip_at % bytes.len();
             bytes[idx] = flip_to;
-            let _ = codec().decode(&bytes);
+            let _ = decode_update(&bytes);
         }
     }
 }

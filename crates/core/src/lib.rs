@@ -25,16 +25,12 @@
 
 pub mod config;
 pub mod decide;
-pub mod dns_failover;
 pub mod events;
-pub mod monitor;
 pub mod system;
 pub mod world;
 
-pub use config::{LifeguardConfig, SentinelStrategy};
+pub use config::LifeguardConfig;
 pub use decide::{plan_repair, RepairPlan};
-pub use dns_failover::{routes_consistent, DnsFailover};
 pub use events::{Event, EventKind};
-pub use monitor::{MeshMonitor, OutageRecord};
 pub use system::{Lifeguard, TargetState};
 pub use world::World;

@@ -1,6 +1,9 @@
 //! The LIFEGUARD control loop.
 
-use crate::config::LifeguardConfig;
+use crate::config::{
+    LifeguardConfig, CONVERGENCE_MS, OUTAGE_THRESHOLD, PREPEND_COPIES, SENTINEL_CHECK_INTERVAL_MS,
+    UNFIXABLE_RETRY_MS,
+};
 use crate::decide::{announcement, plan_repair_cached};
 use crate::events::{Event, EventKind};
 use crate::world::World;
@@ -206,7 +209,7 @@ impl Lifeguard {
     }
 
     /// Trace id of the incident `target` is currently in, if any.
-    pub fn trace_of(&self, target: AsId) -> Option<TraceId> {
+    fn trace_of(&self, target: AsId) -> Option<TraceId> {
         self.traces.get(&target).copied()
     }
 
@@ -227,7 +230,7 @@ impl Lifeguard {
 
     /// The steady-state baseline announcement for the production prefix.
     pub fn baseline_spec(&self, world: &World<'_>) -> AnnouncementSpec {
-        let path = AsPath::prepended_baseline(self.cfg.origin, self.cfg.prepend_copies);
+        let path = AsPath::prepended_baseline(self.cfg.origin, PREPEND_COPIES);
         announcement(world.dp.network(), &self.cfg, self.cfg.production, path)
     }
 
@@ -278,12 +281,13 @@ impl Lifeguard {
     /// the atlas. Call once before ticking.
     pub fn install(&mut self, world: &mut World<'_>, now: Time) {
         world.dp.announce(&self.baseline_spec(world));
-        if let Some(sentinel) = self.cfg.sentinel_prefix() {
-            let path = AsPath::prepended_baseline(self.cfg.origin, self.cfg.prepend_copies);
-            world
-                .dp
-                .announce(&announcement(world.dp.network(), &self.cfg, sentinel, path));
-        }
+        let path = AsPath::prepended_baseline(self.cfg.origin, PREPEND_COPIES);
+        world.dp.announce(&announcement(
+            world.dp.network(),
+            &self.cfg,
+            self.cfg.sentinel,
+            path,
+        ));
         let targets = self.cfg.targets.clone();
         world.warm_atlas(self.cfg.origin, &targets, now);
     }
@@ -303,7 +307,7 @@ impl Lifeguard {
     }
 
     /// One monitoring round at `now`. Call every
-    /// [`LifeguardConfig::ping_interval_ms`].
+    /// [`PING_INTERVAL_MS`](crate::config::PING_INTERVAL_MS).
     pub fn tick(&mut self, world: &mut World<'_>, now: Time) {
         let targets = self.cfg.targets.clone();
         for target in targets {
@@ -341,7 +345,7 @@ impl Lifeguard {
                         trace::instant_for(id, "monitor.open", now.millis());
                     }
                     self.outage_started.entry(target).or_insert(now);
-                    if streak < self.cfg.outage_threshold {
+                    if streak < OUTAGE_THRESHOLD {
                         self.states.insert(
                             target,
                             TargetState::Monitoring {
@@ -361,10 +365,10 @@ impl Lifeguard {
                     last_sentinel_check,
                     spec,
                 } => {
-                    if now - last_sentinel_check < self.cfg.sentinel_check_interval_ms {
+                    if now - last_sentinel_check < SENTINEL_CHECK_INTERVAL_MS {
                         continue;
                     }
-                    if self.sentinel_detects_repair(world, now, target, poisoned) {
+                    if self.sentinel_detects_repair(world, now, target) {
                         self.log(now, EventKind::FailureHealed { target });
                         self.states.insert(
                             target,
@@ -393,7 +397,7 @@ impl Lifeguard {
                     }
                 }
                 TargetState::Unfixable { since, .. } => {
-                    if now - since >= self.cfg.unfixable_retry_ms {
+                    if now - since >= UNFIXABLE_RETRY_MS {
                         self.outage_started.remove(&target);
                         // Retry opens a fresh incident (and chain) if the
                         // target is still dark.
@@ -490,7 +494,7 @@ impl Lifeguard {
                         selective: plan.selective,
                         copies: plan.poison_copies as u8,
                         outage_started,
-                        last_sentinel_check: after_isolation + self.cfg.convergence_ms,
+                        last_sentinel_check: after_isolation + CONVERGENCE_MS,
                         spec: plan.spec.clone(),
                     },
                 );
@@ -508,9 +512,9 @@ impl Lifeguard {
                 // Verify restoration once routes converge. The modeled
                 // convergence wait is the "quiescence" leg of the traced
                 // downtime breakdown (§6: wait out convergence).
-                let converged = after_isolation + self.cfg.convergence_ms;
+                let converged = after_isolation + CONVERGENCE_MS;
                 trace::instant_for(trace_id, "repair.quiescence", converged.millis());
-                trace::annot_u64_for(trace_id, "repair.convergence_ms", self.cfg.convergence_ms);
+                trace::annot_u64_for(trace_id, "repair.convergence_ms", CONVERGENCE_MS);
                 if self.ping_pair_ok(world, converged, target) {
                     self.log(
                         converged,
@@ -582,35 +586,22 @@ impl Lifeguard {
     /// Sentinel repair check (§4.2): ping the target sourced from the
     /// sentinel's unused space so the response routes over the *unpoisoned*
     /// sentinel prefix — i.e. back through the poisoned AS — revealing
-    /// whether the underlying failure has healed. Without unused sentinel
-    /// space, probe the poisoned AS itself.
-    fn sentinel_detects_repair(
-        &mut self,
-        world: &mut World<'_>,
-        now: Time,
-        target: AsId,
-        poisoned: AsId,
-    ) -> bool {
-        match self.cfg.sentinel_unused_addr() {
-            Some(src_addr) => {
-                world
-                    .prober
-                    .ping_from_addr(
-                        &world.dp,
-                        now,
-                        self.cfg.origin,
-                        src_addr,
-                        infra_addr(target),
-                    )
-                    .responded
-            }
-            None => {
-                world
-                    .prober
-                    .ping(&world.dp, now, self.cfg.origin, infra_addr(poisoned))
-                    .responded
-            }
-        }
+    /// whether the underlying failure has healed.
+    fn sentinel_detects_repair(&mut self, world: &mut World<'_>, now: Time, target: AsId) -> bool {
+        let src_addr = self
+            .cfg
+            .sentinel_unused_addr()
+            .expect("validated configuration has unused sentinel space");
+        world
+            .prober
+            .ping_from_addr(
+                &world.dp,
+                now,
+                self.cfg.origin,
+                src_addr,
+                infra_addr(target),
+            )
+            .responded
     }
 }
 
@@ -662,7 +653,7 @@ fn trace_event(trace_id: TraceId, at: Time, kind: &EventKind) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SentinelStrategy;
+    use crate::config::PING_INTERVAL_MS;
     use lg_asmap::GraphBuilder;
     use lg_bgp::Prefix;
     use lg_sim::dataplane::infra_prefix;
@@ -706,7 +697,7 @@ mod tests {
         let end = from + minutes * 60_000;
         while t <= end {
             lg.tick(world, t);
-            t += lg.config().ping_interval_ms;
+            t += PING_INTERVAL_MS;
         }
         t
     }
@@ -1185,6 +1176,36 @@ mod tests {
     }
 
     #[test]
+    fn outage_detected_at_exactly_the_threshold() {
+        // A failure lasting exactly `failed_pairs` ticks; returns when
+        // OutageDetected was logged, relative to the first failed pair.
+        let detected_after = |failed_pairs: u64| -> Option<u64> {
+            let net = world_net();
+            let mut world = World::new(&net);
+            let mut lg = make_system(vec![AsId(5)]);
+            lg.install(&mut world, Time::ZERO);
+            let start = tick_minutes(&mut lg, &mut world, Time::from_secs(60), 2);
+            world.dp.failures_mut().add(
+                Failure::silent_as_toward(AsId(1), production())
+                    .window(start, Some(start + failed_pairs * PING_INTERVAL_MS)),
+            );
+            tick_minutes(&mut lg, &mut world, start, 5);
+            lg.events().iter().find_map(|e| match e.kind {
+                EventKind::OutageDetected { .. } => Some(e.at - start),
+                _ => None,
+            })
+        };
+        let threshold = u64::from(OUTAGE_THRESHOLD);
+        assert_eq!(detected_after(threshold - 1), None);
+        // The paper's 90-s minimum detectable outage.
+        assert_eq!(
+            detected_after(threshold),
+            Some((threshold - 1) * PING_INTERVAL_MS)
+        );
+        assert_eq!((threshold - 1) * PING_INTERVAL_MS, 90_000);
+    }
+
+    #[test]
     fn repair_lifecycle_reports_into_scoped_registry() {
         // The full outage -> isolate -> poison -> repair -> heal -> unpoison
         // arc, observed through a scoped registry; the sentinel-detection
@@ -1274,41 +1295,5 @@ mod tests {
         assert!(snap.counter("core.poisons_skipped").unwrap() >= 1);
         assert_eq!(snap.counter("core.poisons_applied"), Some(0));
         assert_eq!(snap.counter("core.repairs"), Some(0));
-    }
-
-    #[test]
-    fn disjoint_sentinel_strategy_still_detects_repair() {
-        let net = world_net();
-        let mut world = World::new(&net);
-        let mut cfg = LifeguardConfig::paper_defaults(AsId(0), production(), sentinel());
-        cfg.sentinel = SentinelStrategy::Disjoint {
-            sentinel: Prefix::from_octets(198, 51, 100, 0, 24),
-        };
-        cfg.targets = vec![AsId(5)];
-        cfg.vantage_points = vec![AsId(7), AsId(8)];
-        let mut lg = Lifeguard::new(cfg);
-        lg.install(&mut world, Time::ZERO);
-        let t = tick_minutes(&mut lg, &mut world, Time::from_secs(60), 5);
-        let heal_at = t + 1_800_000;
-        for covered in [
-            production(),
-            Prefix::from_octets(198, 51, 100, 0, 24),
-            infra_prefix(AsId(0)),
-        ] {
-            world
-                .dp
-                .failures_mut()
-                .add(Failure::silent_as_toward(AsId(1), covered).window(t, Some(heal_at)));
-        }
-        tick_minutes(&mut lg, &mut world, t, 10);
-        assert!(lg.poisoning_active());
-        tick_minutes(&mut lg, &mut world, heal_at + 60_000, 10);
-        assert!(
-            lg.events()
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::Unpoisoned { .. })),
-            "events: {:?}",
-            lg.events()
-        );
     }
 }

@@ -6,9 +6,7 @@
 //! coming *home*, implicating an innocent forward-path AS (Fig 4).
 
 use lg_asmap::AsId;
-use lg_probe::{Prober, Traceroute};
-use lg_sim::dataplane::DataPlane;
-use lg_sim::Time;
+use lg_probe::Traceroute;
 
 /// The AS a traceroute-only diagnosis blames: the last responsive hop's AS
 /// (operators usually read the failure as "just past the last hop I can
@@ -23,23 +21,13 @@ pub fn traceroute_only_blame(tr: &Traceroute) -> Option<AsId> {
     tr.last_responsive_as()
 }
 
-/// Run the baseline end-to-end: one traceroute, one blame.
-pub fn run_baseline(
-    dp: &DataPlane<'_>,
-    prober: &mut Prober,
-    now: Time,
-    src: AsId,
-    dst_addr: u32,
-) -> Option<AsId> {
-    let tr = prober.traceroute(dp, now, src, dst_addr);
-    traceroute_only_blame(&tr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lg_asmap::{GraphBuilder, RouterId};
-    use lg_probe::TrbHop;
+    use lg_probe::{Prober, TrbHop};
+    use lg_sim::dataplane::DataPlane;
+    use lg_sim::Time;
 
     #[test]
     fn blames_last_responsive_hop() {
@@ -88,7 +76,8 @@ mod tests {
         dp.failures_mut()
             .add(Failure::silent_as_toward(AsId(2), infra_prefix(AsId(0))));
         let mut prober = Prober::with_defaults();
-        let blame = run_baseline(&dp, &mut prober, Time::ZERO, AsId(0), infra_addr(AsId(3)));
+        let tr = prober.traceroute(&dp, Time::ZERO, AsId(0), infra_addr(AsId(3)));
+        let blame = traceroute_only_blame(&tr);
         assert_eq!(blame, Some(AsId(1)), "baseline blames the wrong AS");
     }
 }

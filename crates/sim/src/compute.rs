@@ -14,7 +14,7 @@
 //!   one `RwLock`, shareable by `Arc` between `Lifeguard` instances working
 //!   one topology, and invalidates *incrementally*: every routing-relevant
 //!   mutation (`set_policy`, `set_strips_communities`, link surgery) logs a
-//!   typed [`DirtyScope`](crate::network::DirtyScope) on the network, and
+//!   typed [`DirtyScope`] on the network, and
 //!   on the next lookup the cache drops only the entries that scope can
 //!   reach — a loop-detection edit at AS X evicts only tables whose
 //!   seed-path footprint contains X; everything else survives. Generations
@@ -457,12 +457,12 @@ impl CacheShard {
 ///   blocks concurrent readers for one fill.
 ///
 /// How a miss is filled follows from the spec alone. A spec whose seed
-/// paths carry poison hops has a *parent* ([`prepended_parent`]: the same
+/// paths carry poison hops has a *parent* (`prepended_parent`: the same
 /// announcement with every seed path prepended instead, `O-A-O` →
 /// `O-O-O`), and its table differs from the parent's at a handful of ASes:
 /// the fill makes sure the parent is cached — an entry like any other,
 /// evicted by the same rules — and derives the child from it
-/// ([`derive_routes`]), reading the parent's subtrees off a child index the
+/// (`derive_routes`), reading the parent's subtrees off a child index the
 /// cache keeps beside the parent entry. Everything else, parents included,
 /// is a from-scratch [`compute_routes`].
 ///

@@ -47,7 +47,7 @@
 use crate::dynamic::DynamicTelemetry;
 use crate::time::Time;
 use lg_asmap::AsId;
-use lg_bgp::wire::{Codec, Message, Origin, UpdateMsg, MAX_MESSAGE_LEN};
+use lg_bgp::wire::{encode_update, Origin, UpdateMsg, MAX_MESSAGE_LEN};
 use lg_bgp::{IdHashMap, PathId, PathInterner, Prefix};
 
 /// NLRI wire cost of one prefix: length octet + ceil(len/8) bytes.
@@ -99,7 +99,6 @@ pub(crate) struct UpdatePacker {
     announce_overhead: Vec<usize>,
     /// The same for a withdrawal (no attribute block).
     withdraw_overhead: usize,
-    codec: Codec,
     /// Groups opened so far (`packing.groups`).
     pub(crate) groups: u64,
     /// Real codec runs so far (`packing.encodes`): one per shape.
@@ -113,7 +112,6 @@ impl UpdatePacker {
             open: IdHashMap::default(),
             announce_overhead: Vec::new(),
             withdraw_overhead: 0,
-            codec: Codec::default(),
             groups: 0,
             encodes: 0,
         }
@@ -140,10 +138,7 @@ impl UpdatePacker {
         };
         if *known == 0 {
             let msg = single_prefix_update(from, prefix, path, paths);
-            let bytes = self
-                .codec
-                .encode(&Message::Update(msg))
-                .expect("single-prefix UPDATE exceeds the message cap");
+            let bytes = encode_update(&msg).expect("single-prefix UPDATE exceeds the message cap");
             self.encodes += 1;
             *known = bytes.len() - nlri_cost(prefix);
         }
@@ -233,7 +228,6 @@ mod tests {
         at: Time,
         groups: Vec<(AsId, Option<PathId>, Vec<Prefix>)>,
         index: HashMap<(AsId, AsId, Option<PathId>), usize>,
-        codec: Codec,
     }
 
     impl ReferencePacker {
@@ -242,7 +236,6 @@ mod tests {
                 at: Time::ZERO,
                 groups: Vec::new(),
                 index: HashMap::new(),
-                codec: Codec::default(),
             }
         }
 
@@ -301,18 +294,14 @@ mod tests {
             // block) by encoding a single-prefix message once; every
             // further prefix adds exactly its NLRI cost.
             let first = prefixes[0];
-            let probe = self
-                .codec
-                .encode(&Message::Update(build(vec![first])))
+            let probe = encode_update(&build(vec![first]))
                 .expect("single-prefix UPDATE exceeds the message cap");
             let overhead = probe.len() - nlri_cost(first);
             let mut unpacked_bytes = 0u64;
             let mut chunk: Vec<Prefix> = Vec::new();
             let mut chunk_bytes = overhead;
             let emit = |chunk: &mut Vec<Prefix>| {
-                let bytes = self
-                    .codec
-                    .encode(&Message::Update(build(std::mem::take(chunk))))
+                let bytes = encode_update(&build(std::mem::take(chunk)))
                     .expect("packed UPDATE chunk exceeds the message cap");
                 tele.wire_updates.inc();
                 tele.wire_bytes.add(bytes.len() as u64);

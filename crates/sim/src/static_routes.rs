@@ -19,7 +19,7 @@
 //! a tree: `path(a) = [learned_from(a)] ++ path(learned_from(a))`, ending in
 //! the seed path an origin neighbor accepted. A [`RouteTable`] stores that
 //! tree and nothing else, and the engine reads candidate paths straight off
-//! the tree it is building. [`derive_routes`] starts from the converged tree
+//! the tree it is building. `derive_routes` starts from the converged tree
 //! of a spec's prepended parent and re-decides only the ASes the poison can
 //! reach.
 
@@ -646,7 +646,7 @@ const _: () = assert!(MAX_PATH_LEN < 1 << KEY_LEN_BITS);
 /// `spec` should pass [`AnnouncementSpec::validate`]; seeds pointing at
 /// non-neighbors are ignored defensively.
 ///
-/// This is the frontier engine: candidates live in a [`DeltaQueue`]
+/// This is the frontier engine: candidates live in a `DeltaQueue`
 /// bucketed by preference, paths in the tree being built, and ASes whose
 /// import policy can never reject (no filters configured and not on the
 /// announcement's footprint, i.e. loop detection cannot fire) are pruned
@@ -654,7 +654,7 @@ const _: () = assert!(MAX_PATH_LEN < 1 << KEY_LEN_BITS);
 /// route can still change are revisited. It is differentially tested
 /// against [`compute_routes_reference`] (tests/compute_equivalence.rs) and
 /// produces byte-identical tables. It never consults a cache: it is the
-/// oracle [`derive_routes`] is tested against and how parents are built.
+/// oracle `derive_routes` is tested against and how parents are built.
 pub fn compute_routes(net: &Network, spec: &AnnouncementSpec) -> RouteTable {
     frontier_fixed_point(net, spec).0
 }

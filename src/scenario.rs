@@ -12,6 +12,7 @@ use lg_bgp::Prefix;
 use lg_sim::dataplane::infra_prefix;
 use lg_sim::failures::{Failure, NetElement};
 use lg_sim::{Network, Time};
+use lifeguard_core::config::PING_INTERVAL_MS;
 use lifeguard_core::{Event, Lifeguard, LifeguardConfig, World};
 
 /// Topology selection.
@@ -338,7 +339,6 @@ pub fn run(scenario: &Scenario) -> Result<RunOutcome, ScenarioError> {
 
     // Run the clock: LIFEGUARD ticks every ping interval; an external
     // ground-truth monitor accounts downtime.
-    let interval = lifeguard.config().ping_interval_ms;
     let mut downtime: Vec<(AsId, u64)> = targets.iter().map(|t| (*t, 0)).collect();
     let mut now = Time::from_secs(60);
     let end = Time::from_mins(scenario.duration_min);
@@ -354,10 +354,10 @@ pub fn run(scenario: &Scenario) -> Result<RunOutcome, ScenarioError> {
             );
             let up = fwd.outcome.delivered() && rev.is_some_and(|r| r.outcome.delivered());
             if !up {
-                *d += interval;
+                *d += PING_INTERVAL_MS;
             }
         }
-        now += interval;
+        now += PING_INTERVAL_MS;
     }
 
     Ok(RunOutcome {

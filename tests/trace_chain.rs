@@ -8,6 +8,7 @@
 
 use lifeguard_repro::asmap::{AsId, GraphBuilder};
 use lifeguard_repro::bgp::Prefix;
+use lifeguard_repro::lifeguard::config::PING_INTERVAL_MS;
 use lifeguard_repro::lifeguard::{EventKind, Lifeguard, LifeguardConfig, World};
 use lifeguard_repro::sim::dataplane::infra_prefix;
 use lifeguard_repro::sim::failures::Failure;
@@ -44,7 +45,7 @@ fn tick_minutes(lg: &mut Lifeguard, world: &mut World<'_>, from: Time, minutes: 
     let end = from + minutes * 60_000;
     while t <= end {
         lg.tick(world, t);
-        t += lg.config().ping_interval_ms;
+        t += PING_INTERVAL_MS;
     }
     t
 }
