@@ -11,25 +11,29 @@
 //!    IGP/tie-break steps of real routers;
 //! 4. lexicographically smallest path (final total-order tiebreak so
 //!    selection is a pure function of the candidate set).
-
-use crate::route::Route;
-use std::cmp::Ordering;
-
-/// Compare two routes for the same prefix; `Less` means `a` is preferred.
-pub fn compare_routes(a: &Route, b: &Route) -> Ordering {
-    a.pref_class()
-        .cmp(&b.pref_class())
-        .then_with(|| a.path_len().cmp(&b.path_len()))
-        .then_with(|| a.learned_from.cmp(&b.learned_from))
-        .then_with(|| a.path.cmp(&b.path))
-}
+//!
+//! Each engine implements this order over its own route store: the static
+//! engine as a packed preference key, the dynamic engine as a scan over a
+//! node's per-neighbor candidate slots, where level 4 never decides (two
+//! candidates never share a neighbor). The tests below keep the order over
+//! owned routes, `compare_routes`, as the reference.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::path::AsPath;
     use crate::prefix::Prefix;
+    use crate::route::Route;
     use lg_asmap::{AsId, Relationship};
+    use std::cmp::Ordering;
+
+    /// Compare two routes for the same prefix; `Less` means `a` is preferred.
+    fn compare_routes(a: &Route, b: &Route) -> Ordering {
+        a.pref_class()
+            .cmp(&b.pref_class())
+            .then_with(|| a.path_len().cmp(&b.path_len()))
+            .then_with(|| a.learned_from.cmp(&b.learned_from))
+            .then_with(|| a.path.cmp(&b.path))
+    }
 
     /// The best of `candidates` (already policy-filtered) under
     /// [`compare_routes`].

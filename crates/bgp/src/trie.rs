@@ -115,35 +115,40 @@ impl<T> PrefixTrie<T> {
         old
     }
 
-    /// The prefixes covering `addr`, most specific first, with their values.
-    pub fn matches(&self, addr: u32) -> Vec<(u8, &T)> {
-        let mut out: Vec<(u8, &T)> = Vec::new();
+    /// The values stored at prefixes covering `addr`, most specific
+    /// first, without allocating: one walk down records the (at most 33)
+    /// nodes that hold a value, and the iterator hands them back deepest
+    /// first.
+    pub fn covering(&self, addr: u32) -> Covering<'_, T> {
+        let mut hits = [0u32; 33];
+        let mut n = 0;
         let mut idx = 0;
-        if let Some(v) = self.nodes[0].value.as_ref() {
-            out.push((0, v));
+        if self.nodes[0].value.is_some() {
+            n = 1;
         }
         for depth in 0..32u8 {
-            let b = Self::bit(addr, depth);
-            match self.nodes[idx].children[b] {
+            match self.nodes[idx].children[Self::bit(addr, depth)] {
                 Some(next) => {
                     idx = next;
-                    if let Some(v) = self.nodes[idx].value.as_ref() {
-                        out.push((depth + 1, v));
+                    if self.nodes[idx].value.is_some() {
+                        hits[n] = idx as u32;
+                        n += 1;
                     }
                 }
                 None => break,
             }
         }
-        out.reverse();
-        out
+        Covering {
+            trie: self,
+            hits,
+            n,
+        }
     }
 
     /// The most specific stored value covering `addr`.
     ///
-    /// Equivalent to `matches(addr).first()` but walks the trie directly,
-    /// tracking the deepest stored value — no allocation. This runs once
-    /// per hop of every data-plane walk, where the `Vec` the general query
-    /// builds is pure overhead.
+    /// Equivalent to `covering(addr).next()`, tracking only the deepest
+    /// stored value on the way down.
     pub fn lookup(&self, addr: u32) -> Option<&T> {
         let mut best = self.nodes[0].value.as_ref();
         let mut idx = 0;
@@ -160,6 +165,25 @@ impl<T> PrefixTrie<T> {
             }
         }
         best
+    }
+}
+
+/// Iterator over the values covering an address, most specific first
+/// (see [`PrefixTrie::covering`]).
+pub struct Covering<'a, T> {
+    trie: &'a PrefixTrie<T>,
+    /// Trie nodes holding a value on the address's path, shallowest
+    /// first; `hits[..n]` are still to be yielded.
+    hits: [u32; 33],
+    n: usize,
+}
+
+impl<'a, T> Iterator for Covering<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        self.n = self.n.checked_sub(1)?;
+        self.trie.nodes[self.hits[self.n] as usize].value.as_ref()
     }
 }
 
@@ -196,7 +220,7 @@ mod tests {
         t.insert(p(10, 1, 2, 0, 24), 24u8);
         let addr = u32::from_be_bytes([10, 1, 2, 3]);
         assert_eq!(t.lookup(addr), Some(&24));
-        let m: Vec<u8> = t.matches(addr).iter().map(|(l, _)| *l).collect();
+        let m: Vec<u8> = t.covering(addr).copied().collect();
         assert_eq!(m, vec![24, 16, 8]);
         // Outside the /24 but inside the /16.
         assert_eq!(t.lookup(u32::from_be_bytes([10, 1, 9, 9])), Some(&16));
@@ -210,9 +234,8 @@ mod tests {
         t.insert(Prefix::new(0, 0), "default");
         assert_eq!(t.lookup(0), Some(&"default"));
         assert_eq!(t.lookup(u32::MAX), Some(&"default"));
-        let m = t.matches(12345);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].0, 0);
+        let m: Vec<&str> = t.covering(12345).copied().collect();
+        assert_eq!(m, vec!["default"]);
     }
 
     #[test]
@@ -248,22 +271,31 @@ mod tests {
             }
         }
 
-        /// The allocation-free `lookup` walk agrees with the most specific
-        /// entry of the allocating general query on arbitrary prefix sets
-        /// and addresses — including addresses under no stored prefix.
+        /// The `lookup` walk agrees with the first value `covering` yields,
+        /// and `covering` yields exactly the stored prefixes that cover the
+        /// address, longest first — including addresses under no stored
+        /// prefix.
         #[test]
         fn prop_lookup_matches_matches_first(
             entries in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..40),
             queries in proptest::collection::vec(any::<u32>(), 1..30),
         ) {
             let mut trie = PrefixTrie::new();
+            let mut linear: Vec<Prefix> = Vec::new();
             for (addr, len) in entries {
                 let pfx = Prefix::new(addr, len);
                 trie.insert(pfx, pfx);
+                if !linear.contains(&pfx) {
+                    linear.push(pfx);
+                }
             }
             for q in queries {
-                let via_matches = trie.matches(q).first().map(|(_, v)| *v).copied();
-                prop_assert_eq!(trie.lookup(q).copied(), via_matches, "query {}", q);
+                let walk: Vec<Prefix> = trie.covering(q).copied().collect();
+                prop_assert_eq!(trie.lookup(q), walk.first(), "query {}", q);
+                let mut want: Vec<Prefix> =
+                    linear.iter().copied().filter(|p| p.contains(q)).collect();
+                want.sort_by_key(|p| std::cmp::Reverse(p.len()));
+                prop_assert_eq!(walk, want, "query {}", q);
             }
         }
 

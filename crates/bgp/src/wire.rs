@@ -7,13 +7,16 @@
 //! byte-level UPDATE format with the path attributes the system manipulates
 //! (ORIGIN, AS_PATH, NEXT_HOP, MED, LOCAL_PREF, COMMUNITIES) and 4-octet AS
 //! numbers (RFC 6793). Session messages (OPEN, NOTIFICATION, KEEPALIVE) are
-//! out of scope: nothing in the workspace runs a BGP session.
+//! out of scope: nothing in the workspace runs a BGP session. Nothing reads
+//! UPDATE bytes either, so the decoder is compiled for tests only, where
+//! every encoding is round-tripped through it.
 //!
 //! The offline package mirror lacks the `bytes` crate, so buffers are plain
 //! `Vec<u8>` / `&[u8]` — the codec is allocation-light regardless.
 
 use crate::path::AsPath;
 use crate::prefix::Prefix;
+#[cfg(test)]
 use lg_asmap::AsId;
 use std::fmt;
 
@@ -38,6 +41,7 @@ pub enum Origin {
     Incomplete = 2,
 }
 
+#[cfg(test)]
 impl Origin {
     fn from_u8(v: u8) -> Result<Self, WireError> {
         match v {
@@ -114,11 +118,13 @@ const FLAG_EXT_LEN: u8 = 0x10;
 
 const AS_PATH_SEGMENT_SEQUENCE: u8 = 2;
 
+#[cfg(test)]
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
+#[cfg(test)]
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
@@ -167,6 +173,7 @@ fn encode_nlri_prefix(out: &mut Vec<u8>, p: Prefix) {
     out.extend_from_slice(&p.addr().to_be_bytes()[..nbytes]);
 }
 
+#[cfg(test)]
 fn decode_nlri_prefix(r: &mut Reader<'_>) -> Result<Prefix, WireError> {
     let len = r.u8()?;
     if len > 32 {
@@ -196,6 +203,7 @@ pub fn encode_update(m: &UpdateMsg) -> Result<Vec<u8>, WireError> {
 
 /// Decode one UPDATE message from `buf`; returns the message and bytes
 /// consumed. Any other message type is [`WireError::UnknownType`].
+#[cfg(test)]
 pub fn decode_update(buf: &[u8]) -> Result<(UpdateMsg, usize), WireError> {
     if buf.len() < HEADER_LEN {
         return Err(WireError::Truncated);
@@ -229,6 +237,7 @@ fn encode_as_path_attr(path: &AsPath) -> Vec<u8> {
     val
 }
 
+#[cfg(test)]
 fn decode_as_path_attr(data: &[u8]) -> Result<AsPath, WireError> {
     let mut r = Reader::new(data);
     let mut hops = Vec::new();
@@ -315,6 +324,7 @@ fn encode_update_body(m: &UpdateMsg) -> Vec<u8> {
     body
 }
 
+#[cfg(test)]
 fn decode_update_body(body: &[u8]) -> Result<UpdateMsg, WireError> {
     let mut r = Reader::new(body);
     let mut m = UpdateMsg::default();

@@ -340,15 +340,14 @@ impl Fib for DataPlane<'_> {
         // Most specific prefix covering dst_addr for which `at` has a
         // route, resolved through the trie rather than a scan of every
         // installed table — with a full-table announcement set the scan
-        // is O(prefixes) per hop of every walk. `matches` yields covering
-        // prefixes most-specific-first, and a trie node holds one value
-        // per exact (addr, len), so the first hit is the unique winner —
-        // the same route the lpm_preference scan selected.
+        // is O(prefixes) per hop of every walk. `covering` yields covering
+        // prefixes most-specific-first without allocating, and a trie node
+        // holds one value per exact (addr, len), so the first hit is the
+        // unique winner — the same route the lpm_preference scan selected.
         let t = self
             .lpm
-            .matches(dst_addr)
-            .into_iter()
-            .map(|(_, &i)| &self.tables[i])
+            .covering(dst_addr)
+            .map(|&i| &self.tables[i])
             .find(|t| t.has_route(at))?;
         Some(match t.next_hop(at) {
             None => FibEntry::Deliver,

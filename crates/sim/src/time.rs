@@ -161,6 +161,9 @@ pub struct TimerWheel<T> {
     /// Cursor: fire time of the last popped entry (ms).
     current: u64,
     len: usize,
+    /// Higher-level slots re-filed down a level so far (see
+    /// [`TimerWheel::cascades`]).
+    cascades: u64,
     /// Memoized [`TimerWheel::peek`] result. `Some` is always the true
     /// minimum; `None` means "recompute on the next peek". Inserts can
     /// only lower the minimum (min-compare keeps the cache exact), pops
@@ -177,6 +180,7 @@ impl<T> Default for TimerWheel<T> {
             overflow: BinaryHeap::new(),
             current: 0,
             len: 0,
+            cascades: 0,
             cached_min: std::cell::Cell::new(None),
         }
     }
@@ -196,6 +200,13 @@ impl<T> TimerWheel<T> {
     /// True when no timers are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// How many times a pop has re-filed a higher-level slot one level
+    /// down: the wheel's own overhead beyond one filing per timer, and
+    /// what grows when timers sit far ahead of the cursor.
+    pub fn cascades(&self) -> u64 {
+        self.cascades
     }
 
     /// End of the level-`k` aligned window for the current cursor.
@@ -308,6 +319,7 @@ impl<T> TimerWheel<T> {
                     // progress toward level 0.
                     let entries = std::mem::take(&mut self.levels[k][slot]);
                     self.occupancy[k] &= !(1u64 << slot);
+                    self.cascades += 1;
                     for e in entries {
                         self.place(e);
                     }
@@ -380,6 +392,23 @@ mod tests {
             ]
         );
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn wheel_counts_cascades() {
+        // 10 and 63 sit in level 0 from the start; 100 in level-1 slot 1,
+        // 5,000 in level-2 slot 1. Popping each of the last two re-files
+        // its slot once: the cursor has moved to the entry's own time, so
+        // it lands straight in level 0.
+        let mut w = TimerWheel::new();
+        for (seq, at) in [10, 63, 100, 5_000].into_iter().enumerate() {
+            w.insert(Time(at), seq as u64, ());
+        }
+        let mut cascades = Vec::new();
+        while w.pop().is_some() {
+            cascades.push(w.cascades());
+        }
+        assert_eq!(cascades, vec![0, 0, 1, 2]);
     }
 
     #[test]
