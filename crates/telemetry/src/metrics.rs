@@ -32,7 +32,8 @@ impl Counter {
     }
 }
 
-/// Last-written value (entry counts, live sizes). Not monotone.
+/// Last-written value (entry counts, live sizes), or a high-water mark
+/// when only [`Gauge::raise_to`] writes it.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
@@ -41,6 +42,12 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Raise the value to `v` if it is lower (a high-water mark).
+    #[inline]
+    pub fn raise_to(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
