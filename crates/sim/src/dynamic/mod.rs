@@ -51,14 +51,13 @@
 //! `tests/multi_prefix.rs` — and is not probed per event. DESIGN.md,
 //! "Dynamic engine hot path".
 //!
-//! Two event sources share one `(time, seq)` order. UPDATEs in flight wait
-//! on a calendar ring (`rib.rs`): every delivery is due within the
-//! largest link delay plus the processing delay, so one FIFO bucket per
-//! millisecond of that horizon pops in exactly a binary heap's order.
-//! MRAI deferrals arm a timer on a hierarchical [`TimerWheel`] whose
-//! payload names the `(node, slot, prefix)`; the fire re-derives what to
-//! send from the Loc-RIB, so nothing about the deferred content is stored.
-//! Both draw their sequence numbers from one counter.
+//! Every pending event waits on one queue, a single-level [`TimerWheel`]
+//! with one FIFO bucket per millisecond: UPDATEs in flight, and MRAI fires
+//! whose payload names the `(node, slot, prefix)` (the fire re-derives what
+//! to send from the Loc-RIB, so nothing about the deferred content is
+//! stored). Both draw their sequence numbers from one counter as they are
+//! queued, so each bucket's FIFO order is its `seq` order and the queue
+//! pops in exactly a binary heap's `(time, seq)` order.
 //! `tests/dynamic_churn_invariants.rs` pins the MRAI lower bound,
 //! quiescence and run-to-run identity over randomized churn, and
 //! `tests/dynamic_golden.rs` the exact update stream across commits; the
@@ -81,7 +80,7 @@ use crate::time::{Time, TimerWheel};
 use lg_asmap::{AsId, Relationship};
 use lg_bgp::{PathId, PathInterner, Prefix, PrefixId, PrefixTrie, Route};
 use lg_telemetry::{Counter, Gauge, Histogram, Registry};
-use rib::{best, Cand, IdRoute, Node, Ring};
+use rib::{best, Cand, IdRoute, Node};
 use std::collections::HashMap;
 
 /// Registry handles the engine reports into, resolved once at
@@ -134,8 +133,8 @@ pub(crate) struct DynamicTelemetry {
     interner_misses: Counter,
     packing_groups: Counter,
     packing_encodes: Counter,
-    wheel_cascades: Counter,
-    /// The most UPDATEs any one engine has had in flight at once.
+    /// The most events any one engine has had pending at once: UPDATEs in
+    /// flight and armed MRAI timers.
     queue_peak: Gauge,
 }
 
@@ -163,7 +162,6 @@ impl DynamicTelemetry {
             interner_misses: r.counter("dynamic.interner_misses"),
             packing_groups: r.counter("packing.groups"),
             packing_encodes: r.counter("packing.encodes"),
-            wheel_cascades: r.counter("dynamic.wheel_cascades"),
             queue_peak: r.gauge("dynamic.queue_peak"),
         }
     }
@@ -174,9 +172,8 @@ impl DynamicTelemetry {
 /// to the registry at the end of each `run_until*` call. Together they
 /// open the one span a run is from outside: how many events of each kind,
 /// how many of them died at delivery, how many decision-process runs they
-/// caused, how often a prepend found its path already interned, how often
-/// an MRAI timer had to be re-filed down the wheel, and how deep the
-/// in-flight queue got.
+/// caused, how often a prepend found its path already interned, and how
+/// deep the event queue got.
 #[derive(Default)]
 struct LoopTally {
     /// `Recv` events popped, delivered or not.
@@ -190,22 +187,23 @@ struct LoopTally {
     /// reset at a non-origin AS).
     decision_runs: u64,
     /// How much of each running total — these four, then the interner's
-    /// hits and nodes, the packer's groups and encodes, and the wheel's
-    /// cascades — the registry has been given so far.
-    reported: [u64; 9],
+    /// hits and nodes, and the packer's groups and encodes — the registry
+    /// has been given so far.
+    reported: [u64; 8],
 }
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct DynamicSimConfig {
-    /// Base MRAI interval in ms (RFC 4271 suggests 30 s for eBGP).
+    /// Base MRAI interval in ms (RFC 4271 suggests 30 s for eBGP). The
+    /// event queue keeps one bucket (8 bytes) per millisecond of the longer
+    /// of this and the longest delivery delay, so this also sizes that
+    /// queue: 256 KB at the default 30 s.
     pub mrai_ms: u64,
     /// Apply deterministic per-(node, peer) jitter of 75-100% of the base
     /// interval, as routers do to avoid synchronization.
     pub mrai_jitter: bool,
     /// Per-message processing delay in ms, added to link propagation.
-    /// The in-flight queue keeps one bucket (8 bytes) per millisecond of
-    /// the longest delivery delay, so this also sizes that queue.
     pub proc_delay_ms: u64,
 }
 
@@ -234,13 +232,21 @@ struct Update {
     path: Option<PathId>,
 }
 
-/// Wheel payload: the `(node, slot, prefix)` whose MRAI timer fired.
-/// The fire re-derives what to send, so nothing else is needed.
+/// The `(node, slot, prefix)` whose MRAI timer fired. The fire re-derives
+/// what to send, so nothing else is needed.
 #[derive(Clone, Copy, Debug)]
 struct FireKey {
     node: u32,
     slot: u32,
     prefix: PrefixId,
+}
+
+/// What the event queue holds: an UPDATE to deliver, or an MRAI timer to
+/// fire.
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    Recv(Update),
+    Fire(FireKey),
 }
 
 /// May the holder of `route` advertise it to `peer`, to whom it relates as
@@ -357,8 +363,9 @@ pub struct DynamicSim<'n> {
     cfg: DynamicSimConfig,
     now: Time,
     seq: u64,
-    /// UPDATEs in flight, in `(time, seq)` order.
-    queue: Ring<Update>,
+    /// Everything pending, in `(time, seq)` order: UPDATEs in flight and
+    /// armed MRAI timers.
+    queue: TimerWheel<Event>,
     nodes: Vec<Node>,
     /// Where each node's row starts in the flat per-adjacency arrays: the
     /// adjacency from `a` to its neighbor at slot `i` is index
@@ -395,8 +402,6 @@ pub struct DynamicSim<'n> {
     prefix_lpm: PrefixTrie<PrefixId>,
     /// Failures consulted by [`DynamicSim::walk`].
     pub failures: FailureSet,
-    /// Armed MRAI timers.
-    wheel: TimerWheel<FireKey>,
     /// Update log for run-to-run comparison in tests; `None` (the
     /// default) records nothing.
     log: Option<Vec<UpdateRecord>>,
@@ -424,9 +429,7 @@ impl<'n> DynamicSim<'n> {
             edges += g.degree(a) as u32;
         }
         row_start.push(edges);
-        // The slot map, and the longest delivery delay: the ring's horizon.
         let mut rev_slot = Vec::with_capacity(edges as usize);
-        let mut max_delay = 0;
         for a in g.ases() {
             for &(b, _) in g.neighbors(a) {
                 let back = g
@@ -434,16 +437,14 @@ impl<'n> DynamicSim<'n> {
                     .binary_search_by_key(&a, |&(n, _)| n)
                     .expect("adjacency is symmetric");
                 rev_slot.push(back as u32);
-                max_delay = max_delay.max(net.link_delay_ms(a, b));
             }
         }
-        let horizon = max_delay + cfg.proc_delay_ms + 1;
         DynamicSim {
             net,
             cfg,
             now: Time::ZERO,
             seq: 0,
-            queue: Ring::new(horizon),
+            queue: TimerWheel::new(),
             nodes: (0..net.len()).map(|_| Node::default()).collect(),
             row_start,
             rev_slot,
@@ -454,7 +455,6 @@ impl<'n> DynamicSim<'n> {
             prefixes: Vec::new(),
             prefix_lpm: PrefixTrie::new(),
             failures: FailureSet::none(),
-            wheel: TimerWheel::new(),
             log: None,
             packer: UpdatePacker::new(),
             tally: LoopTally::default(),
@@ -716,8 +716,8 @@ impl<'n> DynamicSim<'n> {
         self.recs().map(|r| r.out.len()).sum()
     }
 
-    /// Updates currently in flight (diagnostic; armed MRAI timers are not
-    /// included).
+    /// Events currently pending (diagnostic): UPDATEs in flight and armed
+    /// MRAI timers.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -731,7 +731,7 @@ impl<'n> DynamicSim<'n> {
             self.tele.withdrawals_sent.inc();
         }
         self.seq += 1;
-        self.queue.push(self.now, at, self.seq, msg);
+        self.queue.insert(at, self.seq, Event::Recv(msg));
     }
 
     /// Put an UPDATE from `from` to its neighbor at `slot` on the wire:
@@ -794,7 +794,6 @@ impl<'n> DynamicSim<'n> {
             (self.paths.node_count() as u64, &tele.interner_misses),
             (groups, &tele.packing_groups),
             (encodes, &tele.packing_encodes),
-            (self.wheel.cascades(), &tele.wheel_cascades),
         ];
         for ((total, counter), reported) in totals.into_iter().zip(&mut t.reported) {
             counter.add(total - *reported);
@@ -912,34 +911,11 @@ impl<'n> DynamicSim<'n> {
         }
     }
 
-    /// The `(time, seq)` of the next pending event across both sources
-    /// (ring and timer wheel), and whether it is a wheel fire. Seqs come
-    /// from one global counter, so the total order is exact.
-    fn next_pending(&mut self) -> Option<(Time, u64, bool)> {
-        let recv = self.queue.peek(self.now);
-        let fire = self.wheel.peek();
-        match (recv, fire) {
-            (None, None) => None,
-            (Some((t, s)), None) => Some((t, s, false)),
-            (None, Some((t, s))) => Some((t, s, true)),
-            (Some(r), Some(f)) => {
-                if f < r {
-                    Some((f.0, f.1, true))
-                } else {
-                    Some((r.0, r.1, false))
-                }
-            }
-        }
-    }
-
-    /// Process the next pending event (caller has set `self.now`).
-    fn step(&mut self, is_fire: bool) {
-        if is_fire {
-            let (_, _, key) = self.wheel.pop().expect("peeked fire vanished");
-            self.handle_mrai_fire(key);
-        } else {
-            let (_, _, msg) = self.queue.pop(self.now).expect("peeked event vanished");
-            self.handle_recv(msg);
+    /// Process a popped event (caller has set `self.now`).
+    fn step(&mut self, ev: Event) {
+        match ev {
+            Event::Recv(msg) => self.handle_recv(msg),
+            Event::Fire(key) => self.handle_mrai_fire(key),
         }
     }
 
@@ -950,14 +926,11 @@ impl<'n> DynamicSim<'n> {
         let start = self.now;
         let mut last = self.now;
         let mut processed = false;
-        while let Some((at, _, is_fire)) = self.next_pending() {
-            if at > deadline {
-                break;
-            }
+        while let Some((at, _, ev)) = self.queue.pop_due(deadline) {
             self.now = at;
             last = at;
             processed = true;
-            self.step(is_fire);
+            self.step(ev);
         }
         self.finish_run();
         if processed {
@@ -974,12 +947,9 @@ impl<'n> DynamicSim<'n> {
     /// A `t` in the past is a no-op: the clock never rewinds (MRAI
     /// bookkeeping and metrics timestamps rely on monotonic time).
     pub fn run_until(&mut self, t: Time) {
-        while let Some((at, _, is_fire)) = self.next_pending() {
-            if at > t {
-                break;
-            }
+        while let Some((at, _, ev)) = self.queue.pop_due(t) {
             self.now = at;
-            self.step(is_fire);
+            self.step(ev);
         }
         self.finish_run();
         self.now = self.now.max(t);
@@ -987,7 +957,7 @@ impl<'n> DynamicSim<'n> {
 
     /// True when no events are pending.
     pub fn quiescent(&self) -> bool {
-        self.queue.is_empty() && self.wheel.is_empty()
+        self.queue.is_empty()
     }
 
     /// An MRAI timer expired: clear the pending flag and send whatever the
@@ -1175,7 +1145,7 @@ impl<'n> DynamicSim<'n> {
         st.fire_pending = true;
         self.tele.mrai_deferrals.inc();
         if need_fire {
-            // The fire's seq comes from the counter ring events draw from,
+            // The fire's seq comes from the counter deliveries draw from,
             // so fires and deliveries pop in one (time, seq) order.
             self.seq += 1;
             let key = FireKey {
@@ -1183,7 +1153,7 @@ impl<'n> DynamicSim<'n> {
                 slot: slot as u32,
                 prefix,
             };
-            self.wheel.insert(ready, self.seq, key);
+            self.queue.insert(ready, self.seq, Event::Fire(key));
         }
     }
 

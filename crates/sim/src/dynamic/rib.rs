@@ -1,5 +1,4 @@
-//! The dynamic engine's per-(node, prefix) state, and the calendar ring
-//! its UPDATEs wait on.
+//! The dynamic engine's per-(node, prefix) state.
 //!
 //! A node keeps one [`Rec`] per prefix it holds any state for, in a vec
 //! sorted by [`PrefixId`]. A record's neighbor-indexed arrays are
@@ -86,7 +85,7 @@ pub(super) fn best(cands: &[Cand], row: &[(AsId, Relationship)]) -> Option<IdRou
 pub(super) struct OutSlot {
     /// Earliest time the next *announcement* may be sent.
     pub mrai_ready_at: Time,
-    /// A wheel timer for this (peer, prefix) is armed, and changes wait
+    /// An MRAI fire for this (peer, prefix) is queued, and changes wait
     /// for it. Only the withdraw reset clears the flag under a live timer,
     /// which then fires harmlessly against the reset state.
     pub fire_pending: bool,
@@ -200,143 +199,6 @@ impl Node {
                 i
             }
         }
-    }
-}
-
-/// End-of-list marker in the ring's slab.
-const NIL: u32 = u32::MAX;
-
-struct RingEntry<T> {
-    seq: u64,
-    item: T,
-    /// Next entry in the same bucket, or in the free list.
-    next: u32,
-}
-
-/// A calendar queue for events due within a fixed horizon of now.
-///
-/// `span` buckets, one per millisecond of the horizon, each a FIFO list
-/// threaded through one slab of entries. The caller's contract: every
-/// pending event is due at or after `now`, and no event is pushed `span`
-/// or more milliseconds ahead of `now`. Then all pending events lie in
-/// `[now, now + span)`, which maps one-to-one onto the buckets, so one
-/// bucket only ever holds one due time; and events are pushed in `seq`
-/// order, so each bucket's FIFO order is its `seq` order. Popping the
-/// head of the first non-empty bucket at or after `now` is therefore the
-/// `(time, seq)` minimum — the order a binary heap would give.
-///
-/// `cursor` is a lower bound on the earliest pending time. It can fall
-/// behind `now` (another event source may advance the clock while the
-/// ring waits), so a scan starts at whichever is later.
-pub(super) struct Ring<T> {
-    span: u64,
-    /// `(head, tail)` per bucket.
-    buckets: Vec<(u32, u32)>,
-    slab: Vec<RingEntry<T>>,
-    free: u32,
-    len: usize,
-    peak: usize,
-    cursor: u64,
-}
-
-impl<T: Copy> Ring<T> {
-    /// A ring for events due less than `span` ms ahead of now.
-    pub fn new(span: u64) -> Self {
-        assert!(span > 0, "a ring needs a bucket");
-        Ring {
-            span,
-            buckets: vec![(NIL, NIL); span as usize],
-            slab: Vec::new(),
-            free: NIL,
-            len: 0,
-            peak: 0,
-            cursor: u64::MAX,
-        }
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The most events ever pending at once.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Queue `item`, due at `at`, with `seq` above every seq pushed so far.
-    pub fn push(&mut self, now: Time, at: Time, seq: u64, item: T) {
-        assert!(
-            at >= now && at - now < self.span,
-            "event at {at:?} outside the ring's horizon from {now:?}"
-        );
-        let at = at.millis();
-        let entry = RingEntry {
-            seq,
-            item,
-            next: NIL,
-        };
-        let e = if self.free == NIL {
-            self.slab.push(entry);
-            (self.slab.len() - 1) as u32
-        } else {
-            let e = self.free;
-            self.free = self.slab[e as usize].next;
-            self.slab[e as usize] = entry;
-            e
-        };
-        let bucket = &mut self.buckets[(at % self.span) as usize];
-        if bucket.1 == NIL {
-            bucket.0 = e;
-        } else {
-            self.slab[bucket.1 as usize].next = e;
-        }
-        bucket.1 = e;
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
-        self.cursor = self.cursor.min(at);
-    }
-
-    /// The `(time, seq)` of the earliest pending event.
-    pub fn peek(&mut self, now: Time) -> Option<(Time, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut t = self.cursor.max(now.millis());
-        loop {
-            let head = self.buckets[(t % self.span) as usize].0;
-            if head != NIL {
-                self.cursor = t;
-                return Some((Time(t), self.slab[head as usize].seq));
-            }
-            t += 1;
-            debug_assert!(t < now.millis() + self.span, "pending event lost");
-        }
-    }
-
-    /// Remove and return the earliest pending event.
-    pub fn pop(&mut self, now: Time) -> Option<(Time, u64, T)> {
-        let (at, seq) = self.peek(now)?;
-        let bucket = &mut self.buckets[(at.millis() % self.span) as usize];
-        let e = bucket.0;
-        let entry = &mut self.slab[e as usize];
-        bucket.0 = entry.next;
-        if bucket.0 == NIL {
-            bucket.1 = NIL;
-        }
-        let item = entry.item;
-        entry.next = self.free;
-        self.free = e;
-        self.len -= 1;
-        if self.len == 0 {
-            self.cursor = u64::MAX;
-        }
-        Some((at, seq, item))
     }
 }
 
@@ -454,33 +316,5 @@ mod tests {
             cands[slot] = Cand::NONE;
         }
         assert!(best(&cands, &row).is_none());
-    }
-
-    #[test]
-    fn ring_pops_in_time_seq_order_behind_a_lagging_cursor() {
-        let mut ring = Ring::new(50);
-        let mut seq = 0;
-        let mut push = |ring: &mut Ring<u64>, now: u64, at: u64| {
-            seq += 1;
-            ring.push(Time(now), Time(at), seq, seq);
-        };
-        push(&mut ring, 0, 30);
-        push(&mut ring, 0, 10);
-        push(&mut ring, 0, 30);
-        assert_eq!(ring.pop(Time(0)), Some((Time(10), 2, 2)));
-        // Another source moves the clock to 25 while the ring's cursor
-        // sits at 10. A scan from the cursor would reach 70's bucket
-        // (70 % 50 = 20) before 26's and pop 70 first.
-        push(&mut ring, 25, 70);
-        push(&mut ring, 25, 26);
-        assert_eq!(ring.peek(Time(25)), Some((Time(26), 5)));
-        assert_eq!(ring.pop(Time(25)), Some((Time(26), 5, 5)));
-        assert_eq!(ring.pop(Time(26)), Some((Time(30), 1, 1)));
-        assert_eq!(ring.pop(Time(30)), Some((Time(30), 3, 3)));
-        assert_eq!(ring.pop(Time(30)), Some((Time(70), 4, 4)));
-        assert_eq!(ring.pop(Time(70)), None);
-        assert_eq!(ring.peak(), 4);
-        // Freed entries are reused: the slab never grew past the peak.
-        assert_eq!(ring.slab.len(), 4);
     }
 }

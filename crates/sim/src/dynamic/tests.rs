@@ -678,16 +678,14 @@ fn telemetry_counts_updates_deferrals_and_quiescence() {
 #[test]
 fn change_on_the_tick_its_fire_is_due_waits_for_the_fire() {
     // Regression for the same-tick MRAI double send. X (AS1) announces
-    // to its provider P (AS2) at t=10, so its timer runs to t=30; a
-    // change at t=20 defers behind a fire due at 30. Two more UPDATEs,
-    // from customers C1 (AS3) and C2 (AS4), arrive at 30 and pop before
-    // that fire (they were queued before it was armed, so their seqs are
-    // lower): C2's route wins, then C2 withdraws it. The first found the
-    // timer expired and sent at once, the second deferred, and the fire
-    // then sent again: two announcements to P at 30. Now both wait, and
-    // the fire sends the latest route once. (The in-flight queue holds
-    // only what is due within the longest link delay, so the UPDATEs are
-    // queued at t=0 and t=19, each less than one delay ahead.)
+    // to its provider P (AS2) at t=10, so its timer runs to t=1010;
+    // a change at t=500 defers behind a fire due at 1010. Two more
+    // UPDATEs, from customers C1 (AS3) and C2 (AS4), arrive at 1010
+    // and pop before that fire (lower seq): C2's route wins, then C2
+    // withdraws it. The first found the timer expired and sent at once,
+    // the second deferred, and the fire then sent again: two
+    // announcements to P at 1010. Now both wait, and the fire sends the
+    // latest route once.
     let (o, x, p, c1, c2) = (AsId(0), AsId(1), AsId(2), AsId(3), AsId(4));
     let mut g = GraphBuilder::with_ases(6);
     g.provider_customer(p, x);
@@ -697,7 +695,7 @@ fn change_on_the_tick_its_fire_is_due_waits_for_the_fire() {
     let mut sim = DynamicSim::new(
         &net,
         DynamicSimConfig {
-            mrai_ms: 20,
+            mrai_ms: 1_000,
             mrai_jitter: false,
             ..cfg()
         },
@@ -705,13 +703,12 @@ fn change_on_the_tick_its_fire_is_due_waits_for_the_fire() {
     sim.record_updates(true);
     sim.begin_epoch(pfx());
     let prefix = PrefixId::of(pfx());
-    for (queued, at, from, hops) in [
-        (0, 10, c1, Some(vec![c1, o])),
-        (19, 20, c1, Some(vec![c1, AsId(5), o])),
-        (19, 30, c2, Some(vec![c2, o])),
-        (19, 30, c2, None),
+    for (at, from, hops) in [
+        (10, c1, Some(vec![c1, o])),
+        (500, c1, Some(vec![c1, AsId(5), o])),
+        (1_010, c2, Some(vec![c2, o])),
+        (1_010, c2, None),
     ] {
-        sim.run_until(Time(queued));
         let path = hops.map(|h| sim.paths.intern(&AsPath::from_hops(h)));
         let msg = Update {
             to: x,
@@ -733,7 +730,7 @@ fn change_on_the_tick_its_fire_is_due_waits_for_the_fire() {
         to_p,
         vec![
             (Time(10), vec![x, c1, o]),
-            (Time(30), vec![x, c1, AsId(5), o])
+            (Time(1_010), vec![x, c1, AsId(5), o])
         ],
         "one announcement per MRAI window, carrying the latest route"
     );
@@ -802,13 +799,11 @@ fn record_slots_follow_the_adjacency_row() {
 }
 
 #[test]
-fn loop_tally_reports_wheel_cascades_and_queue_peak() {
+fn loop_tally_reports_queue_peak() {
     // Chain O(0) <- B(1) <- C(2), MRAI 100 ms without jitter. The
     // announcement reaches C at once; re-announcing a longer path at
-    // t=5 makes B defer its change to C behind a timer due at
-    // B's first send + 100, which lands beyond the wheel's 64-ms level-0
-    // window and so is re-filed once before it fires. At most one UPDATE
-    // is ever in flight.
+    // t=5 makes B defer its change to C behind a timer due at B's first
+    // send + 100, which fires once.
     let mut g = GraphBuilder::with_ases(3);
     g.provider_customer(AsId(1), AsId(0));
     g.provider_customer(AsId(2), AsId(1));
@@ -837,6 +832,5 @@ fn loop_tally_reports_wheel_cascades_and_queue_peak() {
     );
     let snap = reg.snapshot();
     assert_eq!(snap.counter("dynamic.events_mrai_fire"), Some(1));
-    assert_eq!(snap.counter("dynamic.wheel_cascades"), Some(1));
     assert_eq!(snap.gauge("dynamic.queue_peak"), Some(2));
 }
