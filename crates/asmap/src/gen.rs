@@ -111,12 +111,12 @@ impl TopologyConfig {
     /// An Internet-calibrated topology of (almost exactly) `n` ASes.
     ///
     /// Tier sizes are derived from `n` to match the ratios of measured AS
-    /// graphs (CAIDA serial-1 style relationship dumps, the calibration
-    /// target of `io::parse_serial1`): a tier-1 clique of `n^0.27` ASes
-    /// (12 at 10k, ~20 at 75k), ~1.5% large transit, ~12% regional transit,
-    /// ~86% stubs with 65% multihoming, and a valley-free provider/peer edge
-    /// mix with 20-30% peering edges. Preferential attachment yields the
-    /// heavy-tailed transit degree distribution; generation is O(V + E).
+    /// graphs (CAIDA serial-1 style relationship dumps): a tier-1 clique of
+    /// `n^0.27` ASes (12 at 10k, ~20 at 75k), ~1.5% large transit, ~12%
+    /// regional transit, ~86% stubs with 65% multihoming, and a valley-free
+    /// provider/peer edge mix with 20-30% peering edges. Preferential
+    /// attachment yields the heavy-tailed transit degree distribution;
+    /// generation is O(V + E).
     pub fn calibrated(n: usize, seed: u64) -> Self {
         assert!(n >= 64, "calibrated topologies start at 64 ASes");
         let tier1 = ((n as f64).powf(0.27)).round().clamp(5.0, 24.0) as usize;

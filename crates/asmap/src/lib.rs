@@ -18,7 +18,6 @@ pub mod filters;
 pub mod gen;
 pub mod graph;
 pub mod ids;
-pub mod io;
 pub mod policy;
 pub mod relationship;
 pub mod splice;
@@ -27,7 +26,6 @@ pub use filters::{assign_filters, FilterAssignment, FilterDeployment};
 pub use gen::{TopologyConfig, TopologyKind};
 pub use graph::{next_generation, AsGraph, GraphBuilder};
 pub use ids::{AsId, RouterId};
-pub use io::{parse_relationships, to_relationships, ParsedGraph};
 pub use policy::{is_valley_free, TripleSet};
 pub use relationship::Relationship;
 pub use splice::{splice_alternate_path, SpliceInput, SplicedPath};
