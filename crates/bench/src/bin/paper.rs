@@ -4,24 +4,27 @@
 //! cargo run --release -p lg-bench --bin paper                      # everything
 //! cargo run --release -p lg-bench --bin paper -- sec51 fig6       # two items
 //! cargo run --release -p lg-bench --bin paper -- --out paper.json # + receipt
+//! cargo run --release -p lg-bench --bin paper -- --against OLD.json
 //! ```
 //!
 //! Tables go to stdout, progress and the check report to stderr. Exit 0 when
-//! every shape check held, 1 naming the ones that did not, 2 on usage.
+//! every shape check held (and, with `--against`, every `numbers` entry of
+//! the items run equals the one in that earlier receipt), 1 naming the
+//! checks and numbers that did not, 2 on usage.
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lg_bench::paper::{receipt, Scale, ITEMS};
+use lg_bench::paper::{numbers_differing, receipt, Scale, ITEMS};
 use lg_bench::report::Report;
-use lg_telemetry::Artifacts;
+use lg_telemetry::{json, Artifacts};
 
 fn usage(problem: &str) -> ExitCode {
     let items: Vec<&str> = ITEMS.iter().map(|(name, _)| *name).collect();
     eprintln!("paper: {problem}");
     eprintln!(
-        "usage: paper [ITEM…] [--full] [--out PATH] {}",
+        "usage: paper [ITEM…] [--full] [--out PATH] [--against RECEIPT] {}",
         Artifacts::USAGE
     );
     eprintln!("items (none = all): {}", items.join(" "));
@@ -34,6 +37,7 @@ fn main() -> ExitCode {
     let mut artifacts = Artifacts::default();
     let mut scale = Scale::Paper;
     let mut out: Option<String> = None;
+    let mut against: Option<(String, json::Value)> = None;
     let mut wanted = Vec::new();
     while let Some(arg) = args.next() {
         match artifacts.take(&arg, &mut args) {
@@ -47,6 +51,18 @@ fn main() -> ExitCode {
                 Some(path) => out = Some(path),
                 None => return usage("--out needs a PATH"),
             },
+            "--against" => {
+                let Some(path) = args.next() else {
+                    return usage("--against needs a RECEIPT");
+                };
+                let parsed = std::fs::read_to_string(&path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| json::parse(&text));
+                match parsed {
+                    Ok(committed) => against = Some((path, committed)),
+                    Err(e) => return usage(&format!("cannot read receipt {path}: {e}")),
+                }
+            }
             name => match ITEMS.iter().find(|(item, _)| *item == name) {
                 Some(item) => wanted.push(*item),
                 None => return usage(&format!("unknown item {name:?}")),
@@ -82,6 +98,18 @@ fn main() -> ExitCode {
     if let Err(e) = written.and_then(|()| artifacts.finish()) {
         eprintln!("{e}");
         return ExitCode::from(1);
+    }
+    if let Some((path, committed)) = &against {
+        let differing = numbers_differing(committed, &reports);
+        for entry in &differing {
+            eprintln!("DIFF {entry}");
+            failed.push(entry.split(':').next().unwrap_or_default().to_string());
+        }
+        let total: usize = reports.iter().map(|(_, r)| r.numbers.len()).sum();
+        match differing.len() {
+            0 => eprintln!("against {path}: all {total} numbers equal"),
+            n => eprintln!("against {path}: {n} numbers differ"),
+        }
     }
     if !failed.is_empty() {
         eprintln!("paper FAILED: {}", failed.join(", "));

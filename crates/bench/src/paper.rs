@@ -105,6 +105,34 @@ pub fn receipt(args: &[String], reports: &[(&str, Report)]) -> Value {
     ])
 }
 
+/// Every `numbers` entry of the items in `reports` that differs from
+/// `committed`, an earlier [`receipt`]: a changed value, or a name only
+/// one side has. Items `reports` did not run are not compared.
+pub fn numbers_differing(committed: &Value, reports: &[(&str, Report)]) -> Vec<String> {
+    let mut differing = Vec::new();
+    for (name, report) in reports {
+        let old = committed
+            .get("items")
+            .and_then(|items| items.get(name))
+            .and_then(|item| item.get("numbers"))
+            .and_then(Value::as_obj)
+            .unwrap_or(&[]);
+        for (key, value) in &report.numbers {
+            match old.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_f64()) {
+                Some(Some(was)) if was == *value => {}
+                Some(Some(was)) => differing.push(format!("{key}: {was} -> {value}")),
+                _ => differing.push(format!("{key}: not in the receipt")),
+            }
+        }
+        for (key, _) in old {
+            if !report.numbers.iter().any(|(k, _)| k == key) {
+                differing.push(format!("{key}: not in this run"));
+            }
+        }
+    }
+    differing
+}
+
 fn fig1(_: Scale, r: &mut Report) {
     let trace = outage_figs::standard_trace();
     outage_figs::fig1_table(&trace).print();

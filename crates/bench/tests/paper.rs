@@ -290,3 +290,53 @@ fn binary_exit_codes_and_receipt() {
         assert!(check.get("detail").and_then(Value::as_str).is_some());
     }
 }
+
+#[test]
+fn against_names_every_differing_number() {
+    let paper = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_paper"))
+            .args(args)
+            .output()
+            .expect("paper runs")
+    };
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let (same, edited) = (
+        format!("{dir}/paper-against-same.json"),
+        format!("{dir}/paper-against-edited.json"),
+    );
+    assert!(paper(&["fig1", "--out", &same]).status.success());
+    let run = paper(&["fig1", "--against", &same]);
+    assert!(run.status.success(), "{run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("all 2 numbers equal"), "{stderr}");
+
+    // One value changed and one renamed: exit 1, each named.
+    let text = std::fs::read_to_string(&same).unwrap();
+    let receipt = json::parse(&text).unwrap();
+    let short = receipt
+        .get("items")
+        .and_then(|i| i.get("fig1"))
+        .and_then(|f| f.get("numbers"))
+        .and_then(|n| n.get("fig1.outages_le_10min"))
+        .unwrap();
+    let changed = text
+        .replace(
+            &format!("\"fig1.outages_le_10min\": {short}"),
+            "\"fig1.outages_le_10min\": 0.5",
+        )
+        .replace("\"fig1.unavailability_from_gt_10min\"", "\"fig1.renamed\"");
+    std::fs::write(&edited, changed).unwrap();
+    let run = paper(&["fig1", "--against", &edited]);
+    assert_eq!(run.status.code(), Some(1), "{run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    for name in [
+        "fig1.outages_le_10min: 0.5 ->",
+        "fig1.unavailability_from_gt_10min: not in the receipt",
+        "fig1.renamed: not in this run",
+    ] {
+        assert!(stderr.contains(name), "{name} not named: {stderr}");
+    }
+
+    let missing = paper(&["fig1", "--against", &format!("{dir}/no-such-receipt.json")]);
+    assert_eq!(missing.status.code(), Some(2));
+}

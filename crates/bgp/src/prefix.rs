@@ -86,8 +86,10 @@ impl Prefix {
     }
 
     /// Longest-prefix match: the most specific prefix in `candidates` that
-    /// contains `addr`.
-    pub fn lpm<'a, I>(addr: u32, candidates: I) -> Option<Prefix>
+    /// contains `addr`. A linear scan, kept for tests as the reference the
+    /// LPM trie is checked against.
+    #[cfg(test)]
+    pub(crate) fn lpm<'a, I>(addr: u32, candidates: I) -> Option<Prefix>
     where
         I: IntoIterator<Item = &'a Prefix>,
     {

@@ -1,11 +1,13 @@
 //! The dynamic engine's per-(node, prefix) state.
 //!
-//! A node keeps one [`Rec`] per prefix it holds any state for, in a vec
-//! sorted by [`PrefixId`]. A record's neighbor-indexed arrays are
-//! addressed by *slot*: a neighbor's index in the node's CSR adjacency
-//! row, which is also the order of neighbor ids. An UPDATE arrives
-//! carrying its sender's slot at the receiver, so the Adj-RIB-In write is
-//! an array store, and [`best`] is a scan over one contiguous slice.
+//! A node keeps one [`Rec`] per prefix it holds any state for, in arrival
+//! order behind a probe sorted by [`PrefixId`], and two arrays for all of
+//! its records' per-neighbor state: the Adj-RIB-In candidates and the
+//! sending state, `degree` entries per record. Those are addressed by
+//! *slot*: a neighbor's index in the node's CSR adjacency row, which is
+//! also the order of neighbor ids. An UPDATE arrives carrying its sender's
+//! slot at the receiver, so the Adj-RIB-In write is an array store, and
+//! [`best`] is a scan over one contiguous slice.
 
 use crate::time::Time;
 use lg_asmap::{AsId, Relationship};
@@ -80,32 +82,44 @@ pub(super) fn best(cands: &[Cand], row: &[(AsId, Relationship)]) -> Option<IdRou
 }
 
 /// A node's sending state toward one neighbor for one prefix: duplicate
-/// suppression, the MRAI deadline, and whether a fire is pending.
-#[derive(Clone, Copy, Default)]
+/// suppression, the MRAI deadline, and whether a fire is pending. Sixteen
+/// bytes.
+#[derive(Clone, Copy)]
 pub(super) struct OutSlot {
     /// Earliest time the next *announcement* may be sent.
     pub mrai_ready_at: Time,
+    /// The path last advertised, or the empty path when the last UPDATE
+    /// withdrew or nothing was ever sent: the two suppress the same
+    /// UPDATEs (a withdrawal), so one value stands for both. Interned ids
+    /// are hash-consed, so id equality here is content equality and
+    /// duplicate suppression stays exact.
+    pub last_sent: PathId,
     /// An MRAI fire for this (peer, prefix) is queued, and changes wait
     /// for it. Only the withdraw reset clears the flag under a live timer,
     /// which then fires harmlessly against the reset state.
     pub fire_pending: bool,
-    /// Content of the last update actually sent (None = withdrawn / nothing
-    /// ever sent). Outer Option: have we ever sent anything? Interned ids
-    /// are hash-consed, so id equality here is content equality and
-    /// duplicate suppression stays exact.
-    pub last_sent: Option<Option<PathId>>,
+}
+
+impl Default for OutSlot {
+    fn default() -> Self {
+        OutSlot {
+            mrai_ready_at: Time::ZERO,
+            last_sent: PathId::EMPTY,
+            fire_pending: false,
+        }
+    }
 }
 
 impl OutSlot {
     /// Would sending `desired` repeat what the peer already holds?
     pub fn already_sent(&self, desired: Option<PathId>) -> bool {
-        self.last_sent == Some(desired) || (self.last_sent.is_none() && desired.is_none())
+        self.last_sent == desired.unwrap_or(PathId::EMPTY)
     }
 
     /// Record that `content` goes out at `now`. MRAI paces announcements
     /// only; a withdrawal leaves the timer where it was.
     pub fn mark_sent(&mut self, content: Option<PathId>, now: Time, mrai_interval: u64) {
-        self.last_sent = Some(content);
+        self.last_sent = content.unwrap_or(PathId::EMPTY);
         if content.is_some() {
             self.mrai_ready_at = now + mrai_interval;
         }
@@ -126,31 +140,18 @@ pub(super) struct AsMetrics {
     pub last_loc_change: Time,
 }
 
-/// Everything one node holds for one prefix.
+/// One node's per-prefix scalars: the Loc-RIB entry and the metrics of
+/// one epoch. The record's per-slot state lives in its [`Node`]'s arrays.
 pub(super) struct Rec {
     /// The selected route (Loc-RIB). A lost route resets it to `None` in
     /// place; records are never removed.
     pub loc: Option<IdRoute>,
-    /// Adj-RIB-In, one slot per neighbor in row order.
-    pub cands: Box<[Cand]>,
-    /// Sending state, one slot per neighbor in row order.
-    pub out: Box<[OutSlot]>,
     /// This node's metrics for the epoch whose generation is `gen`.
     metrics: AsMetrics,
     gen: u32,
 }
 
 impl Rec {
-    fn new(degree: usize) -> Rec {
-        Rec {
-            loc: None,
-            cands: vec![Cand::NONE; degree].into_boxed_slice(),
-            out: vec![OutSlot::default(); degree].into_boxed_slice(),
-            metrics: AsMetrics::default(),
-            gen: 0,
-        }
-    }
-
     /// The metrics of epoch generation `gen`, if this record has any.
     pub fn metrics(&self, gen: u32) -> Option<&AsMetrics> {
         (self.gen == gen).then_some(&self.metrics)
@@ -167,38 +168,86 @@ impl Rec {
     }
 }
 
-/// One node's records, sorted by id and probed only: nothing that feeds
-/// output or event order iterates them in id order without sorting by
-/// resolved prefix first. The ids sit apart from the records so a probe's
-/// binary search reads one short array, not a stride of records.
-#[derive(Default)]
+/// One node's records and their slots. Records sit in arrival order and
+/// are found through `ids`, `(prefix, record index)` pairs sorted by
+/// prefix, probed only: nothing that feeds output or event order iterates
+/// them in id order without sorting by resolved prefix first. Record `r`'s
+/// slots are `degree` consecutive entries from `r * degree` in `cands` (the
+/// Adj-RIB-In) and in `out` (the sending state), in row order. A new record
+/// appends its slots, so no insert moves another record's.
 pub(super) struct Node {
-    pub ids: Vec<PrefixId>,
+    degree: usize,
+    ids: Vec<(PrefixId, u32)>,
     pub recs: Vec<Rec>,
+    pub cands: Vec<Cand>,
+    pub out: Vec<OutSlot>,
 }
 
 impl Node {
+    /// A node with `degree` neighbors and no records.
+    pub fn new(degree: usize) -> Node {
+        Node {
+            degree,
+            ids: Vec::new(),
+            recs: Vec::new(),
+            cands: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
     pub fn index_of(&self, prefix: PrefixId) -> Option<usize> {
-        self.ids.binary_search(&prefix).ok()
+        let i = self.ids.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
+        Some(self.ids[i].1 as usize)
     }
 
     pub fn rec(&self, prefix: PrefixId) -> Option<&Rec> {
-        self.index_of(prefix).map(|i| &self.recs[i])
+        self.index_of(prefix).map(|r| &self.recs[r])
     }
 
-    /// Index of `prefix`'s record, made with `degree` slots on first use.
-    /// Inserts memmove, but each (node, prefix) inserts once, and bulk
-    /// announcements intern prefixes in ascending id order, making those
-    /// inserts appends.
-    pub fn index_or_insert(&mut self, prefix: PrefixId, degree: usize) -> usize {
-        match self.ids.binary_search(&prefix) {
-            Ok(i) => i,
+    /// Index of `prefix`'s record, made with fresh slots on first use.
+    pub fn index_or_insert(&mut self, prefix: PrefixId) -> usize {
+        match self.ids.binary_search_by_key(&prefix, |&(p, _)| p) {
+            Ok(i) => self.ids[i].1 as usize,
             Err(i) => {
-                self.ids.insert(i, prefix);
-                self.recs.insert(i, Rec::new(degree));
-                i
+                let r = self.recs.len();
+                self.ids.insert(i, (prefix, r as u32));
+                self.recs.push(Rec {
+                    loc: None,
+                    metrics: AsMetrics::default(),
+                    gen: 0,
+                });
+                self.cands
+                    .resize(self.cands.len() + self.degree, Cand::NONE);
+                self.out
+                    .resize(self.out.len() + self.degree, OutSlot::default());
+                r
             }
         }
+    }
+
+    /// `(prefix, record index)` of every record, in prefix-id order.
+    pub fn records(&self) -> impl Iterator<Item = (PrefixId, usize)> + '_ {
+        self.ids.iter().map(|&(p, r)| (p, r as usize))
+    }
+
+    /// Record `r`'s candidates, one per slot.
+    pub fn cands_of(&self, r: usize) -> &[Cand] {
+        &self.cands[r * self.degree..(r + 1) * self.degree]
+    }
+
+    /// Record `r`'s candidate from the neighbor at `slot`.
+    pub fn cand_mut(&mut self, r: usize, slot: usize) -> &mut Cand {
+        &mut self.cands[r * self.degree + slot]
+    }
+
+    /// Record `r`'s sending state toward the neighbor at `slot`.
+    pub fn out_mut(&mut self, r: usize, slot: usize) -> &mut OutSlot {
+        &mut self.out[r * self.degree + slot]
+    }
+
+    /// Record `r`'s sending state, one per slot.
+    pub fn out_of(&mut self, r: usize) -> &mut [OutSlot] {
+        &mut self.out[r * self.degree..(r + 1) * self.degree]
     }
 }
 

@@ -8,9 +8,11 @@
 //! accounts for what the wire would actually carry.
 //!
 //! Packing is *observational* and always on: [`UpdatePacker::observe`]
-//! sees the emission, the path arena and the telemetry handles, none of
-//! them mutably, so it cannot reorder, delay, or merge the logical events
-//! the engine processes. What packing adds is telemetry:
+//! sees the emission and the path arena, neither of them mutably, so it
+//! cannot reorder, delay, or merge the logical events the engine
+//! processes. What packing adds is telemetry, counted as plain integers in
+//! the engine's `LoopTally` and added to the registry at the end of each
+//! public engine call:
 //!
 //! * `dynamic.updates_packed` — emissions coalesced into an already-open
 //!   group (the savings: logical updates minus wire messages);
@@ -21,9 +23,12 @@
 //!   one prefix per message (the baseline the savings are measured
 //!   against).
 //!
-//! Grouping key and close discipline: a group is `(from, to, path id)`
-//! within one send timestamp. Interned path-id equality is path-attribute
-//! equality (hash-consing), withdrawals group under `None`, and any
+//! Grouping key and close discipline: a group is `(directed edge, path
+//! id)` within one send timestamp, the edge being the engine's flat index
+//! of the `from` → `to` adjacency. Interned path-id equality is
+//! path-attribute equality (hash-consing), and an announced path holds at
+//! least its sender's hop, so withdrawals group under the empty path
+//! [`PathId::EMPTY`]. Any
 //! advance of the send clock closes all open groups — BGP cannot hold a
 //! message back to pack it with a future one. The engine also closes them
 //! at the end of every run, as a speaker's send queue drains.
@@ -44,7 +49,7 @@
 //! RSS. The test module keeps the encode-every-chunk packer as the
 //! reference the arithmetic is checked against, counter for counter.
 
-use crate::dynamic::DynamicTelemetry;
+use crate::dynamic::LoopTally;
 use crate::time::Time;
 use lg_asmap::AsId;
 use lg_bgp::wire::{encode_update, Origin, UpdateMsg, MAX_MESSAGE_LEN};
@@ -56,27 +61,27 @@ fn nlri_cost(p: Prefix) -> usize {
 }
 
 /// The single-prefix UPDATE `from` would put on the wire for `prefix`
-/// (announcing `path`, or withdrawing on `None`).
+/// (announcing `path`, or withdrawing on the empty path).
 fn single_prefix_update(
     from: AsId,
     prefix: Prefix,
-    path: Option<PathId>,
+    path: PathId,
     paths: &PathInterner,
 ) -> UpdateMsg {
-    match path {
-        Some(p) => UpdateMsg {
-            origin: Some(Origin::Igp),
-            as_path: Some(paths.materialize(p)),
-            // The engine does not model router addresses; the sender's
-            // AS id stands in as an opaque 32-bit next hop.
-            next_hop: Some(from.0),
-            nlri: vec![prefix],
-            ..UpdateMsg::default()
-        },
-        None => UpdateMsg {
+    if path.is_empty() {
+        return UpdateMsg {
             withdrawn: vec![prefix],
             ..UpdateMsg::default()
-        },
+        };
+    }
+    UpdateMsg {
+        origin: Some(Origin::Igp),
+        as_path: Some(paths.materialize(path)),
+        // The engine does not model router addresses; the sender's AS id
+        // stands in as an opaque 32-bit next hop.
+        next_hop: Some(from.0),
+        nlri: vec![prefix],
+        ..UpdateMsg::default()
     }
 }
 
@@ -92,17 +97,14 @@ struct OpenGroup {
 pub(crate) struct UpdatePacker {
     /// Timestamp the open groups belong to.
     at: Time,
-    /// Open groups by key, cleared whenever they close. Probed only.
-    open: IdHashMap<(AsId, AsId, Option<PathId>), OpenGroup>,
+    /// Open groups by `(directed edge, path)`, cleared whenever they
+    /// close. Probed only.
+    open: IdHashMap<(u32, PathId), OpenGroup>,
     /// Measured per-message overhead of an announcement by AS-path hop
     /// count; 0 marks a shape not encoded yet.
     announce_overhead: Vec<usize>,
     /// The same for a withdrawal (no attribute block).
     withdraw_overhead: usize,
-    /// Groups opened so far (`packing.groups`).
-    pub(crate) groups: u64,
-    /// Real codec runs so far (`packing.encodes`): one per shape.
-    pub(crate) encodes: u64,
 }
 
 impl UpdatePacker {
@@ -112,8 +114,6 @@ impl UpdatePacker {
             open: IdHashMap::default(),
             announce_overhead: Vec::new(),
             withdraw_overhead: 0,
-            groups: 0,
-            encodes: 0,
         }
     }
 
@@ -123,73 +123,74 @@ impl UpdatePacker {
         &mut self,
         from: AsId,
         prefix: Prefix,
-        path: Option<PathId>,
+        path: PathId,
         paths: &PathInterner,
+        tally: &mut LoopTally,
     ) -> usize {
-        let known = match path {
-            Some(p) => {
-                let hops = paths.len(p);
-                if self.announce_overhead.len() <= hops {
-                    self.announce_overhead.resize(hops + 1, 0);
-                }
-                &mut self.announce_overhead[hops]
+        let known = if path.is_empty() {
+            &mut self.withdraw_overhead
+        } else {
+            let hops = paths.len(path);
+            if self.announce_overhead.len() <= hops {
+                self.announce_overhead.resize(hops + 1, 0);
             }
-            None => &mut self.withdraw_overhead,
+            &mut self.announce_overhead[hops]
         };
         if *known == 0 {
             let msg = single_prefix_update(from, prefix, path, paths);
             let bytes = encode_update(&msg).expect("single-prefix UPDATE exceeds the message cap");
-            self.encodes += 1;
+            tally.encodes += 1;
             *known = bytes.len() - nlri_cost(prefix);
         }
         *known
     }
 
-    /// Account one logical emission: `from` sends `prefix` (announcing
-    /// `path`, or withdrawing on `None`) at send-time `now`. `now` must be
+    /// Account one logical emission: `from` sends `prefix` over directed
+    /// edge `edge` (announcing `path`, or withdrawing on
+    /// [`PathId::EMPTY`]) at send-time `now`, into `tally`. `now` must be
     /// nondecreasing across calls — it is the engine's monotone clock.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn observe(
         &mut self,
         now: Time,
+        edge: u32,
         from: AsId,
-        to: AsId,
         prefix: Prefix,
-        path: Option<PathId>,
+        path: PathId,
         paths: &PathInterner,
-        tele: &DynamicTelemetry,
+        tally: &mut LoopTally,
     ) {
         if now != self.at {
             self.flush();
             self.at = now;
         }
         let per = nlri_cost(prefix);
-        if let Some(g) = self.open.get_mut(&(from, to, path)) {
-            tele.updates_packed.inc();
-            tele.wire_bytes_unpacked.add((g.overhead + per) as u64);
+        if let Some(g) = self.open.get_mut(&(edge, path)) {
+            tally.updates_packed += 1;
+            tally.wire_bytes_unpacked += (g.overhead + per) as u64;
             if g.chunk_bytes + per > MAX_MESSAGE_LEN {
                 // The open message is full: this prefix starts the next.
-                tele.wire_updates.inc();
-                tele.wire_bytes.add((g.overhead + per) as u64);
+                tally.wire_updates += 1;
+                tally.wire_bytes += (g.overhead + per) as u64;
                 g.chunk_bytes = g.overhead + per;
             } else {
-                tele.wire_bytes.add(per as u64);
+                tally.wire_bytes += per as u64;
                 g.chunk_bytes += per;
             }
             return;
         }
-        let overhead = self.overhead(from, prefix, path, paths);
+        let overhead = self.overhead(from, prefix, path, paths, tally);
         let chunk_bytes = overhead + per;
         assert!(
             chunk_bytes <= MAX_MESSAGE_LEN,
             "single-prefix UPDATE exceeds the message cap"
         );
-        self.groups += 1;
-        tele.wire_updates.inc();
-        tele.wire_bytes.add(chunk_bytes as u64);
-        tele.wire_bytes_unpacked.add(chunk_bytes as u64);
+        tally.groups += 1;
+        tally.wire_updates += 1;
+        tally.wire_bytes += chunk_bytes as u64;
+        tally.wire_bytes_unpacked += chunk_bytes as u64;
         self.open.insert(
-            (from, to, path),
+            (edge, path),
             OpenGroup {
                 overhead,
                 chunk_bytes,
@@ -205,18 +206,23 @@ impl UpdatePacker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lg_bgp::AsPath;
-    use lg_telemetry::Registry;
     use std::collections::HashMap;
-
-    fn tele(reg: &Registry) -> DynamicTelemetry {
-        DynamicTelemetry::from_registry(reg)
-    }
 
     fn pfx(i: u32) -> Prefix {
         Prefix::new(0x0A00_0000 + (i << 12), 20)
+    }
+
+    /// The four wire counters, as the registry would get them.
+    fn wire(t: &LoopTally) -> [u64; 4] {
+        [
+            t.updates_packed,
+            t.wire_updates,
+            t.wire_bytes,
+            t.wire_bytes_unpacked,
+        ]
     }
 
     /// The packer as it was before emissions were accounted by arithmetic:
@@ -224,14 +230,15 @@ mod tests {
     /// a genuine UPDATE per 4096-byte chunk (plus a single-prefix probe).
     /// Kept as the reference [`UpdatePacker`]'s counters are checked
     /// against.
-    struct ReferencePacker {
+    #[derive(Clone)]
+    pub(crate) struct ReferencePacker {
         at: Time,
-        groups: Vec<(AsId, Option<PathId>, Vec<Prefix>)>,
-        index: HashMap<(AsId, AsId, Option<PathId>), usize>,
+        groups: Vec<(AsId, PathId, Vec<Prefix>)>,
+        index: HashMap<(u32, PathId), usize>,
     }
 
     impl ReferencePacker {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             ReferencePacker {
                 at: Time::ZERO,
                 groups: Vec::new(),
@@ -240,53 +247,52 @@ mod tests {
         }
 
         #[allow(clippy::too_many_arguments)]
-        fn observe(
+        pub(crate) fn observe(
             &mut self,
             now: Time,
+            edge: u32,
             from: AsId,
-            to: AsId,
             prefix: Prefix,
-            path: Option<PathId>,
+            path: PathId,
             paths: &PathInterner,
-            tele: &DynamicTelemetry,
+            tally: &mut LoopTally,
         ) {
             if now != self.at {
-                self.flush(paths, tele);
+                self.flush(paths, tally);
                 self.at = now;
             }
-            match self.index.get(&(from, to, path)) {
+            match self.index.get(&(edge, path)) {
                 Some(&i) => {
                     self.groups[i].2.push(prefix);
-                    tele.updates_packed.inc();
+                    tally.updates_packed += 1;
                 }
                 None => {
-                    self.index.insert((from, to, path), self.groups.len());
+                    self.index.insert((edge, path), self.groups.len());
                     self.groups.push((from, path, vec![prefix]));
                 }
             }
         }
 
-        fn flush(&mut self, paths: &PathInterner, tele: &DynamicTelemetry) {
+        pub(crate) fn flush(&mut self, paths: &PathInterner, tally: &mut LoopTally) {
             self.index.clear();
             for (from, path, prefixes) in std::mem::take(&mut self.groups) {
-                self.flush_group(from, path, &prefixes, paths, tele);
+                Self::flush_group(from, path, &prefixes, paths, tally);
             }
         }
 
         fn flush_group(
-            &self,
             from: AsId,
-            path: Option<PathId>,
+            path: PathId,
             prefixes: &[Prefix],
             paths: &PathInterner,
-            tele: &DynamicTelemetry,
+            tally: &mut LoopTally,
         ) {
             let build = |chunk: Vec<Prefix>| {
                 let mut msg = single_prefix_update(from, chunk[0], path, paths);
-                if path.is_some() {
-                    msg.nlri = chunk;
-                } else {
+                if path.is_empty() {
                     msg.withdrawn = chunk;
+                } else {
+                    msg.nlri = chunk;
                 }
                 msg
             };
@@ -297,34 +303,32 @@ mod tests {
             let probe = encode_update(&build(vec![first]))
                 .expect("single-prefix UPDATE exceeds the message cap");
             let overhead = probe.len() - nlri_cost(first);
-            let mut unpacked_bytes = 0u64;
             let mut chunk: Vec<Prefix> = Vec::new();
             let mut chunk_bytes = overhead;
-            let emit = |chunk: &mut Vec<Prefix>| {
+            let emit = |chunk: &mut Vec<Prefix>, tally: &mut LoopTally| {
                 let bytes = encode_update(&build(std::mem::take(chunk)))
                     .expect("packed UPDATE chunk exceeds the message cap");
-                tele.wire_updates.inc();
-                tele.wire_bytes.add(bytes.len() as u64);
+                tally.wire_updates += 1;
+                tally.wire_bytes += bytes.len() as u64;
             };
             for p in prefixes {
-                unpacked_bytes += (overhead + nlri_cost(*p)) as u64;
+                tally.wire_bytes_unpacked += (overhead + nlri_cost(*p)) as u64;
                 if !chunk.is_empty() && chunk_bytes + nlri_cost(*p) > MAX_MESSAGE_LEN {
-                    emit(&mut chunk);
+                    emit(&mut chunk, tally);
                     chunk_bytes = overhead;
                 }
                 chunk_bytes += nlri_cost(*p);
                 chunk.push(*p);
             }
-            emit(&mut chunk);
-            tele.wire_bytes_unpacked.add(unpacked_bytes);
+            emit(&mut chunk, tally);
         }
     }
 
-    /// Hop counts that cross every attribute-block shape boundary: the
-    /// empty path, one hop, the last one-segment path (255), the first
-    /// two-segment one (256, also past the one-byte attribute length), and
-    /// a long one.
-    const HOP_COUNTS: [usize; 5] = [0, 1, 255, 256, 600];
+    /// Hop counts that cross every attribute-block shape boundary: one
+    /// hop (an announced path holds at least its sender's), two, the last
+    /// one-segment path (255), the first two-segment one (256, also past
+    /// the one-byte attribute length), and a long one.
+    const HOP_COUNTS: [usize; 5] = [1, 2, 255, 256, 600];
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
@@ -347,21 +351,22 @@ mod tests {
             // One path per hop count, plus a second one-hop path: same
             // shape, different content, so it shares the measured overhead
             // but never a group.
-            let mut choices: Vec<Option<PathId>> = HOP_COUNTS
+            let mut choices: Vec<PathId> = HOP_COUNTS
                 .iter()
-                .map(|&n| Some(paths.intern(&AsPath::from_hops(vec![AsId(7); n]))))
+                .map(|&n| paths.intern(&AsPath::from_hops(vec![AsId(7); n])))
                 .collect();
-            choices.push(Some(paths.intern(&AsPath::from_hops(vec![AsId(9)]))));
-            choices.push(None);
+            choices.push(paths.intern(&AsPath::from_hops(vec![AsId(9)])));
+            choices.push(PathId::EMPTY);
 
-            let (reg_new, reg_ref) = (Registry::new(), Registry::new());
-            let (t_new, t_ref) = (tele(&reg_new), tele(&reg_ref));
+            let (mut t_new, mut t_ref) = (LoopTally::default(), LoopTally::default());
             let mut packer = UpdatePacker::new();
             let mut reference = ReferencePacker::new();
             let mut now = Time(1);
-            let mut emit = |now: Time, from: u32, to: u32, p: Prefix, path: Option<PathId>| {
-                packer.observe(now, AsId(from), AsId(to), p, path, &paths, &t_new);
-                reference.observe(now, AsId(from), AsId(to), p, path, &paths, &t_ref);
+            let mut emit = |now: Time, from: u32, to: u32, p: Prefix, path: PathId| {
+                // Any one-to-one numbering of the directed edges will do.
+                let edge = from * 3 + to;
+                packer.observe(now, edge, AsId(from), p, path, &paths, &mut t_new);
+                reference.observe(now, edge, AsId(from), p, path, &paths, &mut t_ref);
             };
             for ((advance, from, to), (choice, first, run, len)) in stream {
                 now += advance;
@@ -374,73 +379,60 @@ mod tests {
                 emit(now, 1, 2, Prefix::new(0xC000_0000 + i, 32), choices[big_path]);
             }
             packer.flush();
-            reference.flush(&paths, &t_ref);
+            reference.flush(&paths, &mut t_ref);
 
-            let (new, want) = (reg_new.snapshot(), reg_ref.snapshot());
-            for name in [
-                "dynamic.updates_packed",
-                "dynamic.wire_updates",
-                "dynamic.wire_bytes",
-                "dynamic.wire_bytes_unpacked",
-            ] {
-                proptest::prop_assert_eq!(new.counter(name), want.counter(name), "{}", name);
-            }
+            proptest::prop_assert_eq!(wire(&t_new), wire(&t_ref));
             proptest::prop_assert!(
-                packer.encodes <= HOP_COUNTS.len() as u64 + 1,
-                "one encode per shape, not per group: {}", packer.encodes
+                t_new.encodes <= HOP_COUNTS.len() as u64 + 1,
+                "one encode per shape, not per group: {}", t_new.encodes
             );
         }
     }
 
     #[test]
     fn same_tick_same_attrs_coalesce_into_one_message() {
-        let reg = Registry::new();
-        let t = tele(&reg);
+        let mut t = LoopTally::default();
         let mut paths = PathInterner::new();
         let id = paths.intern(&AsPath::from_hops(vec![AsId(7), AsId(9)]));
         let mut packer = UpdatePacker::new();
         for i in 0..8 {
-            packer.observe(Time(5), AsId(7), AsId(3), pfx(i), Some(id), &paths, &t);
+            packer.observe(Time(5), 0, AsId(7), pfx(i), id, &paths, &mut t);
         }
         packer.flush();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("dynamic.updates_packed"), Some(7));
-        assert_eq!(snap.counter("dynamic.wire_updates"), Some(1));
-        let packed = snap.counter("dynamic.wire_bytes").unwrap();
-        let unpacked = snap.counter("dynamic.wire_bytes_unpacked").unwrap();
+        assert_eq!(t.updates_packed, 7);
+        assert_eq!(t.wire_updates, 1);
         assert!(
-            packed < unpacked,
-            "packing saved nothing: {packed} vs {unpacked}"
+            t.wire_bytes < t.wire_bytes_unpacked,
+            "packing saved nothing: {} vs {}",
+            t.wire_bytes,
+            t.wire_bytes_unpacked
         );
     }
 
     #[test]
     fn distinct_attrs_ticks_and_peers_do_not_coalesce() {
-        let reg = Registry::new();
-        let t = tele(&reg);
+        let mut t = LoopTally::default();
         let mut paths = PathInterner::new();
         let a = paths.intern(&AsPath::from_hops(vec![AsId(7), AsId(9)]));
         let b = paths.intern(&AsPath::from_hops(vec![AsId(7), AsId(8), AsId(9)]));
         let mut packer = UpdatePacker::new();
         // Different path attribute.
-        packer.observe(Time(5), AsId(7), AsId(3), pfx(0), Some(a), &paths, &t);
-        packer.observe(Time(5), AsId(7), AsId(3), pfx(1), Some(b), &paths, &t);
-        // Different peer.
-        packer.observe(Time(5), AsId(7), AsId(4), pfx(2), Some(a), &paths, &t);
+        packer.observe(Time(5), 0, AsId(7), pfx(0), a, &paths, &mut t);
+        packer.observe(Time(5), 0, AsId(7), pfx(1), b, &paths, &mut t);
+        // Different peer, so a different edge.
+        packer.observe(Time(5), 1, AsId(7), pfx(2), a, &paths, &mut t);
         // Withdrawal groups apart from announcements.
-        packer.observe(Time(5), AsId(7), AsId(3), pfx(3), None, &paths, &t);
+        packer.observe(Time(5), 0, AsId(7), pfx(3), PathId::EMPTY, &paths, &mut t);
         // Later tick flushes and opens fresh groups.
-        packer.observe(Time(6), AsId(7), AsId(3), pfx(4), Some(a), &paths, &t);
+        packer.observe(Time(6), 0, AsId(7), pfx(4), a, &paths, &mut t);
         packer.flush();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("dynamic.updates_packed"), Some(0));
-        assert_eq!(snap.counter("dynamic.wire_updates"), Some(5));
+        assert_eq!(t.updates_packed, 0);
+        assert_eq!(t.wire_updates, 5);
     }
 
     #[test]
     fn oversized_groups_chunk_at_the_message_cap() {
-        let reg = Registry::new();
-        let t = tele(&reg);
+        let mut t = LoopTally::default();
         let mut paths = PathInterner::new();
         let id = paths.intern(&AsPath::from_hops(vec![AsId(7), AsId(9)]));
         let mut packer = UpdatePacker::new();
@@ -448,16 +440,14 @@ mod tests {
         // must split into multiple valid messages.
         let n = 3000u32;
         for i in 0..n {
-            packer.observe(Time(5), AsId(7), AsId(3), pfx(i), Some(id), &paths, &t);
+            packer.observe(Time(5), 0, AsId(7), pfx(i), id, &paths, &mut t);
         }
         packer.flush();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("dynamic.updates_packed"), Some(n as u64 - 1));
-        let msgs = snap.counter("dynamic.wire_updates").unwrap();
+        assert_eq!(t.updates_packed, n as u64 - 1);
+        let msgs = t.wire_updates;
         assert!(msgs >= 3, "3000 prefixes cannot fit two messages: {msgs}");
-        let packed = snap.counter("dynamic.wire_bytes").unwrap();
         assert!(
-            packed <= msgs * MAX_MESSAGE_LEN as u64,
+            t.wire_bytes <= msgs * MAX_MESSAGE_LEN as u64,
             "a chunk exceeded the cap"
         );
     }
