@@ -230,8 +230,7 @@ mod tests {
     #[test]
     fn reverse_measurement_fills_atlas_and_cache() {
         let net = world();
-        let mut dp = DataPlane::new(&net);
-        dp.ensure_infra_all();
+        let dp = DataPlane::new(&net);
         let mut prober = Prober::with_defaults();
         let mut atlas = Atlas::default();
         let mut resp = ResponsivenessDb::new();
@@ -251,8 +250,7 @@ mod tests {
     #[test]
     fn amortized_cost_beats_fresh_cost() {
         let net = world();
-        let mut dp = DataPlane::new(&net);
-        dp.ensure_infra_all();
+        let dp = DataPlane::new(&net);
         let mut prober = Prober::with_defaults();
         let mut atlas = Atlas::default();
         let mut resp = ResponsivenessDb::new();
@@ -278,8 +276,7 @@ mod tests {
     #[test]
     fn fresh_pairs_not_stale_are_skipped() {
         let net = world();
-        let mut dp = DataPlane::new(&net);
-        dp.ensure_infra_all();
+        let dp = DataPlane::new(&net);
         let mut prober = Prober::with_defaults();
         let mut atlas = Atlas::default();
         let mut resp = ResponsivenessDb::new();
@@ -305,7 +302,6 @@ mod tests {
         use lg_sim::failures::Failure;
         let net = world();
         let mut dp = DataPlane::new(&net);
-        dp.ensure_infra_all();
         dp.failures_mut().add(Failure::silent_as_toward(
             AsId(1),
             lg_sim::dataplane::infra_prefix(AsId(0)),

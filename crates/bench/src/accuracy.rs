@@ -106,7 +106,6 @@ impl AccuracyConfig {
 pub fn run_accuracy(cfg: &AccuracyConfig) -> AccuracyResult {
     let MeshWorld { net, sites } = mesh_world(&cfg.topo, cfg.sites);
     let mut dp = DataPlane::new(&net);
-    dp.ensure_infra_all();
     let mut prober = Prober::with_defaults();
     let mut gen = ScenarioGen::new(cfg.topo.seed ^ 0xACC);
 

@@ -138,7 +138,6 @@ fn mesh_traceroutes(
 pub fn run_alternates(cfg: &AlternatesConfig) -> AlternatesResult {
     let MeshWorld { net, sites } = mesh_world(&cfg.topo, cfg.sites);
     let mut dp = DataPlane::new(&net);
-    dp.ensure_infra_all();
     let mut prober = Prober::with_defaults();
     let mut gen = ScenarioGen::new(cfg.topo.seed ^ 0x2222);
 

@@ -12,7 +12,7 @@ use crate::report::{pct, Table};
 use crate::worlds::{production_prefix, MuxWorld};
 use lg_asmap::AsId;
 use lg_sim::dataplane::infra_prefix;
-use lg_sim::{compute_routes, AnnouncementSpec, RouteComputer};
+use lg_sim::{compute_routes, AnnouncementSpec};
 
 /// Outcome of both diversity studies.
 #[derive(Clone, Copy, Debug, Default)]
@@ -52,18 +52,12 @@ impl DiversityResult {
 /// `world.collector_peers`.
 pub fn run_diversity(world: &MuxWorld) -> DiversityResult {
     let net = &world.net;
-    let computer = RouteComputer::new();
     let mut out = DiversityResult::default();
 
     // --- Forward study (§2.3): last-AS-link avoidance via provider choice.
-    // One infra table per collector peer, computed as a parallel batch.
-    let fwd_specs: Vec<AnnouncementSpec> = world
-        .collector_peers
-        .iter()
-        .map(|&peer| AnnouncementSpec::plain(net, infra_prefix(peer), peer))
-        .collect();
-    let fwd_tables = computer.compute_batch(net, &fwd_specs);
-    for table in &fwd_tables {
+    // One infra table per collector peer.
+    for &peer in &world.collector_peers {
+        let table = compute_routes(net, &AnnouncementSpec::plain(net, infra_prefix(peer), peer));
         // The origin's current route is the best among its providers'.
         let Some(cur) = table.as_path(world.origin) else {
             continue;
@@ -107,26 +101,19 @@ pub fn run_diversity(world: &MuxWorld) -> DiversityResult {
             continue; // directly attached: no transit first hop to avoid
         }
         out.rev_cases += 1;
-        // Poison `peer` via all providers except M, for each M in turn —
-        // the per-M what-ifs are independent, so compute them as one batch
-        // and succeed when any of them steers the peer.
-        let rev_specs: Vec<AnnouncementSpec> = world
-            .providers
-            .iter()
-            .map(|keep_clean| {
-                let poison_via: Vec<AsId> = world
-                    .providers
-                    .iter()
-                    .copied()
-                    .filter(|p| p != keep_clean)
-                    .collect();
-                AnnouncementSpec::selective_poison(net, prefix, world.origin, &[peer], &poison_via)
-            })
-            .collect();
-        let ok = computer
-            .compute_batch(net, &rev_specs)
-            .iter()
-            .any(|table| matches!(table.next_hop(peer), Some(nh) if nh != first_hop));
+        // Poison `peer` via all providers except M, for each M in turn, and
+        // succeed when any of them steers the peer.
+        let ok = world.providers.iter().any(|keep_clean| {
+            let poison_via: Vec<AsId> = world
+                .providers
+                .iter()
+                .copied()
+                .filter(|p| p != keep_clean)
+                .collect();
+            let spec =
+                AnnouncementSpec::selective_poison(net, prefix, world.origin, &[peer], &poison_via);
+            matches!(compute_routes(net, &spec).next_hop(peer), Some(nh) if nh != first_hop)
+        });
         if ok {
             out.rev_avoidable += 1;
         }
@@ -251,7 +238,6 @@ fn count_disturbed(
 /// world (each peer plays the role of the AS whose first-hop link fails).
 pub fn run_footprint(world: &MuxWorld, max_cases: usize) -> FootprintComparison {
     let net = &world.net;
-    let computer = RouteComputer::new();
     let prefix = production_prefix();
     let baseline_spec = AnnouncementSpec::prepended(net, prefix, world.origin, 3);
     let base = compute_routes(net, &baseline_spec);
@@ -285,7 +271,7 @@ pub fn run_footprint(world: &MuxWorld, max_cases: usize) -> FootprintComparison 
             .filter(|p| *p != via_provider)
             .collect();
 
-        // The four strategies' what-if tables, computed as one batch:
+        // The four strategies' what-ifs:
         // (a) selective advertising: drop the failing-side provider;
         // (b) prepend via the failing side (6 copies) vs 3 elsewhere;
         // (c) global poison of the peer;
@@ -311,13 +297,13 @@ pub fn run_footprint(world: &MuxWorld, max_cases: usize) -> FootprintComparison 
             AnnouncementSpec::poisoned(net, prefix, world.origin, &[peer]),
             AnnouncementSpec::selective_poison(net, prefix, world.origin, &[peer], &[via_provider]),
         ];
-        let tables = computer.compute_batch(net, &specs);
-        for (t, stats) in tables.iter().zip([
+        for (spec, stats) in specs.iter().zip([
             &mut out.selective_advertising,
             &mut out.prepending,
             &mut out.global_poison,
             &mut out.selective_poison,
         ]) {
+            let t = compute_routes(net, spec);
             stats.cases += 1;
             let ok = match t.next_hop(peer) {
                 Some(nh) => nh != first_hop,
@@ -326,7 +312,7 @@ pub fn run_footprint(world: &MuxWorld, max_cases: usize) -> FootprintComparison 
             if ok {
                 stats.avoided += 1;
             }
-            stats.disturbed += count_disturbed(net, &base, t, peer);
+            stats.disturbed += count_disturbed(net, &base, &t, peer);
         }
     }
     out

@@ -82,8 +82,7 @@ impl RefreshConfig {
 /// Run the refresh study.
 pub fn run_refresh(cfg: &RefreshConfig) -> RefreshEconomics {
     let MeshWorld { net, sites } = mesh_world(&cfg.topo, cfg.vantages);
-    let mut dp = DataPlane::new(&net);
-    dp.ensure_infra_all();
+    let dp = DataPlane::new(&net);
     let mut prober = Prober::with_defaults();
     let mut atlas = Atlas::default();
     let mut resp = ResponsivenessDb::new();

@@ -72,7 +72,6 @@ mod tests {
         g.provider_customer(AsId(3), AsId(2));
         let net = Network::new(g.build());
         let mut dp = DataPlane::new(&net);
-        dp.ensure_infra_all();
         dp.failures_mut()
             .add(Failure::silent_as_toward(AsId(2), infra_prefix(AsId(0))));
         let mut prober = Prober::with_defaults();

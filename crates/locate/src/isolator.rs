@@ -404,8 +404,7 @@ mod tests {
     }
 
     fn setup<'n>(net: &'n Network, src: AsId, dst: AsId) -> Setup<'n> {
-        let mut dp = DataPlane::new(net);
-        dp.ensure_infra_all();
+        let dp = DataPlane::new(net);
         let mut prober = Prober::with_defaults();
         let mut atlas = Atlas::default();
         let mut resp = ResponsivenessDb::new();
@@ -673,7 +672,6 @@ mod tests {
         // C2 never answers probes (configured silent): with a reverse
         // failure *beyond* it (in T2), blame must skip C2 and land on T2.
         let mut dp = DataPlane::new(&net);
-        dp.ensure_infra_all();
         let mut prober = Prober::with_defaults();
         prober.set_unresponsive(AsId(4));
         let mut atlas = Atlas::default();

@@ -1,15 +1,10 @@
-//! Batched, parallel, memoized route computation.
+//! Memoized route computation.
 //!
 //! Every evaluation artifact in this repo bottoms out in
 //! [`compute_routes`], and most of them compute many tables over the same
-//! network: per-peer infrastructure tables, per-target poisoned variants,
-//! repeated baseline/poison what-ifs. This module adds the two layers those
-//! workloads want:
+//! network: per-target poisoned variants, repeated baseline/poison
+//! what-ifs. This module adds the layer those workloads want:
 //!
-//! * [`RouteComputer`] — fans a batch of [`AnnouncementSpec`]s across OS
-//!   threads (scoped, no runtime dependency) and returns tables in input
-//!   order. Route computations are independent per spec, so this is
-//!   embarrassingly parallel.
 //! * [`SharedRouteCache`] — memoizes tables by canonical spec key behind
 //!   one `RwLock`, shareable by `Arc` between `Lifeguard` instances working
 //!   one topology, and invalidates *incrementally*: every routing-relevant
@@ -34,81 +29,8 @@ use lg_asmap::AsId;
 use lg_bgp::{AsPath, Prefix};
 use lg_telemetry::{Counter, Gauge, Registry};
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Fans route computations for a batch of specs across threads.
-///
-/// Holds no state besides the thread budget; cheap to construct and
-/// freely shareable by reference.
-#[derive(Clone, Debug)]
-pub struct RouteComputer {
-    threads: usize,
-}
-
-impl Default for RouteComputer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RouteComputer {
-    /// A computer sized to the machine's available parallelism.
-    pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        RouteComputer { threads }
-    }
-
-    /// A computer with an explicit thread budget (`threads >= 1`;
-    /// `1` degrades to sequential computation on the caller's thread).
-    pub fn with_threads(threads: usize) -> Self {
-        assert!(threads >= 1, "RouteComputer needs at least one thread");
-        RouteComputer { threads }
-    }
-
-    /// The thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Compute the converged table for every spec, returned in input order.
-    ///
-    /// Work is distributed dynamically (an atomic work index), so a batch
-    /// mixing small sentinel computations with large poisoned ones stays
-    /// balanced.
-    pub fn compute_batch(&self, net: &Network, specs: &[AnnouncementSpec]) -> Vec<RouteTable> {
-        let workers = self.threads.min(specs.len());
-        if workers <= 1 {
-            return specs.iter().map(|s| compute_routes(net, s)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<RouteTable>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        break;
-                    }
-                    let table = compute_routes(net, &specs[i]);
-                    *slots[i].lock().expect("result slot poisoned") = Some(table);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every slot filled by a worker")
-            })
-            .collect()
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Canonical identity of an announcement: what the fixed point actually
 /// depends on. Seeds are sorted so two specs differing only in seed order
@@ -649,7 +571,6 @@ impl SharedRouteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::static_routes::compute_routes_reference;
     use lg_asmap::GraphBuilder;
     use lg_bgp::ImportPolicy;
 
@@ -679,32 +600,6 @@ mod tests {
 
     fn same_table(a: &RouteTable, b: &RouteTable, n: usize) -> bool {
         (0..n).all(|i| a.route(AsId(i as u32)) == b.route(AsId(i as u32)))
-    }
-
-    #[test]
-    fn batch_matches_scratch_in_input_order() {
-        let net = net();
-        let batch = specs(&net);
-        for threads in [1, 2, 8] {
-            let computer = RouteComputer::with_threads(threads);
-            let tables = computer.compute_batch(&net, &batch);
-            assert_eq!(tables.len(), batch.len());
-            for (spec, table) in batch.iter().zip(&tables) {
-                let scratch = compute_routes(&net, spec);
-                assert!(same_table(table, &scratch, net.len()));
-                let reference = compute_routes_reference(&net, spec);
-                assert!(same_table(table, &reference, net.len()));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_of_empty_and_single() {
-        let net = net();
-        let computer = RouteComputer::new();
-        assert!(computer.compute_batch(&net, &[]).is_empty());
-        let one = [AnnouncementSpec::plain(&net, pfx(), AsId(0))];
-        assert_eq!(computer.compute_batch(&net, &one).len(), 1);
     }
 
     #[test]

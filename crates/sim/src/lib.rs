@@ -9,10 +9,9 @@
 //!   detection, per-neighbor announcement variants) — used for the
 //!   large-scale availability and poisoning-efficacy studies (§2.2, §5.1),
 //!   exactly as the paper's own simulation methodology does.
-//! * [`compute`] layers batching, parallelism, and generation-keyed
-//!   memoization over the static engine — the evaluation workloads compute
-//!   hundreds of what-if tables over one network and should not pay for the
-//!   same fixed point twice.
+//! * [`compute`] layers generation-keyed memoization over the static
+//!   engine — the evaluation workloads compute hundreds of what-if tables
+//!   over one network and should not pay for the same fixed point twice.
 //! * [`dynamic`] is an event-driven message-level BGP engine with MRAI
 //!   timers, used for the convergence and disruption studies (Fig 6, §5.2,
 //!   Table 2's per-router update counts).
@@ -36,7 +35,7 @@ pub mod static_routes;
 pub mod time;
 
 pub use announce::AnnouncementSpec;
-pub use compute::{RouteComputer, SharedRouteCache};
+pub use compute::SharedRouteCache;
 pub use dataplane::{DataPlane, Fib, Walk, WalkOutcome};
 pub use dynamic::{DynamicSim, DynamicSimConfig, PrefixMetrics, UpdateRecord};
 pub use failures::{Direction, Failure, FailureSet, NetElement};

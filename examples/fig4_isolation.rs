@@ -75,7 +75,6 @@ fn main() {
     );
 
     let mut dp = DataPlane::new(&net);
-    dp.ensure_infra_all();
     let mut prober = Prober::with_defaults();
     let mut atlas = Atlas::default();
     let mut resp = ResponsivenessDb::new();

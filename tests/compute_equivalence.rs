@@ -1,7 +1,7 @@
-//! Integration: the parallel, memoized compute layer must be observationally
+//! Integration: the memoized compute layer must be observationally
 //! identical to a scratch `compute_routes` call — for every announcement
 //! shape the system issues (plain, prepended, globally poisoned, selectively
-//! poisoned), for any thread count, across cache hits, and across
+//! poisoned), across cache hits, and across
 //! generation-bump invalidations. `compute_routes` itself is additionally
 //! pinned against the retained owned-path reference engine, and so is every
 //! table the cache *derives* from a prepended parent instead of computing.
@@ -11,9 +11,7 @@ use std::sync::Arc;
 use lifeguard_repro::asmap::{AsId, TopologyConfig};
 use lifeguard_repro::bgp::{ImportPolicy, LoopDetection, Prefix};
 use lifeguard_repro::sim::static_routes::{compute_routes_reference, RouteTable};
-use lifeguard_repro::sim::{
-    compute_routes, AnnouncementSpec, Network, RouteComputer, SharedRouteCache,
-};
+use lifeguard_repro::sim::{compute_routes, AnnouncementSpec, Network, SharedRouteCache};
 use lifeguard_repro::workloads::FilterMatrix;
 use proptest::prelude::*;
 
@@ -215,24 +213,20 @@ fn derived_so_far() -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For arbitrary small topologies and any thread count, the batch
-    /// engine, the cache (miss and hit paths), the scratch engine, and the
-    /// reference engine all agree route-for-route.
+    /// For arbitrary small topologies, the cache (miss and hit paths), the
+    /// scratch engine, and the reference engine all agree route-for-route.
     #[test]
-    fn compute_layer_matches_scratch_engine(seed in 1u64..10_000, threads in 1usize..5) {
+    fn compute_layer_matches_scratch_engine(seed in 1u64..10_000) {
         let net = Network::new(TopologyConfig::small(seed).generate());
         let origin = pick_origin(&net);
         let specs = spec_menu(&net, origin);
 
-        let batch = RouteComputer::with_threads(threads).compute_batch(&net, &specs);
-        prop_assert_eq!(batch.len(), specs.len());
         let cache = SharedRouteCache::new();
         let tables: Vec<_> = specs.iter().map(|s| cache.compute(&net, s)).collect();
 
-        for ((spec, batched), cached) in specs.iter().zip(&batch).zip(&tables) {
+        for (spec, cached) in specs.iter().zip(&tables) {
             let scratch = compute_routes(&net, spec);
             let reference = compute_routes_reference(&net, spec);
-            assert_same_table("batch vs scratch", batched, &scratch, &net)?;
             assert_same_table("cache vs scratch", cached, &scratch, &net)?;
             assert_same_table("scratch vs reference", &scratch, &reference, &net)?;
         }
