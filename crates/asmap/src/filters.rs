@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn zero_deployment_is_identity() {
-        let g = TopologyConfig::small(3).generate();
+        let g = TopologyConfig::calibrated(64, 3).generate();
         let fa = assign_filters(&g, &FilterDeployment::none());
         assert!(fa.is_zero());
         assert_eq!(fa, FilterAssignment::none(g.len()));
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn assignment_is_deterministic() {
-        let g = TopologyConfig::small(3).generate();
+        let g = TopologyConfig::calibrated(64, 3).generate();
         let d = FilterDeployment::calibrated(0.5, 99);
         assert_eq!(assign_filters(&g, &d), assign_filters(&g, &d));
         let d2 = FilterDeployment::calibrated(0.5, 100);
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn assignment_respects_tiers() {
-        let g = TopologyConfig::small(5).generate();
+        let g = TopologyConfig::calibrated(64, 5).generate();
         let fa = assign_filters(&g, &FilterDeployment::calibrated(1.0, 7));
         for a in g.ases() {
             let i = a.0 as usize;
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn rates_scale_the_deployment() {
-        let g = TopologyConfig::medium(11).generate();
+        let g = TopologyConfig::calibrated(1_000, 11).generate();
         let low = assign_filters(&g, &FilterDeployment::calibrated(0.1, 5));
         let high = assign_filters(&g, &FilterDeployment::calibrated(0.9, 5));
         assert!(low.filtering_ases() < high.filtering_ases());

@@ -9,7 +9,7 @@
 //! alternate paths exist during failures.
 //!
 //! The paper measured the real Internet topology (UCLA/iPlane BGP feeds plus
-//! BitTorrent-extended traceroutes). We substitute a hierarchical generator
+//! BitTorrent-extended traceroutes). We substitute one calibrated generator
 //! that reproduces the statistical features the experiments depend on: a
 //! tier-1 clique, a multi-tier transit hierarchy with preferential attachment,
 //! multi-homed stubs, and peering edges between same-tier networks.
@@ -23,7 +23,7 @@ pub mod relationship;
 pub mod splice;
 
 pub use filters::{assign_filters, FilterAssignment, FilterDeployment};
-pub use gen::{TopologyConfig, TopologyKind};
+pub use gen::TopologyConfig;
 pub use graph::{next_generation, AsGraph, GraphBuilder};
 pub use ids::{AsId, RouterId};
 pub use policy::{is_valley_free, TripleSet};

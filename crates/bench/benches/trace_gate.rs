@@ -31,7 +31,7 @@ fn time_compute(net: &Network, spec: &AnnouncementSpec) -> Duration {
 }
 
 fn main() {
-    let net = Network::new(TopologyConfig::medium(1).generate());
+    let net = Network::new(TopologyConfig::calibrated(1_000, 1).generate());
     let origin = net
         .graph()
         .ases()

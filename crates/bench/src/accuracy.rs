@@ -86,7 +86,7 @@ impl AccuracyConfig {
     /// Bench-sized configuration.
     pub fn standard(seed: u64) -> Self {
         AccuracyConfig {
-            topo: TopologyConfig::medium(seed),
+            topo: TopologyConfig::calibrated(1_000, seed),
             sites: 12,
             scenarios: 150,
         }
@@ -95,7 +95,7 @@ impl AccuracyConfig {
     /// Test-sized configuration.
     pub fn tiny(seed: u64) -> Self {
         AccuracyConfig {
-            topo: TopologyConfig::small(seed),
+            topo: TopologyConfig::calibrated(64, seed),
             sites: 6,
             scenarios: 25,
         }

@@ -126,7 +126,7 @@ impl ConvergenceConfig {
     /// A configuration sized for `cargo bench`.
     pub fn standard(seed: u64) -> Self {
         ConvergenceConfig {
-            topo: TopologyConfig::medium(seed),
+            topo: TopologyConfig::calibrated(1_000, seed),
             observers: 150,
             max_poisons: 25,
             loss_probers: 60,
@@ -137,7 +137,7 @@ impl ConvergenceConfig {
     /// A tiny configuration for unit tests.
     pub fn tiny(seed: u64) -> Self {
         ConvergenceConfig {
-            topo: TopologyConfig::small(seed),
+            topo: TopologyConfig::calibrated(64, seed),
             observers: 20,
             max_poisons: 5,
             loss_probers: 10,

@@ -305,10 +305,12 @@ mod tests {
 
     #[test]
     fn zero_rate_matches_unfiltered_efficacy_shape() {
-        let points = run_degradation(&TopologyConfig::medium(9), &[0.0], 4, 8);
+        let points = run_degradation(&TopologyConfig::calibrated(1_000, 9), &[0.0], 4, 8);
         let p = &points[0];
         assert_eq!(p.filtering_ases, 0, "rate 0 must deploy nothing");
-        assert!(p.attempted > 30, "cases {}", p.attempted);
+        // 4 origins x 8 sources; calibrated paths are short (stub, regional,
+        // large transit), so most pairs host one transit culprit.
+        assert!(p.attempted >= 20, "cases {}", p.attempted);
         assert!(
             (0.6..=1.0).contains(&p.success_rate()),
             "unfiltered success {}",
@@ -323,7 +325,12 @@ mod tests {
         // measure) repair is degraded but alive; at total deployment the
         // core drops every poisoned announcement and repair dies — both
         // ends of the curve are meaningful.
-        let points = run_degradation(&TopologyConfig::medium(9), &[0.0, 0.5, 1.0], 4, 8);
+        let points = run_degradation(
+            &TopologyConfig::calibrated(1_000, 9),
+            &[0.0, 0.5, 1.0],
+            4,
+            8,
+        );
         let (clean, half, full) = (&points[0], &points[1], &points[2]);
         assert!(half.filtering_ases > 0 && full.filtering_ases > half.filtering_ases);
         assert!(
@@ -342,16 +349,19 @@ mod tests {
             full.success_rate(),
             half.success_rate()
         );
-        // The planner must attribute failures, not just fail.
+        // The planner must attribute failures, not just fail. Which cause
+        // it names depends on where the origins attach: with a regional
+        // provider the poison enters but no core AS carries it (no
+        // alternate); with only core providers it is filtered at every one.
         assert!(
-            full.filtered_everywhere > 0,
-            "total core deployment must reject seeds at the providers: {full:?}"
+            full.other_refusals == 0 && full.filtered_everywhere + full.no_alternate > 0,
+            "total core deployment must refuse as filtered or without alternate: {full:?}"
         );
     }
 
     #[test]
     fn json_artifact_is_well_formed_enough() {
-        let points = run_degradation(&TopologyConfig::small(5), &[0.0, 0.5], 2, 4);
+        let points = run_degradation(&TopologyConfig::calibrated(64, 5), &[0.0, 0.5], 2, 4);
         let mut report = Report::default();
         degradation_numbers(&points, &mut report);
         let json = crate::paper::receipt(&[], &[("degradation", report)]).to_string();

@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn selective_poisoning_has_smallest_footprint() {
-        let world = mux_world(&TopologyConfig::small(19), 3, 40);
+        let world = mux_world(&TopologyConfig::calibrated(64, 19), 3, 40);
         let c = run_footprint(&world, 25);
         assert!(c.selective_poison.cases >= 10, "{c:?}");
         // The paper's point: when selective poisoning works, it disturbs
@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn communities_never_survive_tier1_transit() {
-        let world = mux_world(&TopologyConfig::small(17), 2, 30);
+        let world = mux_world(&TopologyConfig::calibrated(64, 17), 2, 30);
         let c = run_communities(&world);
         assert!(c.via_tier1 > 0, "need peers routing via tier-1");
         assert_eq!(c.via_tier1_with_community, 0, "paper: 0% through tier-1s");
@@ -427,7 +427,7 @@ mod tests {
 
     #[test]
     fn diversity_rates_in_band() {
-        let world = mux_world(&TopologyConfig::small(13), 5, 30);
+        let world = mux_world(&TopologyConfig::calibrated(64, 13), 5, 30);
         let r = run_diversity(&world);
         assert!(r.fwd_cases >= 15, "fwd cases {}", r.fwd_cases);
         assert!(r.rev_cases >= 15, "rev cases {}", r.rev_cases);

@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn mux_efficacy_in_paper_band() {
-        let world = mux_world(&TopologyConfig::medium(42), 3, 120);
+        let world = mux_world(&TopologyConfig::calibrated(1_000, 42), 3, 120);
         let r = run_mux_efficacy(&world, 40);
         assert!(r.cases >= 50, "cases = {}", r.cases);
         let rate = r.success_rate();
@@ -218,7 +218,7 @@ mod tests {
         // The enriched small topology has mostly <=3-hop paths (too short
         // to host a transit poison beyond the destination's provider), so
         // this runs on a medium topology with reduced samples.
-        let r = run_largescale(&TopologyConfig::medium(9), 6, 12);
+        let r = run_largescale(&TopologyConfig::calibrated(1_000, 9), 6, 12);
         assert!(r.cases > 50, "cases {}", r.cases);
         let rate = r.success_rate();
         assert!((0.6..=1.0).contains(&rate), "rate {rate}");

@@ -40,7 +40,7 @@ impl ImpactConfig {
     /// carries most unavailability) to be represented.
     pub fn standard(seed: u64) -> Self {
         ImpactConfig {
-            topo: TopologyConfig::medium(seed),
+            topo: TopologyConfig::calibrated(1_000, seed),
             n_targets: 8,
             outages_per_day: 40.0,
             horizon_mins: 3 * 24 * 60,
@@ -51,7 +51,7 @@ impl ImpactConfig {
     /// Test-sized: four hours.
     pub fn tiny(seed: u64) -> Self {
         ImpactConfig {
-            topo: TopologyConfig::small(seed),
+            topo: TopologyConfig::calibrated(64, seed),
             n_targets: 3,
             outages_per_day: 60.0,
             horizon_mins: 4 * 60,

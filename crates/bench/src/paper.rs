@@ -211,7 +211,7 @@ fn fig6(scale: Scale, r: &mut Report) {
     eprintln!(
         "running {} poisonings x 2 baselines over a {}-AS topology ...",
         cfg.max_poisons,
-        cfg.topo.total() + 1
+        cfg.topo.n + 1
     );
     let c = run_convergence(&cfg);
     convergence::fig6_table(&c).print();
@@ -233,20 +233,28 @@ fn fig6(scale: Scale, r: &mut Report) {
 }
 
 /// Table 1 aggregates reduced versions of every experiment, so its
-/// configurations are the same at every scale.
+/// configurations are the same at every scale. Each row keeps its reduced
+/// sample sizes but runs on a paper-sized topology.
 fn table1(_: Scale, r: &mut Report) {
+    let topo = |seed| TopologyConfig::calibrated(1_000, seed);
     eprintln!("efficacy ...");
-    let mux = mux_world(&TopologyConfig::medium(42), 1, 150);
+    let mux = mux_world(&topo(42), 1, 150);
     let eff = run_mux_efficacy(&mux, 40);
-    let sim = run_largescale(&TopologyConfig::small(43), 10, 20);
+    let sim = run_largescale(&topo(43), 10, 20);
 
     eprintln!("disruptiveness ...");
-    let conv = run_convergence(&ConvergenceConfig::tiny(52));
-    let mux5 = mux_world(&TopologyConfig::small(52), 5, 60);
+    let conv = run_convergence(&ConvergenceConfig {
+        topo: topo(52),
+        ..ConvergenceConfig::tiny(52)
+    });
+    let mux5 = mux_world(&topo(52), 5, 60);
     let div = disruptive::run_diversity(&mux5);
 
     eprintln!("accuracy ...");
-    let acc = run_accuracy(&AccuracyConfig::tiny(53));
+    let acc = run_accuracy(&AccuracyConfig {
+        topo: topo(53),
+        ..AccuracyConfig::tiny(53)
+    });
 
     let rows = [
         (
@@ -393,10 +401,19 @@ fn table1(_: Scale, r: &mut Report) {
     );
 }
 
-fn table2_item(_: Scale, r: &mut Report) {
+/// The convergence study behind §5.2's disruption numbers; Table 2 reads
+/// its `U` from the same run.
+fn sec52_convergence(scale: Scale) -> ConvergenceConfig {
+    match scale {
+        Scale::Tiny => ConvergenceConfig::tiny(3),
+        _ => ConvergenceConfig::standard(52),
+    }
+}
+
+fn table2_item(scale: Scale, r: &mut Report) {
     let trace = outage_figs::standard_trace();
     eprintln!("measuring U (route changes per router per poison) ...");
-    let conv = run_convergence(&ConvergenceConfig::tiny(2));
+    let conv = run_convergence(&sec52_convergence(scale));
     println!(
         "measured U: affected routers {:.2} (paper 2.03), unaffected {:.2} (paper 1.07)",
         conv.u_affected, conv.u_unaffected
@@ -425,16 +442,13 @@ fn table2_item(_: Scale, r: &mut Report) {
     r.check("cells_within_factor_2_of_paper", worst <= 2.0, detail);
 }
 
-fn sec22(scale: Scale, r: &mut Report) {
-    let cfg = match scale {
-        Scale::Tiny => alternates::AlternatesConfig::tiny(7),
-        _ => alternates::AlternatesConfig::standard(22),
-    };
+/// One configuration at every scale: on the calibrated graph a test-sized
+/// mesh (14 sites, 64 or 1,000 ASes) witnesses no alternate in 40 outages.
+fn sec22(_: Scale, r: &mut Report) {
+    let cfg = alternates::AlternatesConfig::standard(22);
     eprintln!(
         "splice search over {} outages on a {}-AS mesh with {} sites ...",
-        cfg.outages,
-        cfg.topo.total(),
-        cfg.sites
+        cfg.outages, cfg.topo.n, cfg.sites
     );
     let a = alternates::run_alternates(&cfg);
     alternates::alternates_table(&a).print();
@@ -466,11 +480,11 @@ fn sec22(scale: Scale, r: &mut Report) {
 
 fn sec51(scale: Scale, r: &mut Report) {
     let (providers, observers, targets, large) = match scale {
-        Scale::Tiny => (3, 120, 40, (TopologyConfig::medium(9), 6, 12)),
-        _ => (1, 150, 60, (TopologyConfig::medium(43), 25, 40)),
+        Scale::Tiny => (3, 120, 40, (TopologyConfig::calibrated(1_000, 9), 6, 12)),
+        _ => (1, 150, 60, (TopologyConfig::calibrated(1_000, 43), 25, 40)),
     };
     eprintln!("harvest-and-poison sweep over a ~1000-AS topology ...");
-    let world = mux_world(&TopologyConfig::medium(42), providers, observers);
+    let world = mux_world(&TopologyConfig::calibrated(1_000, 42), providers, observers);
     let mux = run_mux_efficacy(&world, targets);
     eprintln!("large-scale path sweep ...");
     let sim = run_largescale(&large.0, large.1, large.2);
@@ -495,17 +509,14 @@ fn sec51(scale: Scale, r: &mut Report) {
 
 fn sec52(scale: Scale, r: &mut Report) {
     eprintln!("convergence + loss study (event-driven engine) ...");
-    let conv = run_convergence(&match scale {
-        Scale::Tiny => ConvergenceConfig::tiny(3),
-        _ => ConvergenceConfig::standard(52),
-    });
+    let conv = run_convergence(&sec52_convergence(scale));
     convergence::disruption_table(&conv).print();
     eprintln!("path-diversity study (5-provider origin, 114 peers) ...");
     // The paper run shares one world; the test-sized run keeps the three
     // worlds the module tests calibrated their thresholds on.
     let world = |seed, providers, observers| match scale {
-        Scale::Tiny => mux_world(&TopologyConfig::small(seed), providers, observers),
-        _ => mux_world(&TopologyConfig::medium(52), 5, 114),
+        Scale::Tiny => mux_world(&TopologyConfig::calibrated(64, seed), providers, observers),
+        _ => mux_world(&TopologyConfig::calibrated(1_000, 52), 5, 114),
     };
     let div = disruptive::run_diversity(&world(13, 5, 30));
     disruptive::diversity_table(&div).print();
@@ -581,8 +592,7 @@ fn sec53(scale: Scale, r: &mut Report) {
     };
     eprintln!(
         "isolating {} ground-truth failures over a {}-AS mesh ...",
-        cfg.scenarios,
-        cfg.topo.total()
+        cfg.scenarios, cfg.topo.n
     );
     let a = run_accuracy(&cfg);
     accuracy_table(&a).print();
@@ -687,7 +697,7 @@ fn impact(scale: Scale, r: &mut Report) {
     eprintln!(
         "replaying {} hours of outage arrivals over a {}-AS topology, twice ...",
         cfg.horizon_mins / 60,
-        cfg.topo.total()
+        cfg.topo.n
     );
     let i = imp::run_impact(&cfg);
     imp::impact_table(&i).print();
@@ -707,9 +717,9 @@ fn impact(scale: Scale, r: &mut Report) {
 
 fn degradation(scale: Scale, r: &mut Report) {
     let (topo, rates, origins, sources): (_, &[f64], _, _) = match scale {
-        Scale::Tiny => (TopologyConfig::medium(9), &[0.0, 0.5, 1.0], 4, 8),
+        Scale::Tiny => (TopologyConfig::calibrated(1_000, 9), &[0.0, 0.5, 1.0], 4, 8),
         _ => (
-            TopologyConfig::medium(42),
+            TopologyConfig::calibrated(1_000, 42),
             &[0.0, 0.25, 0.5, 0.75, 1.0],
             6,
             10,
@@ -735,7 +745,7 @@ fn degradation(scale: Scale, r: &mut Report) {
 
 fn tableload(scale: Scale, r: &mut Report) {
     let (points, span) = if scale == Scale::Tiny {
-        let net = lg_workloads::churn::churn_network(9);
+        let net = lg_workloads::churn::churn_network(64, 9);
         (tl::run_table_load_on(&net, &[64, 256], 8), (64, 256))
     } else {
         let sizes = tl::table_load_sizes(scale == Scale::Full);

@@ -61,7 +61,7 @@ impl RefreshConfig {
     /// Bench-sized.
     pub fn standard(seed: u64) -> Self {
         RefreshConfig {
-            topo: TopologyConfig::medium(seed),
+            topo: TopologyConfig::calibrated(1_000, seed),
             vantages: 10,
             destinations: 60,
             rounds: 8,
@@ -71,7 +71,7 @@ impl RefreshConfig {
     /// Test-sized.
     pub fn tiny(seed: u64) -> Self {
         RefreshConfig {
-            topo: TopologyConfig::small(seed),
+            topo: TopologyConfig::calibrated(64, seed),
             vantages: 4,
             destinations: 10,
             rounds: 4,

@@ -45,7 +45,7 @@ use crate::report::{Report, Table};
 use lg_bgp::Prefix;
 use lg_sim::{AnnouncementSpec, DynamicSim, DynamicSimConfig, Network, Time};
 use lg_telemetry::Registry;
-use lg_workloads::churn::churn_network_sized;
+use lg_workloads::churn::churn_network;
 
 /// Prefixes the cohort drives to full convergence per point. Constant
 /// across sizes so the converged baseline costs the same everywhere.
@@ -119,7 +119,7 @@ impl TableLoadPoint {
 
 /// Run the curve over the calibrated 10k-AS topology.
 pub fn run_table_load(sizes: &[usize], seed: u64) -> Vec<TableLoadPoint> {
-    let net = churn_network_sized(10_000, seed);
+    let net = churn_network(10_000, seed);
     run_table_load_on(&net, sizes, COHORT)
 }
 
@@ -339,7 +339,7 @@ mod tests {
     fn table_load_curve_runs_and_serializes() {
         // Test-sized: a ~50-AS world and a 64→256 prefix sweep; `paper
         // tableload` runs the real 1k/10k curve on calibrated-10k.
-        let net = churn_network(9);
+        let net = churn_network(64, 9);
         let points = run_table_load_on(&net, &[64, 256], 8);
         assert_eq!(points.len(), 2);
         assert!(points.windows(2).all(|w| w[0].prefixes < w[1].prefixes));

@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn mux_world_attaches_origin() {
-        let w = mux_world(&TopologyConfig::small(5), 3, 10);
+        let w = mux_world(&TopologyConfig::calibrated(64, 5), 3, 10);
         assert_eq!(w.providers.len(), 3);
         assert_eq!(w.net.graph().providers(w.origin).len(), 3);
         assert!(w.net.graph().is_stub(w.origin));
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn mesh_world_sites_are_multihomed_stubs() {
-        let w = mesh_world(&TopologyConfig::small(6), 8);
+        let w = mesh_world(&TopologyConfig::calibrated(64, 6), 8);
         assert_eq!(w.sites.len(), 8);
         for s in &w.sites {
             assert!(w.net.graph().is_stub(*s));
@@ -142,8 +142,8 @@ mod tests {
 
     #[test]
     fn worlds_are_deterministic() {
-        let a = mux_world(&TopologyConfig::small(5), 3, 10);
-        let b = mux_world(&TopologyConfig::small(5), 3, 10);
+        let a = mux_world(&TopologyConfig::calibrated(64, 5), 3, 10);
+        let b = mux_world(&TopologyConfig::calibrated(64, 5), 3, 10);
         assert_eq!(a.providers, b.providers);
         assert_eq!(a.collector_peers, b.collector_peers);
     }

@@ -93,7 +93,7 @@ fn expected_keys() -> Vec<String> {
 
 #[test]
 fn every_item_passes_its_checks_and_reports_its_numbers() {
-    let mut keys = Vec::new();
+    let mut numbers = Vec::new();
     for (name, run) in ITEMS {
         let mut report = Report::default();
         run(Scale::Tiny, &mut report);
@@ -103,8 +103,18 @@ fn every_item_passes_its_checks_and_reports_its_numbers() {
             assert!(key.starts_with(name), "{key} reported by {name}");
             assert!(value.is_finite(), "{key} = {value}");
         }
-        keys.extend(report.numbers.into_iter().map(|(key, _)| key));
+        numbers.extend(report.numbers);
     }
+    // Table 2's U is read from §5.2's convergence run, not measured apart.
+    let value = |key: String| numbers.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+    for u in ["u_affected", "u_unaffected"] {
+        let (table2, sec52) = (value(format!("table2.{u}")), value(format!("sec52.{u}")));
+        assert!(
+            table2.is_some() && table2 == sec52,
+            "{u}: {table2:?} vs {sec52:?}"
+        );
+    }
+    let keys: Vec<String> = numbers.into_iter().map(|(key, _)| key).collect();
     let mut unique = keys.clone();
     unique.sort();
     unique.dedup();

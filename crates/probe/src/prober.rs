@@ -783,8 +783,8 @@ mod tests {
         use lg_sim::AnnouncementSpec;
 
         let nets = [
-            Network::new(TopologyConfig::small(topo).generate()),
-            Network::new(TopologyConfig::small(topo + 1).generate()),
+            Network::new(TopologyConfig::calibrated(64, topo).generate()),
+            Network::new(TopologyConfig::calibrated(64, topo + 1).generate()),
         ];
         let mut planes = [DataPlane::new(&nets[0]), DataPlane::new(&nets[1])];
         let n = nets[0].len().min(nets[1].len()) as u32;

@@ -16,17 +16,6 @@ use lg_asmap::{AsId, RouterId};
 use lg_bgp::{Prefix, PrefixTrie};
 use std::sync::OnceLock;
 
-/// Preference key for deterministic longest-prefix match: longer masks win;
-/// equal-length covering prefixes break toward the numerically smallest
-/// prefix rather than map-iteration order. ([`Prefix::new`] masks host
-/// bits, so two *distinct* equal-length prefixes cannot both cover one
-/// address — the tiebreak is a guard against that invariant ever loosening,
-/// keeping every FIB lookup reproducible across runs.)
-#[cfg(test)]
-pub(crate) fn lpm_preference(p: Prefix) -> (u8, std::cmp::Reverse<Prefix>) {
-    (p.len(), std::cmp::Reverse(p))
-}
-
 /// Forwarding decision of one AS for one destination address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FibEntry {
@@ -356,9 +345,8 @@ impl Fib for DataPlane<'_> {
         // installed table. `covering` yields covering prefixes
         // most-specific-first without allocating, and a trie node holds
         // one value per exact (addr, len), so the first hit is the unique
-        // winner — the same route the lpm_preference scan selected. The
-        // infra /24 covering dst_addr, if any, takes its place in that
-        // order unless an announced table holds the same prefix.
+        // winner. The infra /24 covering dst_addr, if any, takes its place
+        // in that order unless an announced table holds the same prefix.
         let mut infra = self.infra_owner(dst_addr);
         let mut hit = None;
         for &i in self.lpm.covering(dst_addr) {
@@ -655,21 +643,6 @@ mod tests {
         assert_eq!(dp.prefix_of(AsId(0)), Some(pfx()));
         assert_eq!(dp.prefix_of(AsId(3)), Some(infra_prefix(AsId(3))));
         assert_eq!(dp.prefix_of(AsId(4)), None, "not an AS of the network");
-    }
-
-    #[test]
-    fn lpm_preference_breaks_equal_length_ties_by_prefix_value() {
-        // Two equal-length prefixes: the numerically smaller one wins
-        // (max_by_key picks the larger key; Reverse flips the value order).
-        let a = Prefix::from_octets(10, 0, 0, 0, 24);
-        let b = Prefix::from_octets(10, 0, 1, 0, 24);
-        assert!(lpm_preference(a) > lpm_preference(b));
-        // A longer mask always beats, regardless of prefix value.
-        let shorter = Prefix::from_octets(10, 0, 0, 0, 16);
-        assert!(lpm_preference(a) > lpm_preference(shorter));
-        assert!(lpm_preference(b) > lpm_preference(shorter));
-        // Total: equal keys only for equal prefixes.
-        assert_eq!(lpm_preference(a), lpm_preference(a));
     }
 
     #[test]

@@ -754,7 +754,7 @@ fn record_slots_follow_the_adjacency_row() {
     // row: an UPDATE arrives carrying it, and nothing searches or
     // allocates per neighbor. Checked on every record a converged medium
     // topology holds.
-    let net = Network::new(lg_asmap::gen::TopologyConfig::medium(13).generate());
+    let net = Network::new(lg_asmap::gen::TopologyConfig::calibrated(1_000, 13).generate());
     let g = net.graph();
     let origin = g.ases().find(|a| g.is_stub(*a)).unwrap();
     let mut sim = DynamicSim::new(&net, cfg());

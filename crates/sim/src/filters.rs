@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn none_matrix_is_identity() {
-        let mut net = Network::new(TopologyConfig::small(3).generate());
+        let mut net = Network::new(TopologyConfig::calibrated(64, 3).generate());
         let fa = FilterMatrix::None.apply(&mut net, 17);
         assert!(fa.is_zero());
         for a in net.graph().ases() {
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn matrix_points_deploy_their_mechanism() {
-        let g = TopologyConfig::small(9).generate();
+        let g = TopologyConfig::calibrated(64, 9).generate();
         let mut caps = Network::new(g.clone());
         FilterMatrix::PathLenOnly.apply(&mut caps, 5);
         assert!(caps
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn apply_is_replayable() {
-        let g = TopologyConfig::small(4).generate();
+        let g = TopologyConfig::calibrated(64, 4).generate();
         let mut a = Network::new(g.clone());
         let mut b = Network::new(g);
         let fa = FilterMatrix::DefaultsAll.apply(&mut a, 99);

@@ -1728,7 +1728,7 @@ mod tests {
     #[test]
     fn frontier_prunes_yet_matches_reference() {
         use lg_asmap::gen::TopologyConfig;
-        let net = Network::new(TopologyConfig::medium(17).generate());
+        let net = Network::new(TopologyConfig::calibrated(1_000, 17).generate());
         let origin = net
             .graph()
             .ases()
@@ -1762,7 +1762,7 @@ mod tests {
     #[test]
     fn never_reject_skips_policy_walks_but_filters_still_run() {
         use lg_asmap::gen::TopologyConfig;
-        let mut net = Network::new(TopologyConfig::small(23).generate());
+        let mut net = Network::new(TopologyConfig::calibrated(64, 23).generate());
         let origin = net
             .graph()
             .ases()
@@ -1919,7 +1919,7 @@ mod tests {
         // The three path queries answer from the tree; what they must equal
         // is what a scan of every AS's rebuilt path says.
         use lg_asmap::gen::TopologyConfig;
-        let net = Network::new(TopologyConfig::small(31).generate());
+        let net = Network::new(TopologyConfig::calibrated(64, 31).generate());
         let ases: Vec<AsId> = net.graph().ases().collect();
         let origin = *ases
             .iter()
@@ -2009,7 +2009,7 @@ mod tests {
     #[test]
     fn child_index_rows_partition_the_tree_in_eight_bytes_per_as() {
         use lg_asmap::gen::TopologyConfig;
-        let net = Network::new(TopologyConfig::small(31).generate());
+        let net = Network::new(TopologyConfig::calibrated(64, 31).generate());
         let origin = net
             .graph()
             .ases()
@@ -2154,7 +2154,7 @@ mod tests {
     ) -> Result<(), String> {
         use crate::{DirtyScope, FilterMatrix};
         use lg_asmap::gen::TopologyConfig;
-        let mut net = Network::new(TopologyConfig::small(topo).generate());
+        let mut net = Network::new(TopologyConfig::calibrated(64, topo).generate());
         let matrix = FilterMatrix::from_env().unwrap_or(FilterMatrix::ALL[(draw % 4) as usize]);
         matrix.apply(&mut net, topo);
         let stubs: Vec<AsId> = net

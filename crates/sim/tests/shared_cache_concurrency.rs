@@ -29,7 +29,7 @@ fn iterations() -> u64 {
 fn concurrent_lookups_survive_mutation_generations() {
     const THREADS: usize = 8;
 
-    let mut net = Network::new(TopologyConfig::small(97).generate());
+    let mut net = Network::new(TopologyConfig::calibrated(64, 97).generate());
     let origin = net
         .graph()
         .ases()

@@ -64,15 +64,10 @@ pub fn prefix_count_from_env() -> usize {
     }
 }
 
-/// A small hierarchical network for churn runs; same seed, same graph.
-pub fn churn_network(topology_seed: u64) -> Network {
-    Network::new(TopologyConfig::small(topology_seed).generate())
-}
-
-/// An Internet-calibrated network for churn runs at benchmark scale; the
-/// schedule machinery is size-agnostic (link indexes resolve modulo the
-/// live link list), so the same ops drive a 50-AS or a 10k-AS world.
-pub fn churn_network_sized(n: usize, topology_seed: u64) -> Network {
+/// A calibrated network of `n` ASes for churn runs; same seed, same graph.
+/// The schedule machinery is size-agnostic (link indexes resolve modulo
+/// the live link list), so the same ops drive a 64-AS or a 10k-AS world.
+pub fn churn_network(n: usize, topology_seed: u64) -> Network {
     Network::new(TopologyConfig::calibrated(n, topology_seed).generate())
 }
 
@@ -367,7 +362,7 @@ mod tests {
     #[test]
     fn runner_drives_a_sim_to_quiescence() {
         use lg_sim::{DynamicSimConfig, Time};
-        let net = churn_network(3);
+        let net = churn_network(64, 3);
         let world = ChurnWorld::new(&net);
         let mut sim = DynamicSim::new(&net, DynamicSimConfig::default());
         let mut runner = ChurnRunner::new(&world);

@@ -17,7 +17,7 @@ use lifeguard_repro::sim::{Network, Time};
 
 fn main() {
     // A ~50-AS Internet: tier-1 clique, transit tiers, multihomed stubs.
-    let graph = TopologyConfig::small(7).generate();
+    let graph = TopologyConfig::calibrated(64, 7).generate();
     let net = Network::new(graph);
 
     // Pick an edge AS as our origin and a far-away stub as the monitored

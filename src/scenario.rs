@@ -7,71 +7,13 @@
 //! experiments without writing Rust.
 
 use crate::json::{self, Value};
-use lg_asmap::{AsId, TopologyConfig, TopologyKind};
+use lg_asmap::{AsId, TopologyConfig};
 use lg_bgp::Prefix;
 use lg_sim::dataplane::infra_prefix;
 use lg_sim::failures::{Failure, NetElement};
 use lg_sim::{Network, Time};
 use lifeguard_core::config::PING_INTERVAL_MS;
 use lifeguard_core::{Event, Lifeguard, LifeguardConfig, World};
-
-/// Topology selection.
-#[derive(Clone, Debug)]
-pub enum TopologySpec {
-    /// ~50 ASes.
-    Small {
-        /// RNG seed.
-        seed: u64,
-    },
-    /// ~1000 ASes.
-    Medium {
-        /// RNG seed.
-        seed: u64,
-    },
-    /// ~10 000 ASes.
-    Large {
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Fully custom parameters.
-    Custom {
-        /// Tier-1 count.
-        tier1: usize,
-        /// Tier-2 count.
-        tier2: usize,
-        /// Tier-3 count.
-        tier3: usize,
-        /// Stub count.
-        stubs: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-}
-
-impl TopologySpec {
-    /// Materialize the generator config.
-    pub fn to_config(&self) -> TopologyConfig {
-        match *self {
-            TopologySpec::Small { seed } => TopologyConfig::small(seed),
-            TopologySpec::Medium { seed } => TopologyConfig::medium(seed),
-            TopologySpec::Large { seed } => TopologyConfig::large(seed),
-            TopologySpec::Custom {
-                tier1,
-                tier2,
-                tier3,
-                stubs,
-                seed,
-            } => TopologyConfig {
-                kind: TopologyKind::Hierarchical,
-                tier1,
-                tier2,
-                tier3,
-                stubs,
-                ..TopologyConfig::small(seed)
-            },
-        }
-    }
-}
 
 /// An AS id or "pick one automatically".
 #[derive(Clone, Copy, Debug)]
@@ -140,8 +82,9 @@ pub enum AutoElement {
 /// A complete scenario.
 #[derive(Clone, Debug)]
 pub struct Scenario {
-    /// Topology to generate.
-    pub topology: TopologySpec,
+    /// Topology to generate; its `n` is checked to lie in
+    /// `MIN_ASES..=MAX_ASES`.
+    pub topology: TopologyConfig,
     /// LIFEGUARD's origin AS (`"auto"` picks a multihomed stub).
     pub origin: AsPick,
     /// Monitored destinations (`"auto"` entries pick distinct stubs).
@@ -241,7 +184,7 @@ fn resolve_picks(
 /// Execute a scenario.
 pub fn run(scenario: &Scenario) -> Result<RunOutcome, ScenarioError> {
     validate(scenario)?;
-    let topo = scenario.topology.to_config();
+    let topo = &scenario.topology;
     let net = Network::new(topo.generate());
     let mut taken = Vec::new();
     let (origin, targets) = resolve_picks(&net, scenario.origin, &scenario.targets, &mut taken)?;
@@ -387,37 +330,29 @@ fn as_u32(v: &Value, what: &str) -> Result<u32, ScenarioError> {
     u32::try_from(n).map_err(|_| err(format!("{what} does not fit in 32 bits")))
 }
 
-fn as_usize(v: &Value, what: &str) -> Result<usize, ScenarioError> {
-    Ok(as_u64(v, what)? as usize)
-}
-
-fn parse_topology(v: &Value) -> Result<TopologySpec, ScenarioError> {
-    let fields = v
-        .as_obj()
-        .ok_or_else(|| err("topology must be an object"))?;
-    let (tag, body) = match fields {
-        [(tag, body)] => (tag.as_str(), body),
-        _ => return Err(err("topology must have exactly one variant key")),
+fn parse_topology(v: &Value) -> Result<TopologyConfig, ScenarioError> {
+    let body = match v.as_obj() {
+        Some([(tag, body)]) if tag == "calibrated" => body,
+        _ => {
+            return Err(err(
+                r#"topology must be {"calibrated": {"n": N, "seed": S}}"#,
+            ))
+        }
     };
-    match tag {
-        "small" => Ok(TopologySpec::Small {
-            seed: as_u64(field(body, "seed")?, "seed")?,
-        }),
-        "medium" => Ok(TopologySpec::Medium {
-            seed: as_u64(field(body, "seed")?, "seed")?,
-        }),
-        "large" => Ok(TopologySpec::Large {
-            seed: as_u64(field(body, "seed")?, "seed")?,
-        }),
-        "custom" => Ok(TopologySpec::Custom {
-            tier1: as_usize(field(body, "tier1")?, "tier1")?,
-            tier2: as_usize(field(body, "tier2")?, "tier2")?,
-            tier3: as_usize(field(body, "tier3")?, "tier3")?,
-            stubs: as_usize(field(body, "stubs")?, "stubs")?,
-            seed: as_u64(field(body, "seed")?, "seed")?,
-        }),
-        other => Err(err(format!("unknown topology {other:?}"))),
-    }
+    let n = field(body, "n")?;
+    let in_bounds = n
+        .as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|n| (MIN_ASES..=MAX_ASES).contains(n));
+    let Some(n) = in_bounds else {
+        return Err(err(format!(
+            "topology n {n} is not an integer from {MIN_ASES} to {MAX_ASES}"
+        )));
+    };
+    Ok(TopologyConfig::calibrated(
+        n,
+        as_u64(field(body, "seed")?, "seed")?,
+    ))
 }
 
 fn parse_pick(v: &Value, what: &str) -> Result<AsPick, ScenarioError> {
@@ -476,36 +411,17 @@ fn parse_failure(v: &Value) -> Result<FailureSpec, ScenarioError> {
 /// tick loop finite.
 const MAX_DURATION_MIN: u64 = 366 * 24 * 60;
 
+/// The fewest ASes the calibrated generator builds.
+const MIN_ASES: usize = 64;
+
 /// The most ASes [`infra_prefix`] can address.
 const MAX_ASES: usize = 65_536;
 
-/// Reject scenarios that cannot mean what they say: a custom topology with
-/// no tier-1 AS or more than [`MAX_ASES`] ASes (both would panic in the
-/// generator or the data plane), a run longer than [`MAX_DURATION_MIN`], a
-/// failure that starts at or after the run's end, or one whose window ends
-/// before it starts (it would silently never fire).
+/// Reject scenarios that cannot mean what they say: a run longer than
+/// [`MAX_DURATION_MIN`], a failure that starts at or after the run's end,
+/// or one whose window ends before it starts (it would silently never
+/// fire).
 fn validate(sc: &Scenario) -> Result<(), ScenarioError> {
-    if let TopologySpec::Custom {
-        tier1,
-        tier2,
-        tier3,
-        stubs,
-        ..
-    } = sc.topology
-    {
-        if tier1 == 0 {
-            return Err(err("custom topology needs at least one tier1 AS"));
-        }
-        // Saturating: the counts are arbitrary `usize`s read from JSON.
-        let total = [tier2, tier3, stubs]
-            .into_iter()
-            .fold(tier1, usize::saturating_add);
-        if total > MAX_ASES {
-            return Err(err(format!(
-                "custom topology has {total} ASes, more than the {MAX_ASES} infra addressing supports"
-            )));
-        }
-    }
     if sc.duration_min > MAX_DURATION_MIN {
         return Err(err(format!(
             "duration_min {} exceeds one year ({MAX_DURATION_MIN} minutes)",
@@ -571,36 +487,13 @@ fn pick_value(p: AsPick) -> Value {
 
 /// Serialize a scenario back to the JSON format [`parse`] accepts.
 pub fn to_json(sc: &Scenario) -> String {
-    let topology = match sc.topology {
-        TopologySpec::Small { seed } => Value::Obj(vec![(
-            "small".into(),
-            Value::Obj(vec![("seed".into(), num(seed))]),
-        )]),
-        TopologySpec::Medium { seed } => Value::Obj(vec![(
-            "medium".into(),
-            Value::Obj(vec![("seed".into(), num(seed))]),
-        )]),
-        TopologySpec::Large { seed } => Value::Obj(vec![(
-            "large".into(),
-            Value::Obj(vec![("seed".into(), num(seed))]),
-        )]),
-        TopologySpec::Custom {
-            tier1,
-            tier2,
-            tier3,
-            stubs,
-            seed,
-        } => Value::Obj(vec![(
-            "custom".into(),
-            Value::Obj(vec![
-                ("tier1".into(), num(tier1 as u64)),
-                ("tier2".into(), num(tier2 as u64)),
-                ("tier3".into(), num(tier3 as u64)),
-                ("stubs".into(), num(stubs as u64)),
-                ("seed".into(), num(seed)),
-            ]),
-        )]),
-    };
+    let topology = Value::Obj(vec![(
+        "calibrated".into(),
+        Value::Obj(vec![
+            ("n".into(), num(sc.topology.n as u64)),
+            ("seed".into(), num(sc.topology.seed)),
+        ]),
+    )]);
     let failures: Vec<Value> = sc
         .failures
         .iter()
@@ -653,7 +546,7 @@ mod tests {
     use super::*;
 
     const EXAMPLE: &str = r#"{
-        "topology": {"small": {"seed": 7}},
+        "topology": {"calibrated": {"n": 64, "seed": 7}},
         "origin": "auto",
         "targets": ["auto"],
         "vantage_points": ["auto", "auto"],
@@ -775,7 +668,7 @@ mod tests {
         assert!(parse_error(&forever).contains("failures[1].end_min"));
     }
 
-    /// `EXAMPLE` (topology `small` seed 7) with its failure on `element`
+    /// `EXAMPLE` (64 ASes, seed 7) with its failure on `element`
     /// (a JSON key/value pair), run to its typed error.
     fn run_error(element: &str) -> String {
         let json = with_timeline(
@@ -814,10 +707,12 @@ mod tests {
         );
     }
 
-    fn custom(tier1: usize, stubs: usize) -> String {
+    /// A failure-free scenario on a calibrated topology whose `n` is the
+    /// JSON text `n`.
+    fn sized(n: &str) -> String {
         format!(
             r#"{{
-            "topology": {{"custom": {{"tier1": {tier1}, "tier2": 3, "tier3": 5, "stubs": {stubs}, "seed": 3}}}},
+            "topology": {{"calibrated": {{"n": {n}, "seed": 3}}}},
             "origin": "auto",
             "targets": ["auto"],
             "vantage_points": ["auto"],
@@ -828,28 +723,50 @@ mod tests {
     }
 
     #[test]
-    fn a_custom_topology_without_tier1_is_rejected() {
-        let msg = parse_error(&custom(0, 12));
-        assert!(msg.contains("tier1"), "{msg}");
-    }
-
-    #[test]
-    fn a_custom_topology_past_infra_addressing_is_rejected() {
-        for stubs in [70_000, usize::MAX] {
-            let msg = parse_error(&custom(2, stubs));
-            assert!(msg.contains("65536"), "{msg}");
+    fn a_topology_under_64_ases_is_rejected() {
+        for n in ["63", "0"] {
+            let msg = parse_error(&sized(n));
+            assert!(msg.contains("from 64 to 65536"), "{n}: {msg}");
         }
-        assert!(parse(&custom(2, MAX_ASES - 10)).is_ok());
     }
 
     #[test]
-    fn custom_topology_spec() {
-        let sc = parse(&custom(2, 12)).unwrap();
-        let cfg = sc.topology.to_config();
-        assert_eq!(cfg.total(), 22);
+    fn a_non_integer_topology_size_is_rejected() {
+        for n in ["64.5", "-64", r#""64""#, "null"] {
+            let msg = parse_error(&sized(n));
+            assert!(msg.contains("from 64 to 65536"), "{n}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_topology_past_infra_addressing_is_rejected() {
+        for n in ["65537", &u64::MAX.to_string(), "1e30"] {
+            let msg = parse_error(&sized(n));
+            assert!(msg.contains("from 64 to 65536"), "{n}: {msg}");
+        }
+        assert!(parse(&sized("65536")).is_ok());
+    }
+
+    #[test]
+    fn calibrated_topology_spec() {
+        let sc = parse(&sized("64")).unwrap();
+        assert_eq!(sc.topology.n, 64);
+        assert_eq!(parse(&to_json(&sc)).unwrap().topology.n, 64);
         let out = run(&sc).unwrap();
         assert!(out.events.is_empty(), "no failures, no events");
         assert_eq!(out.downtime_ms[0].1, 0);
+    }
+
+    #[test]
+    fn other_topology_forms_are_rejected() {
+        for topology in [
+            r#"{"small": {"seed": 7}}"#,
+            r#"{"calibrated": {"n": 64, "seed": 7}, "medium": {"seed": 1}}"#,
+            r#""calibrated""#,
+        ] {
+            let json = EXAMPLE.replace(r#"{"calibrated": {"n": 64, "seed": 7}}"#, topology);
+            assert!(parse_error(&json).contains("calibrated"), "{topology}");
+        }
     }
 
     #[test]

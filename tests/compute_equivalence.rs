@@ -167,7 +167,7 @@ fn derived_tables_match_both_engines_under_every_filter_kind() {
     for k in 0..24u64 {
         let topo_seed = base.wrapping_add(k) % 1_000_000 + 1;
         for matrix in &matrices {
-            let mut net = Network::new(TopologyConfig::small(topo_seed).generate());
+            let mut net = Network::new(TopologyConfig::calibrated(64, topo_seed).generate());
             matrix.apply(&mut net, topo_seed);
             let origin = pick_origin(&net);
             let mut specs = spec_menu(&net, origin);
@@ -217,7 +217,7 @@ proptest! {
     /// scratch engine, and the reference engine all agree route-for-route.
     #[test]
     fn compute_layer_matches_scratch_engine(seed in 1u64..10_000) {
-        let net = Network::new(TopologyConfig::small(seed).generate());
+        let net = Network::new(TopologyConfig::calibrated(64, seed).generate());
         let origin = pick_origin(&net);
         let specs = spec_menu(&net, origin);
 
@@ -246,7 +246,7 @@ proptest! {
     /// stale fixed point.
     #[test]
     fn cache_recomputes_after_network_mutation(seed in 1u64..10_000) {
-        let mut net = Network::new(TopologyConfig::small(seed).generate());
+        let mut net = Network::new(TopologyConfig::calibrated(64, seed).generate());
         let origin = pick_origin(&net);
         let providers = net.graph().providers(origin);
         let above = net.graph().providers(providers[0]);
@@ -279,7 +279,7 @@ proptest! {
     /// scratch computation. Stale service is the bug this pins against.
     #[test]
     fn incremental_invalidation_never_serves_stale(seed in 1u64..10_000, victim_ix in 0usize..64) {
-        let mut net = Network::new(TopologyConfig::small(seed).generate());
+        let mut net = Network::new(TopologyConfig::calibrated(64, seed).generate());
         let origin = pick_origin(&net);
         let specs = spec_menu(&net, origin);
 
@@ -329,7 +329,7 @@ proptest! {
     /// hits/misses coherently (each unique spec computed exactly once).
     #[test]
     fn shared_cache_matches_scratch_across_threads(seed in 1u64..10_000) {
-        let net = Network::new(TopologyConfig::small(seed).generate());
+        let net = Network::new(TopologyConfig::calibrated(64, seed).generate());
         let origin = pick_origin(&net);
         let specs = spec_menu(&net, origin);
 
@@ -372,7 +372,7 @@ proptest! {
     /// lookup matches a fresh scratch computation.
     #[test]
     fn shared_cache_mutation_is_visible_to_all_threads(seed in 1u64..10_000) {
-        let mut net = Network::new(TopologyConfig::small(seed).generate());
+        let mut net = Network::new(TopologyConfig::calibrated(64, seed).generate());
         let origin = pick_origin(&net);
         let providers = net.graph().providers(origin);
         let above = net.graph().providers(providers[0]);

@@ -249,7 +249,7 @@ fn check_schedule(
 /// Check one randomized schedule, returning its update count.
 fn check_one(seed: u64, matrix: FilterMatrix) -> usize {
     let tag = format!("seed {seed} matrix {}", matrix.label());
-    let mut net = churn_network(seed ^ 0xA5A5);
+    let mut net = churn_network(64, seed ^ 0xA5A5);
     matrix.apply(&mut net, seed);
     let world = ChurnWorld::new(&net);
     let ops = generate_ops(&ChurnConfig {
@@ -395,7 +395,7 @@ fn short_advances_defer_and_keep_invariants() {
     };
     for i in 0..40u64 {
         let seed = schedule_seed(0xDEADBEEF, i);
-        let net = churn_network(seed);
+        let net = churn_network(64, seed);
         let world = ChurnWorld::new(&net);
         let ops = generate_ops(&ChurnConfig {
             seed,

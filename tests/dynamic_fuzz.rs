@@ -21,7 +21,7 @@ use lifeguard_repro::sim::{
     compute_routes, AnnouncementSpec, DynamicSim, DynamicSimConfig, Network,
 };
 use lifeguard_repro::workloads::churn::{
-    assert_update_log_invariants, churn_network_sized, churn_prefixes, generate_ops, ChurnConfig,
+    assert_update_log_invariants, churn_network, churn_prefixes, generate_ops, ChurnConfig,
     ChurnRunner, ChurnWorld,
 };
 use lifeguard_repro::workloads::FilterMatrix;
@@ -182,7 +182,7 @@ proptest! {
             .iter()
             .map(|&(kind, index, ms)| decode(kind, index, ms))
             .collect();
-        let mut net = Network::new(TopologyConfig::small(seed).generate());
+        let mut net = Network::new(TopologyConfig::calibrated(64, seed).generate());
         let filter_assignment = matrix.apply(&mut net, seed);
         let net = net;
         let origin = pick_origin(&net);
@@ -292,7 +292,7 @@ fn calibrated_topology_churn_reproduces_and_keeps_invariants() {
 
     for round in 0..2u64 {
         let seed = round_seed(base, round);
-        let net = churn_network_sized(n, seed);
+        let net = churn_network(n, seed);
         let world = ChurnWorld::new(&net);
         let ops = generate_ops(&ChurnConfig {
             seed,

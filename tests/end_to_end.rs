@@ -24,7 +24,7 @@ struct Scenario {
 }
 
 fn scenario(seed: u64) -> Scenario {
-    let graph = TopologyConfig::small(seed).generate();
+    let graph = TopologyConfig::calibrated(64, seed).generate();
     let net = Network::new(graph);
     let stubs: Vec<AsId> = net
         .graph()

@@ -35,7 +35,7 @@ fn check_equivalence(net: &Network, specs: &[AnnouncementSpec]) {
 #[test]
 fn dynamic_matches_static_across_topologies_and_announcements() {
     for seed in [1u64, 2, 3] {
-        let graph = TopologyConfig::small(seed).generate();
+        let graph = TopologyConfig::calibrated(64, seed).generate();
         let net = Network::new(graph);
         let stubs: Vec<AsId> = net
             .graph()
@@ -61,7 +61,7 @@ fn dynamic_matches_static_across_topologies_and_announcements() {
 
 #[test]
 fn dynamic_matches_static_for_selective_poisoning() {
-    let graph = TopologyConfig::small(17).generate();
+    let graph = TopologyConfig::calibrated(64, 17).generate();
     let net = Network::new(graph);
     let origin = net
         .graph()
@@ -86,7 +86,7 @@ fn policy_quirks_agree_across_engines() {
     use lifeguard_repro::bgp::{ImportPolicy, LoopDetection};
     // Lenient loop detection (§7.1) and the Cogent-style peer filter must
     // behave identically in both engines.
-    let graph = TopologyConfig::small(31).generate();
+    let graph = TopologyConfig::calibrated(64, 31).generate();
     let mut net = Network::new(graph);
     let origin = net
         .graph()
@@ -132,7 +132,7 @@ fn filtered_policies_agree_across_engines() {
     // in both engines, for plain, prepended, and poisoned announcements.
     for matrix in FilterMatrix::ALL {
         for seed in [5u64, 29] {
-            let graph = TopologyConfig::small(seed).generate();
+            let graph = TopologyConfig::calibrated(64, seed).generate();
             let mut net = Network::new(graph);
             matrix.apply(&mut net, seed);
             let origin = net
@@ -198,7 +198,7 @@ fn dynamic_matches_static_on_calibrated_topology() {
 
 #[test]
 fn withdrawals_clear_state_in_both_engines() {
-    let graph = TopologyConfig::small(23).generate();
+    let graph = TopologyConfig::calibrated(64, 23).generate();
     let net = Network::new(graph);
     let origin = net
         .graph()

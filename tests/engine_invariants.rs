@@ -25,7 +25,7 @@ fn forwarding_chain(table: &RouteTable, a: AsId) -> Vec<AsId> {
 
 /// Build a world and one announcement variant selected by `variant`.
 fn build(seed: u64, variant: u8) -> (Network, AnnouncementSpec, Option<AsId>) {
-    let net = Network::new(TopologyConfig::small(seed).generate());
+    let net = Network::new(TopologyConfig::calibrated(64, seed).generate());
     let origin = net
         .graph()
         .ases()

@@ -207,7 +207,7 @@ fn cache_survives_randomized_filter_and_link_churn() {
     let mut states = DerivationStates::default();
     for seed in 0..seeds {
         let mut rng = Rng(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xFEED);
-        let mut net = Network::new(TopologyConfig::small(1 + seed % 16).generate());
+        let mut net = Network::new(TopologyConfig::calibrated(64, 1 + seed % 16).generate());
         FilterMatrix::ALL[(seed % 4) as usize].apply(&mut net, seed);
         let origin = pick_origin(&net);
         let live = all_links(&net);

@@ -126,8 +126,8 @@ const GOLDEN_DYNAMIC_SMALL: u64 = 0xa1c9_c2f6_aa71_5d85;
 
 #[test]
 fn zero_filter_engines_match_prefilter_golden_digests() {
-    let small = Network::new(TopologyConfig::small(7).generate());
-    let medium = Network::new(TopologyConfig::medium(42).generate());
+    let small = Network::new(TopologyConfig::calibrated(64, 7).generate());
+    let medium = Network::new(TopologyConfig::calibrated(1_000, 42).generate());
     let ds = engine_digest(&small);
     let dm = engine_digest(&medium);
     let dd = dynamic_digest(&small);
@@ -157,9 +157,9 @@ fn zero_filter_assignment_is_byte_identical_to_untouched_network() {
     for (seed, medium) in [(7u64, false), (42u64, true)] {
         let gen = || {
             let cfg = if medium {
-                TopologyConfig::medium(seed)
+                TopologyConfig::calibrated(1_000, seed)
             } else {
-                TopologyConfig::small(seed)
+                TopologyConfig::calibrated(64, seed)
             };
             Network::new(cfg.generate())
         };
@@ -214,11 +214,11 @@ proptest! {
     /// can only shrink the set of routed ASes, never grow it.
     #[test]
     fn filtered_fixed_points_stay_valley_free_and_only_shrink(seed in 1u64..500) {
-        let base = Network::new(TopologyConfig::small(seed).generate());
+        let base = Network::new(TopologyConfig::calibrated(64, seed).generate());
         let origin = pick_origin(&base);
         let target = pick_target(&base, origin);
         for matrix in FilterMatrix::ALL {
-            let mut net = Network::new(TopologyConfig::small(seed).generate());
+            let mut net = Network::new(TopologyConfig::calibrated(64, seed).generate());
             matrix.apply(&mut net, seed);
             let tag = format!("seed {seed} matrix {}", matrix.label());
             for spec in specs_for(&net, origin, target) {

@@ -46,7 +46,10 @@ fn reverse_outage_log_is_golden() {
     check("reverse_outage");
 }
 
+/// A reverse link failure is blamed on an AS and repaired by a whole-AS
+/// poison: the isolator names a link only for forward failures, which a
+/// poison cannot repair.
 #[test]
-fn link_failure_selective_log_is_golden() {
-    check("link_failure_selective");
+fn reverse_link_failure_log_is_golden() {
+    check("reverse_link_failure");
 }

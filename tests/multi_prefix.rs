@@ -60,7 +60,7 @@ fn table_prefix(i: u32) -> Prefix {
 /// order anywhere between announce and the update log.
 #[test]
 fn multi_prefix_churn_is_deterministic_across_runs() {
-    let net = churn_network(0x5EED);
+    let net = churn_network(64, 0x5EED);
     let world = ChurnWorld::with_prefix_count(&net, 6);
     // Fail/restore-heavy: double the default op count at dense advances
     // so link flaps interleave with per-prefix announce/withdraw cycles.
