@@ -308,8 +308,9 @@ mod tests {
         let points = run_degradation(&TopologyConfig::calibrated(1_000, 9), &[0.0], 4, 8);
         let p = &points[0];
         assert_eq!(p.filtering_ases, 0, "rate 0 must deploy nothing");
-        // 4 origins x 8 sources; calibrated paths are short (stub, regional,
-        // large transit), so most pairs host one transit culprit.
+        // 4 origins x 8 sources host 24 transit culprits on this graph
+        // (the hand-tuned generator's longer paths gave more than 30);
+        // at least 20 keeps the success rate a rate over a few dozen cases.
         assert!(p.attempted >= 20, "cases {}", p.attempted);
         assert!(
             (0.6..=1.0).contains(&p.success_rate()),

@@ -215,9 +215,9 @@ mod tests {
 
     #[test]
     fn largescale_matches_paper_shape() {
-        // The enriched small topology has mostly <=3-hop paths (too short
-        // to host a transit poison beyond the destination's provider), so
-        // this runs on a medium topology with reduced samples.
+        // Small topologies have mostly <=3-hop paths (too short to host a
+        // transit poison beyond the destination's provider), so this runs
+        // on 1,000 ASes with reduced samples.
         let r = run_largescale(&TopologyConfig::calibrated(1_000, 9), 6, 12);
         assert!(r.cases > 50, "cases {}", r.cases);
         let rate = r.success_rate();

@@ -337,7 +337,7 @@ mod tests {
 
     #[test]
     fn table_load_curve_runs_and_serializes() {
-        // Test-sized: a ~50-AS world and a 64→256 prefix sweep; `paper
+        // Test-sized: a 64-AS world and a 64→256 prefix sweep; `paper
         // tableload` runs the real 1k/10k curve on calibrated-10k.
         let net = churn_network(64, 9);
         let points = run_table_load_on(&net, &[64, 256], 8);

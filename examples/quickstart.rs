@@ -16,7 +16,7 @@ use lifeguard_repro::sim::failures::Failure;
 use lifeguard_repro::sim::{Network, Time};
 
 fn main() {
-    // A ~50-AS Internet: tier-1 clique, transit tiers, multihomed stubs.
+    // A 64-AS Internet: tier-1 clique, transit tiers, multihomed stubs.
     let graph = TopologyConfig::calibrated(64, 7).generate();
     let net = Network::new(graph);
 

@@ -82,8 +82,8 @@ pub enum AutoElement {
 /// A complete scenario.
 #[derive(Clone, Debug)]
 pub struct Scenario {
-    /// Topology to generate; its `n` is checked to lie in
-    /// `MIN_ASES..=MAX_ASES`.
+    /// Topology to generate; [`parse`] and [`run`] reject an `n` below 64
+    /// or above 65,536.
     pub topology: TopologyConfig,
     /// LIFEGUARD's origin AS (`"auto"` picks a multihomed stub).
     pub origin: AsPick,
@@ -340,11 +340,7 @@ fn parse_topology(v: &Value) -> Result<TopologyConfig, ScenarioError> {
         }
     };
     let n = field(body, "n")?;
-    let in_bounds = n
-        .as_u64()
-        .and_then(|n| usize::try_from(n).ok())
-        .filter(|n| (MIN_ASES..=MAX_ASES).contains(n));
-    let Some(n) = in_bounds else {
+    let Some(n) = n.as_u64().and_then(|n| usize::try_from(n).ok()) else {
         return Err(err(format!(
             "topology n {n} is not an integer from {MIN_ASES} to {MAX_ASES}"
         )));
@@ -417,11 +413,18 @@ const MIN_ASES: usize = 64;
 /// The most ASes [`infra_prefix`] can address.
 const MAX_ASES: usize = 65_536;
 
-/// Reject scenarios that cannot mean what they say: a run longer than
-/// [`MAX_DURATION_MIN`], a failure that starts at or after the run's end,
-/// or one whose window ends before it starts (it would silently never
-/// fire).
+/// Reject scenarios that cannot mean what they say: a topology outside
+/// [`MIN_ASES`]..=[`MAX_ASES`] (it would panic in the generator or the
+/// data plane), a run longer than [`MAX_DURATION_MIN`], a failure that
+/// starts at or after the run's end, or one whose window ends before it
+/// starts (it would silently never fire).
 fn validate(sc: &Scenario) -> Result<(), ScenarioError> {
+    let n = sc.topology.n;
+    if !(MIN_ASES..=MAX_ASES).contains(&n) {
+        return Err(err(format!(
+            "topology n {n} is not an integer from {MIN_ASES} to {MAX_ASES}"
+        )));
+    }
     if sc.duration_min > MAX_DURATION_MIN {
         return Err(err(format!(
             "duration_min {} exceeds one year ({MAX_DURATION_MIN} minutes)",
@@ -728,6 +731,11 @@ mod tests {
             let msg = parse_error(&sized(n));
             assert!(msg.contains("from 64 to 65536"), "{n}: {msg}");
         }
+        // A scenario built in code is checked by `run` too.
+        let mut sc = parse(&sized("64")).unwrap();
+        sc.topology.n = 63;
+        let msg = run(&sc).expect_err("must be rejected").to_string();
+        assert!(msg.contains("from 64 to 65536"), "{msg}");
     }
 
     #[test]

@@ -183,7 +183,7 @@ fn derived_tables_match_both_engines_under_every_filter_kind() {
                 let scratch = compute_routes(&net, spec);
                 let reference = compute_routes_reference(&net, spec);
                 let replay = format!(
-                    "spec {i} ({:?}), topology small({topo_seed}), matrix {} \
+                    "spec {i} ({:?}), topology calibrated(64, {topo_seed}), matrix {} \
                      (replay LG_CHURN_SEED={base})",
                     spec.seeds.first().map(|(_, p)| p),
                     matrix.label()
