@@ -341,9 +341,7 @@ fn parse_topology(v: &Value) -> Result<TopologyConfig, ScenarioError> {
     };
     let n = field(body, "n")?;
     let Some(n) = n.as_u64().and_then(|n| usize::try_from(n).ok()) else {
-        return Err(err(format!(
-            "topology n {n} is not an integer from {MIN_ASES} to {MAX_ASES}"
-        )));
+        return Err(bad_size(n));
     };
     Ok(TopologyConfig::calibrated(
         n,
@@ -413,17 +411,20 @@ const MIN_ASES: usize = 64;
 /// The most ASes [`infra_prefix`] can address.
 const MAX_ASES: usize = 65_536;
 
+fn bad_size(n: impl std::fmt::Display) -> ScenarioError {
+    err(format!(
+        "topology n {n} is not an integer from {MIN_ASES} to {MAX_ASES}"
+    ))
+}
+
 /// Reject scenarios that cannot mean what they say: a topology outside
 /// [`MIN_ASES`]..=[`MAX_ASES`] (it would panic in the generator or the
 /// data plane), a run longer than [`MAX_DURATION_MIN`], a failure that
 /// starts at or after the run's end, or one whose window ends before it
 /// starts (it would silently never fire).
 fn validate(sc: &Scenario) -> Result<(), ScenarioError> {
-    let n = sc.topology.n;
-    if !(MIN_ASES..=MAX_ASES).contains(&n) {
-        return Err(err(format!(
-            "topology n {n} is not an integer from {MIN_ASES} to {MAX_ASES}"
-        )));
+    if !(MIN_ASES..=MAX_ASES).contains(&sc.topology.n) {
+        return Err(bad_size(sc.topology.n));
     }
     if sc.duration_min > MAX_DURATION_MIN {
         return Err(err(format!(
